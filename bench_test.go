@@ -358,17 +358,6 @@ func BenchmarkOptimalBroadcastConstruction(b *testing.B) {
 	}
 }
 
-// BenchmarkOptimalSummationDP measures the summation dynamic program.
-func BenchmarkOptimalSummationDP(b *testing.B) {
-	p := core.Params{P: 64, L: 20, O: 4, G: 6}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if core.SumCapacity(p, 400) == 0 {
-			b.Fatal("no capacity")
-		}
-	}
-}
-
 // BenchmarkSequentialFFT measures the local FFT kernel (the per-processor
 // work of the parallel phases).
 func BenchmarkSequentialFFT(b *testing.B) {

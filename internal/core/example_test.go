@@ -50,7 +50,7 @@ func ExampleOptimalSummation() {
 	// root local inputs: 17
 }
 
-// MinSumTime inverts SumCapacity by binary search.
+// MinSumTime inverts SumCapacity: the first deadline whose capacity reaches n.
 func ExampleMinSumTime() {
 	p := core.Params{P: 8, L: 5, O: 2, G: 4}
 	fmt.Println(core.MinSumTime(p, 79))

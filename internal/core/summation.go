@@ -55,7 +55,7 @@ func recvPeriod(p Params) int64 {
 	return p.O + 1
 }
 
-// sumBuilder memoizes the two mutually recursive quantities of the optimal
+// sumBuilder tabulates the two mutually recursive quantities of the optimal
 // summation DP:
 //
 //	best(t, q):  the maximum number of values a subtree with deadline t and
@@ -71,69 +71,124 @@ func recvPeriod(p Params) int64 {
 // o additions. Splitting the processor budget across children is a knapsack,
 // which the greedy "first child takes what it wants" rule gets wrong; the DP
 // solves it exactly (and makes SumCapacity monotone in t, which greedy
-// violates).
+// violates). Written out, with minRecv = L+2o+1:
+//
+//	best(t, q)  = t + 1 + slots(t-minRecv, q-1)               (q >= 1, t >= 0)
+//	slots(b, q) = b - o + max over i+j = q-1 of
+//	              slots(b-minRecv, i) + slots(b-period, j)    (q >= 1, b > o)
+//
+// and 0 elsewhere: a first child finishing by b <= o cannot transmit a
+// partial sum worth o additions at a gain. The first child gets i+1
+// processors, and the slots after it the other j.
+//
+// Each row slots(b, ·) is nondecreasing and concave in q. By induction: the
+// max-plus convolution of two concave rows is concave, and its first step,
+// max(slots(b-minRecv, 1), slots(b-period, 1)), is at most b-o, the row's
+// own first step. Two things follow. The convolution takes the q-1 largest
+// steps of the two rows, so a row is one merge of their steps. And a row
+// that stops growing never grows again, so it is stored only up to there
+// and a lookup past its end reads its last entry; the unconstrained
+// schedule's processor count bounds a row's length, whatever P is.
+//
+// The table holds only the rows a query at a deadline >= lo can read. Each
+// lookup one level down spends at least one processor and descends at most
+// step = max(minRecv, period) cycles. So row top-k*step, with
+// top = lo-minRecv, is read at q <= P-1-k and is computed only that far, and
+// no row below top-(P-2)*step is read at all. Rows are added upwards on
+// demand, so a walk up from lo computes none past the deadline it stops at.
 type sumBuilder struct {
 	p       Params
 	period  int64
 	minRecv int64 // L + 2o + 1: earliest deadline that admits a reception
-	best    map[sumKey]int64
-	slots   map[sumKey]int64
+	step    int64 // max(minRecv, period)
+	top     int64 // lo - minRecv: the lowest row read with all P-1 processors
+	first   int64 // bound of rows[0]
+	rows    [][]int64
 }
 
-type sumKey struct {
-	t int64
-	q int
-}
+// noSlots is the row of every bound <= o.
+var noSlots = []int64{0}
 
-func newSumBuilder(p Params) *sumBuilder {
-	return &sumBuilder{
+// newSumBuilder returns an empty table for queries at deadlines >= lo.
+func newSumBuilder(p Params, lo int64) *sumBuilder {
+	b := &sumBuilder{
 		p:       p,
 		period:  recvPeriod(p),
 		minRecv: p.L + 2*p.O + 1,
-		best:    make(map[sumKey]int64),
-		slots:   make(map[sumKey]int64),
 	}
+	b.step = max(b.minRecv, b.period)
+	b.top = lo - b.minRecv
+	// first = max(o+1, top-(P-2)*step), without overflowing the product.
+	b.first = p.O + 1
+	if k := int64(p.P - 2); k <= 0 {
+		b.first = max(b.first, b.top)
+	} else if (b.top-b.first)/k >= b.step {
+		b.first = b.top - k*b.step
+	}
+	return b
 }
 
 func (b *sumBuilder) bestVal(t int64, q int) int64 {
 	if q <= 0 || t < 0 {
 		return 0
 	}
-	key := sumKey{t, q}
-	if v, ok := b.best[key]; ok {
-		return v
-	}
-	v := t + 1 // single-processor chain of t additions
-	if q > 1 && t >= b.minRecv {
-		if s := b.slotVal(t-b.minRecv, q-1); s > 0 {
-			v = t + 1 + s
-		}
-	}
-	b.best[key] = v
-	return v
+	return t + 1 + b.slotVal(t-b.minRecv, q-1)
 }
 
 func (b *sumBuilder) slotVal(bound int64, q int) int64 {
-	if bound < 0 || q <= 0 {
+	if q <= 0 {
 		return 0
 	}
-	key := sumKey{bound, q}
-	if v, ok := b.slots[key]; ok {
-		return v
+	row := b.slots(bound)
+	return row[min(q, len(row)-1)]
+}
+
+// slots returns the row slots(bound, ·), adding rows up to bound.
+func (b *sumBuilder) slots(bound int64) []int64 {
+	if bound <= b.p.O {
+		return noSlots
 	}
-	bestNet := int64(0) // stopping (using no further slots) is always legal
-	for use := 1; use <= q; use++ {
-		cv := b.bestVal(bound, use)
-		if cv-1 < b.p.O {
-			break // even more processors cannot make a too-early child worth o additions
-		}
-		net := cv - (b.p.O + 1) + b.slotVal(bound-b.period, q-use)
-		if net > bestNet {
-			bestNet = net
-		}
+	for next := b.first + int64(len(b.rows)); next <= bound; next++ {
+		b.rows = append(b.rows, b.newRow(next))
 	}
-	b.slots[key] = bestNet
-	return bestNet
+	return b.rows[bound-b.first]
+}
+
+// newRow computes slots(bound, ·) for bound > o from the rows below it,
+// up to the widest q a query at a deadline >= lo reads there, and stops
+// where the row stops growing.
+func (b *sumBuilder) newRow(bound int64) []int64 {
+	width := b.p.P - 1
+	if bound < b.top {
+		width -= int((b.top - bound + b.step - 1) / b.step)
+	}
+	if width <= 1 {
+		return []int64{0, bound - b.p.O}
+	}
+	child, later := b.slots(bound-b.minRecv), b.slots(bound-b.period)
+	row := make([]int64, 2, min(width, len(child)+len(later)-1)+1)
+	row[1] = bound - b.p.O
+	i, j := 1, 1 // next steps of child and later to merge
+	for len(row) <= width {
+		var di, dj int64
+		if i < len(child) {
+			di = child[i] - child[i-1]
+		}
+		if j < len(later) {
+			dj = later[j] - later[j-1]
+		}
+		d := max(di, dj)
+		if d == 0 {
+			break
+		}
+		if di >= dj {
+			i++
+		} else {
+			j++
+		}
+		row = append(row, row[len(row)-1]+d)
+	}
+	return row
 }
 
 // build reconstructs the schedule tree for (t, q) by replaying the DP argmax.
@@ -195,7 +250,7 @@ func OptimalSummation(p Params, deadline int64) (*SumSchedule, error) {
 	if deadline < 0 {
 		return nil, fmt.Errorf("core: negative deadline %d", deadline)
 	}
-	b := newSumBuilder(p)
+	b := newSumBuilder(p, deadline)
 	root := b.build(deadline, p.P)
 	s := &SumSchedule{
 		Params:   p,
@@ -234,27 +289,34 @@ func SumCapacity(p Params, deadline int64) int64 {
 	if err := p.Validate(); err != nil {
 		return 0
 	}
-	return newSumBuilder(p).bestVal(deadline, p.P)
+	return newSumBuilder(p, deadline).bestVal(deadline, p.P)
 }
 
 // MinSumTime returns the smallest deadline T such that n values can be
-// summed on at most P processors, found by binary search (SumCapacity is
-// nondecreasing in T).
+// summed on at most P processors, or -1 if p is invalid (see
+// Params.Validate). P processors sum at most P(T+1) values by T, so the
+// search walks up from ⌈n/P⌉-1 and stops at the first deadline whose
+// capacity reaches n (SumCapacity is nondecreasing in T).
 func MinSumTime(p Params, n int64) int64 {
-	if n <= 1 {
-		return 0
+	T, _ := minSumTime(p, n)
+	return T
+}
+
+// minSumTime is MinSumTime, also returning the table the walk filled.
+func minSumTime(p Params, n int64) (int64, *sumBuilder) {
+	if err := p.Validate(); err != nil {
+		return -1, nil
 	}
-	b := newSumBuilder(p)
-	lo, hi := int64(0), n-1 // one processor sums n values in n-1 cycles
-	for lo < hi {
-		mid := lo + (hi-lo)/2
-		if b.bestVal(mid, p.P) >= n {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
+	lo := int64(0)
+	if n > 1 {
+		lo = (n - 1) / int64(p.P)
 	}
-	return lo
+	b := newSumBuilder(p, lo)
+	T := lo
+	for b.bestVal(T, p.P) < n {
+		T++
+	}
+	return T, b
 }
 
 // BinaryTreeSumTime is the baseline: distribute n values evenly, local-sum,

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -112,6 +113,10 @@ func TestSummationRespectsProcessorBudget(t *testing.T) {
 	}
 }
 
+// TestSumCapacityMonotone: capacity never falls as the deadline or the
+// processor budget grows, and each extra processor adds no more than the
+// one before it. sumBuilder's row trimming relies on the last two: a row
+// that stops growing in q never grows again.
 func TestSumCapacityMonotone(t *testing.T) {
 	p := Params{P: 8, L: 5, O: 2, G: 4}
 	prev := int64(-1)
@@ -121,6 +126,35 @@ func TestSumCapacityMonotone(t *testing.T) {
 			t.Fatalf("SumCapacity decreased: T=%d gives %d after %d", T, v, prev)
 		}
 		prev = v
+	}
+	f := func(tt, pp, ll, oo, gg uint8) bool {
+		p := randomSumParams(48, pp, ll, oo, gg)
+		T := int64(tt)
+		prev := int64(-1)
+		for d := int64(0); d <= T; d++ {
+			v := SumCapacity(p, d)
+			if v < prev {
+				t.Logf("%v: SumCapacity(%d) = %d after %d", p, d, v, prev)
+				return false
+			}
+			prev = v
+		}
+		prev, prevGain := 0, int64(math.MaxInt64)
+		for q := 1; q <= p.P; q++ {
+			pq := p
+			pq.P = q
+			v := SumCapacity(pq, T)
+			gain := v - prev
+			if gain < 0 || gain > prevGain {
+				t.Logf("%v T=%d: processor %d adds %d after %d", p, T, q, gain, prevGain)
+				return false
+			}
+			prev, prevGain = v, gain
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Error(err)
 	}
 }
 
@@ -147,6 +181,42 @@ func TestMinSumTime(t *testing.T) {
 	// Figure 4 closes the loop: 79 values need exactly T=28.
 	if T := MinSumTime(fig4, 79); T != 28 {
 		t.Errorf("MinSumTime(79) = %d, want 28", T)
+	}
+	// Invalid parameters give -1, and OptimalSummation at that deadline
+	// still reports the parameter error rather than the negative deadline.
+	for _, bad := range []Params{{P: 0, L: 5, O: 2, G: 4}, {P: 8, L: 5, O: 2, G: 0}} {
+		if T := MinSumTime(bad, 100); T != -1 {
+			t.Errorf("%v: MinSumTime = %d, want -1", bad, T)
+		}
+		_, err := OptimalSummation(bad, MinSumTime(bad, 100))
+		if want := bad.Validate(); err == nil || err.Error() != want.Error() {
+			t.Errorf("%v: OptimalSummation error %v, want %v", bad, err, want)
+		}
+	}
+}
+
+// TestSumTableWork pins how many rows and entries MinSumTime's table
+// stores, so that filling every deadline from 0, or every row to width P,
+// fails here deterministically rather than by wall clock.
+func TestSumTableWork(t *testing.T) {
+	for _, c := range []struct {
+		p             Params
+		n, T          int64
+		rows, entries int
+	}{
+		{Params{P: 1 << 20, L: 6, O: 2, G: 4}, 1000, 55, 42, 1047},
+		{Params{P: 1, L: 6, O: 2, G: 4}, 1 << 20, 1<<20 - 1, 0, 0},
+		{Params{P: 4, L: 6, O: 2, G: 4}, 1 << 20, 262157, 37, 115},
+	} {
+		T, b := minSumTime(c.p, c.n)
+		entries := 0
+		for _, row := range b.rows {
+			entries += len(row)
+		}
+		if T != c.T || len(b.rows) != c.rows || entries != c.entries {
+			t.Errorf("%v n=%d: T=%d in %d rows, %d entries; want T=%d in %d rows, %d entries",
+				c.p, c.n, T, len(b.rows), entries, c.T, c.rows, c.entries)
+		}
 	}
 }
 
@@ -243,12 +313,25 @@ func TestLeafDeadlinesFig4(t *testing.T) {
 	}
 }
 
-func BenchmarkOptimalSummationConstruction(b *testing.B) {
-	p := Params{P: 256, L: 20, O: 4, G: 6}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := OptimalSummation(p, 500); err != nil {
-			b.Fatal(err)
-		}
+// BenchmarkSumSchedule times what building the sum program costs: the
+// minimum deadline for n values, then the schedule at that deadline.
+func BenchmarkSumSchedule(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		p    Params
+		n    int64
+	}{
+		{"P=64,n=1000", Params{P: 64, L: 6, O: 2, G: 4}, 1000},
+		{"P=1048576,n=1000", Params{P: 1 << 20, L: 6, O: 2, G: 4}, 1000},
+		{"P=4,n=1048576", Params{P: 4, L: 6, O: 2, G: 4}, 1 << 20},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := OptimalSummation(c.p, MinSumTime(c.p, c.n)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
