@@ -51,6 +51,7 @@ import (
 	"math"
 	"math/rand"
 	"time"
+	"unsafe"
 
 	"github.com/logp-model/logp/internal/core"
 	"github.com/logp-model/logp/internal/logp"
@@ -180,6 +181,10 @@ type proc struct {
 	// it was parked at a capacity acquire; the barrier grant flushes it
 	// (capFlush). Dispatch order, hence ascending time.
 	held []heldEvent
+
+	// The run's high-water lengths of inbox and ops, which seat compares
+	// with their capacities to drop storage an earlier, larger run grew.
+	inboxPeak, opsPeak int
 }
 
 func (p *proc) pending() int { return len(p.inbox) - p.inboxHead }
@@ -228,14 +233,40 @@ func (p *proc) pushInbox(msg *logp.Message) {
 		}
 	}
 	p.inbox = append(p.inbox, *msg)
+	if len(p.inbox) > p.inboxPeak {
+		p.inboxPeak = len(p.inbox)
+	}
 }
 
 func (p *proc) resetOps() {
+	if len(p.ops) > p.opsPeak {
+		p.opsPeak = len(p.ops)
+	}
 	for i := range p.ops {
 		p.ops[i].data = nil
 	}
 	p.ops = p.ops[:0]
 	p.opHead = 0
+}
+
+// trimSlack and trimFloor decide which per-processor buffers seat keeps: one
+// holding more than trimFloor entries and over trimSlack times what the last
+// run used was grown by an earlier, larger run, so it is dropped and regrown
+// on demand. Repeating a job keeps every buffer (append at most doubles a
+// slice past its length), while a pooled machine that once ran a large
+// program does not hold that program's storage through every later job.
+const (
+	trimSlack = 4
+	trimFloor = 64
+)
+
+// trimmed returns buf emptied, or nil when its capacity is far beyond the
+// last run's peak use.
+func trimmed[T any](buf []T, peak int) []T {
+	if c := cap(buf); c > trimFloor && c > trimSlack*peak {
+		return nil
+	}
+	return buf[:0]
 }
 
 // The logp.Node interface: handlers record operations against the proc.
@@ -295,7 +326,8 @@ type shard struct {
 	dropped int                // deliveries lost to fail-stopped destinations
 }
 
-// Machine is a flat LogP machine ready to run one Program.
+// Machine is a flat LogP machine ready to run one Program; Reset seats
+// another config and program on the same storage.
 type Machine struct {
 	cfg        logp.Config
 	topol      topo.Model // nil unless cfg.Topology: per-link cost model
@@ -351,142 +383,21 @@ type Machine struct {
 // cross shards), and both flavors keep the sample in-flight series zero.
 // Capacity-off sharding additionally requires o+L >= 1 (the lookahead
 // window); capacity mode runs its own L+1 window and has no such floor.
+//
+// New validates cfg before allocating anything, lays out P processors over
+// ShardCount(P, shards) shards, and seats cfg and prog on that storage
+// through the same path as Reset.
 func New(cfg logp.Config, prog logp.Program, shards int) (*Machine, error) {
-	if err := cfg.Params.Validate(); err != nil {
+	if err := validate(cfg, shards); err != nil {
 		return nil, err
 	}
-	if cfg.LatencyJitter < 0 || cfg.LatencyJitter > cfg.L {
-		return nil, fmt.Errorf("logp: latency jitter %d outside [0, L=%d]", cfg.LatencyJitter, cfg.L)
-	}
-	if cfg.Topology != nil {
-		if cfg.Topology.P() != cfg.P {
-			return nil, fmt.Errorf("logp: topology describes P=%d, machine has P=%d", cfg.Topology.P(), cfg.P)
-		}
-		if minL := cfg.Topology.MinL(); cfg.LatencyJitter > minL {
-			return nil, fmt.Errorf("logp: latency jitter %d exceeds the minimum link L=%d", cfg.LatencyJitter, minL)
-		}
-	}
-	if cfg.ComputeJitter < 0 {
-		return nil, fmt.Errorf("logp: negative compute jitter %v", cfg.ComputeJitter)
-	}
-	if cfg.ProcSkew < 0 {
-		return nil, fmt.Errorf("logp: negative processor skew %v", cfg.ProcSkew)
-	}
-	if cfg.Faults != nil {
-		if err := cfg.Faults.Validate(cfg.P); err != nil {
-			return nil, err
-		}
-	}
-	if shards < 1 {
-		shards = 1
-	}
-	if shards > cfg.P {
-		shards = cfg.P
-	}
-	// Per-link cost models shrink the conservative lookahead to the cheapest
-	// link anywhere in the machine: minOL = min over links of o+L, minL =
-	// min over links of L. Without a topology both reduce to the global
-	// parameters. The minimum over link *classes* is what soundness needs —
-	// a cross-shard message over some link (i, j) takes at least
-	// o(i,j)+L(i,j) >= minOL cycles from initiation to arrival, so a window
-	// of minOL cycles still cannot be outrun by any message, just as in the
-	// uniform argument (see the package comment and runSharded).
-	minOL, minL := cfg.O+cfg.L, cfg.L
-	if cfg.Topology != nil {
-		minOL, minL = cfg.Topology.MinOL(), cfg.Topology.MinL()
-	}
-	if shards > 1 {
-		if cfg.CollectTrace || cfg.Profiler != nil {
-			return nil, fmt.Errorf("flat: sharded execution excludes trace and profiler (single-shard observers)")
-		}
-		if cfg.Faults != nil && !failStopOnly(cfg.Faults) {
-			return nil, fmt.Errorf("flat: sharded execution allows fail-stop faults only (drop/dup/jitter/slowdown draws are ordered by a single queue)")
-		}
-		if cfg.LatencyJitter != 0 || cfg.ComputeJitter != 0 {
-			return nil, fmt.Errorf("flat: sharded execution requires zero latency/compute jitter (random draws are ordered by a single queue)")
-		}
-		if cfg.DisableCapacity && minOL < 1 {
-			return nil, fmt.Errorf("flat: sharded execution requires min(o+L) >= 1 over all links for a conservative lookahead window")
-		}
-	}
-	horizon := minOL
-	capSharded := shards > 1 && !cfg.DisableCapacity
-	if capSharded {
-		// Capacity mode narrows the window to min(L)+1: every send pauses at
-		// its capacity acquire and is granted at the barrier, so the only
-		// events the barrier schedules into a shard's past-capable future are
-		// deliveries at grant+L(link) with grant >= M — sound iff the window
-		// end M+W-1 never exceeds M+minL, i.e. W <= minL+1, since every
-		// link's L is at least minL. minL = 0 degenerates to single-instant
-		// windows, which stay correct (and need no minOL >= 1 rule: barrier
-		// grants, not in-window sends, carry the progress).
-		horizon = minL + 1
-	}
+	n := ShardCount(cfg.P, shards)
 	m := &Machine{
-		cfg:        cfg,
-		topol:      cfg.Topology,
-		prog:       prog,
-		shards:     shards,
-		horizon:    horizon,
-		capSharded: capSharded,
-		rng:        rand.New(rand.NewSource(cfg.Seed)),
+		shards: n,
+		perSh:  (cfg.P + n - 1) / n,
+		procs:  make([]proc, cfg.P),
+		sh:     make([]shard, n),
 	}
-	if cfg.ProcSkew > 0 {
-		m.skew = make([]float64, cfg.P)
-		for i := range m.skew {
-			m.skew[i] = 1 + cfg.ProcSkew*m.rng.Float64()
-		}
-	}
-	if cfg.CollectTrace {
-		m.tr = &trace.Log{}
-	}
-	if cfg.Faults != nil {
-		m.faults = logp.NewFaultRuntime(cfg.Faults, cfg.P)
-	}
-	if cfg.Profiler != nil {
-		m.rec = cfg.Profiler
-		m.rec.Begin(prof.RunInfo{
-			Params:                   cfg.Params,
-			Coprocessor:              cfg.Coprocessor,
-			DisableCapacity:          cfg.DisableCapacity,
-			HoldCapacityUntilReceive: cfg.HoldCapacityUntilReceive,
-			BarrierCost:              cfg.BarrierCost,
-		})
-	}
-	if !cfg.DisableCapacity {
-		capUnits := cfg.Params.Capacity()
-		m.outCap = make([]semaphore, cfg.P)
-		m.inCap = make([]semaphore, cfg.P)
-		for i := 0; i < cfg.P; i++ {
-			m.outCap[i].capacity = capUnits
-			m.inCap[i].capacity = capUnits
-		}
-	}
-	if shards == 1 || !cfg.DisableCapacity {
-		// Sequential runs settle in-transit counts at delivery; capacity-
-		// sharded runs replay every acquire and release at the barrier in
-		// sim-time order, which makes the high-water marks exact there too.
-		// Only capacity-off sharded runs leave them untracked (settling a
-		// message's accounting at arrival would cross shards mid-window).
-		m.inTransitFrom = make([]int32, cfg.P)
-		m.inTransitTo = make([]int32, cfg.P)
-	}
-	if cfg.Metrics != nil {
-		m.met = cfg.Metrics
-		capUnits := 0
-		if !cfg.DisableCapacity {
-			capUnits = cfg.Params.Capacity()
-		}
-		m.met.Begin(cfg.P, capUnits, cfg.MetricsEvery)
-		m.lastBusy = make([]int64, cfg.P)
-		m.every = m.met.Every()
-		m.nextSample = m.every
-	}
-
-	m.perSh = (cfg.P + shards - 1) / shards
-	m.shards = (cfg.P + m.perSh - 1) / m.perSh // drop empty trailing shards
-	m.procs = make([]proc, cfg.P)
-	m.sh = make([]shard, m.shards)
 	for s := range m.sh {
 		sh := &m.sh[s]
 		sh.idx = int32(s)
@@ -495,19 +406,6 @@ func New(cfg logp.Config, prog logp.Program, shards int) (*Machine, error) {
 		if sh.hi > cfg.P {
 			sh.hi = cfg.P
 		}
-		sh.deadline = math.MaxInt64
-		if m.shards > 1 {
-			if !m.capSharded {
-				// Capacity-sharded runs have no outboxes: every send parks at
-				// its acquire and the barrier injects cross- and same-shard
-				// deliveries alike, so nothing is emitted mid-window.
-				sh.out = make([][]event, m.shards)
-			}
-			if m.met != nil {
-				sh.flight = metrics.NewHistogram(m.met.FlightCycles.Bounds()...)
-				sh.stall = metrics.NewHistogram(m.met.StallCyclesHist.Bounds()...)
-			}
-		}
 	}
 	for i := range m.procs {
 		p := &m.procs[i]
@@ -515,7 +413,249 @@ func New(cfg logp.Config, prog logp.Program, shards int) (*Machine, error) {
 		p.shard = int32(i / m.perSh)
 		p.m = m
 	}
+	m.seat(cfg, prog)
 	return m, nil
+}
+
+// ShardCount reports how many event-kernel shards New builds for p >= 1
+// processors when asked for shards: the request clamped to [1, p], less the
+// trailing shards the contiguous partition leaves empty. Machines with equal
+// P and ShardCount share one storage layout, so either can Reset to any
+// config the other could run.
+func ShardCount(p, shards int) int {
+	if shards < 1 {
+		shards = 1
+	}
+	if shards > p {
+		shards = p
+	}
+	per := (p + shards - 1) / shards
+	return (p + per - 1) / per
+}
+
+// Reset re-seats the machine with a new config and program, reusing its
+// storage: each processor's inbox, operation and held-event buffers, and
+// each shard's wheel buckets, overflow heap, payload arena, free list,
+// outboxes and capacity ledger. Everything else is re-seated from cfg —
+// topology, capacity mode, parameters, seed, jitter, faults and observers —
+// and every message payload the last run left behind is cleared, so the
+// machine pins none of the previous program's data. After Reset, Run
+// returns exactly what New(cfg, prog, shards).Run() would for the shard
+// count the machine was built with.
+//
+// The processor count and the shard layout are fixed at construction. Reset
+// validates cfg exactly as New does at the machine's shard count, and it
+// returns an error if cfg.P differs from the machine's P; on error the
+// machine is left as it was. A flight recorder, if enabled, stays enabled
+// with its counters zeroed.
+func (m *Machine) Reset(cfg logp.Config, prog logp.Program) error {
+	if err := validate(cfg, m.shards); err != nil {
+		return err
+	}
+	if cfg.P != len(m.procs) {
+		return fmt.Errorf("flat: reset to P=%d on a machine built for P=%d", cfg.P, len(m.procs))
+	}
+	m.seat(cfg, prog)
+	return nil
+}
+
+// validate checks cfg for a machine of the given (unclamped) shard count:
+// the checks New runs before it allocates, in New's order.
+func validate(cfg logp.Config, shards int) error {
+	if err := cfg.Params.Validate(); err != nil {
+		return err
+	}
+	if cfg.LatencyJitter < 0 || cfg.LatencyJitter > cfg.L {
+		return fmt.Errorf("logp: latency jitter %d outside [0, L=%d]", cfg.LatencyJitter, cfg.L)
+	}
+	if cfg.Topology != nil {
+		if cfg.Topology.P() != cfg.P {
+			return fmt.Errorf("logp: topology describes P=%d, machine has P=%d", cfg.Topology.P(), cfg.P)
+		}
+		if minL := cfg.Topology.MinL(); cfg.LatencyJitter > minL {
+			return fmt.Errorf("logp: latency jitter %d exceeds the minimum link L=%d", cfg.LatencyJitter, minL)
+		}
+	}
+	if cfg.ComputeJitter < 0 {
+		return fmt.Errorf("logp: negative compute jitter %v", cfg.ComputeJitter)
+	}
+	if cfg.ProcSkew < 0 {
+		return fmt.Errorf("logp: negative processor skew %v", cfg.ProcSkew)
+	}
+	if cfg.Faults != nil {
+		if err := cfg.Faults.Validate(cfg.P); err != nil {
+			return err
+		}
+	}
+	if ShardCount(cfg.P, shards) > 1 {
+		if cfg.CollectTrace || cfg.Profiler != nil {
+			return fmt.Errorf("flat: sharded execution excludes trace and profiler (single-shard observers)")
+		}
+		if cfg.Faults != nil && !failStopOnly(cfg.Faults) {
+			return fmt.Errorf("flat: sharded execution allows fail-stop faults only (drop/dup/jitter/slowdown draws are ordered by a single queue)")
+		}
+		if cfg.LatencyJitter != 0 || cfg.ComputeJitter != 0 {
+			return fmt.Errorf("flat: sharded execution requires zero latency/compute jitter (random draws are ordered by a single queue)")
+		}
+		if minOL, _ := lookahead(cfg); cfg.DisableCapacity && minOL < 1 {
+			return fmt.Errorf("flat: sharded execution requires min(o+L) >= 1 over all links for a conservative lookahead window")
+		}
+	}
+	return nil
+}
+
+// lookahead reports the machine-wide minima the sharded windows rest on:
+// minOL = min over links of o+L, minL = min over links of L. Without a
+// topology both reduce to the global parameters. The minimum over link
+// *classes* is what soundness needs — a cross-shard message over some link
+// (i, j) takes at least o(i,j)+L(i,j) >= minOL cycles from initiation to
+// arrival, so a window of minOL cycles still cannot be outrun by any
+// message, just as in the uniform argument (see the package comment and
+// runSharded).
+func lookahead(cfg logp.Config) (minOL, minL int64) {
+	if cfg.Topology != nil {
+		return cfg.Topology.MinOL(), cfg.Topology.MinL()
+	}
+	return cfg.O + cfg.L, cfg.L
+}
+
+// seat installs a validated cfg and prog on the machine's storage and
+// returns every piece of run state to that of a just-built machine: the one
+// path behind New, Reset and a re-Run. Buffers keep their capacity; stale
+// message payloads are cleared. The rng is reseeded and the skews drawn in
+// construction order, so a re-seated run replays the exact random sequence
+// of a fresh machine.
+func (m *Machine) seat(cfg logp.Config, prog logp.Program) {
+	m.cfg, m.topol, m.prog = cfg, cfg.Topology, prog
+	minOL, minL := lookahead(cfg)
+	m.horizon = minOL
+	m.capSharded = m.shards > 1 && !cfg.DisableCapacity
+	if m.capSharded {
+		// Capacity mode narrows the window to min(L)+1: every send pauses at
+		// its capacity acquire and is granted at the barrier, so the only
+		// events the barrier schedules into a shard's past-capable future are
+		// deliveries at grant+L(link) with grant >= M — sound iff the window
+		// end M+W-1 never exceeds M+minL, i.e. W <= minL+1, since every
+		// link's L is at least minL. minL = 0 degenerates to single-instant
+		// windows, which stay correct (and need no minOL >= 1 rule: barrier
+		// grants, not in-window sends, carry the progress).
+		m.horizon = minL + 1
+	}
+	if m.rng == nil {
+		m.rng = rand.New(rand.NewSource(cfg.Seed))
+	} else {
+		m.rng.Seed(cfg.Seed)
+	}
+	m.skew = keepIf(cfg.ProcSkew > 0, m.skew, cfg.P)
+	for i := range m.skew {
+		m.skew[i] = 1 + cfg.ProcSkew*m.rng.Float64()
+	}
+	m.tr = nil
+	if cfg.CollectTrace {
+		m.tr = &trace.Log{} // a previous Result retains the old log
+	}
+	m.faults = nil
+	if cfg.Faults != nil {
+		m.faults = logp.NewFaultRuntime(cfg.Faults, cfg.P)
+	}
+	m.rec = cfg.Profiler
+	if m.rec != nil {
+		m.rec.Begin(prof.RunInfo{
+			Params:                   cfg.Params,
+			Coprocessor:              cfg.Coprocessor,
+			DisableCapacity:          cfg.DisableCapacity,
+			HoldCapacityUntilReceive: cfg.HoldCapacityUntilReceive,
+			BarrierCost:              cfg.BarrierCost,
+		})
+	}
+
+	capUnits := 0
+	if !cfg.DisableCapacity {
+		capUnits = cfg.Params.Capacity()
+	}
+	m.outCap = keepIf(capUnits > 0, m.outCap, cfg.P)
+	m.inCap = keepIf(capUnits > 0, m.inCap, cfg.P)
+	for i := range m.outCap {
+		m.outCap[i] = semaphore{capacity: capUnits, waiters: m.outCap[i].waiters[:0]}
+		m.inCap[i] = semaphore{capacity: capUnits, waiters: m.inCap[i].waiters[:0]}
+	}
+	// Sequential runs settle in-transit counts at delivery; capacity-sharded
+	// runs replay every acquire and release at the barrier in sim-time
+	// order, which makes the high-water marks exact there too. Only
+	// capacity-off sharded runs leave them untracked (settling a message's
+	// accounting at arrival would cross shards mid-window).
+	tracked := m.shards == 1 || !cfg.DisableCapacity
+	m.inTransitFrom = keepIf(tracked, m.inTransitFrom, cfg.P)
+	m.inTransitTo = keepIf(tracked, m.inTransitTo, cfg.P)
+	clear(m.inTransitFrom)
+	clear(m.inTransitTo)
+	m.maxOut, m.maxIn = 0, 0
+	m.duplicated = 0
+	m.capLedger = m.capLedger[:0]
+	m.capWakes = m.capWakes[:0]
+
+	m.met = cfg.Metrics
+	if m.met != nil {
+		m.met.Begin(cfg.P, capUnits, cfg.MetricsEvery)
+		if m.lastBusy == nil {
+			m.lastBusy = make([]int64, cfg.P)
+		}
+		clear(m.lastBusy)
+		m.lastSample = 0
+		m.every = m.met.Every()
+		m.nextSample = m.every
+	}
+	m.resetRecorder()
+
+	for s := range m.sh {
+		sh := &m.sh[s]
+		sh.queue.reset()
+		sh.deadline = math.MaxInt64
+		sh.live = 0
+		for d := range sh.out {
+			clear(sh.out[d])
+			sh.out[d] = sh.out[d][:0]
+		}
+		// Only capacity-off sharded runs have outboxes. Capacity-sharded
+		// runs park every send at its acquire and the barrier injects cross-
+		// and same-shard deliveries alike, so nothing is emitted mid-window.
+		sh.out = keepIf(m.shards > 1 && !m.capSharded, sh.out, m.shards)
+		sh.flight, sh.stall = nil, nil
+		if m.shards > 1 && m.met != nil {
+			sh.flight = metrics.NewHistogram(m.met.FlightCycles.Bounds()...)
+			sh.stall = metrics.NewHistogram(m.met.StallCyclesHist.Bounds()...)
+		}
+		sh.capOps = sh.capOps[:0]
+		sh.dropped = 0
+	}
+	for i := range m.procs {
+		p := &m.procs[i]
+		clear(p.inbox)
+		p.resetOps()
+		clear(p.held)
+		*p = proc{
+			id:    p.id,
+			shard: p.shard,
+			m:     m,
+			inbox: trimmed(p.inbox, p.inboxPeak),
+			ops:   trimmed(p.ops, p.opsPeak),
+			held:  p.held[:0],
+		}
+	}
+	m.ran = false
+}
+
+// keepIf returns buf, allocated at length n if it is nil, when want holds,
+// and nil otherwise: the nil-means-off convention of the optional
+// per-processor arrays, keeping their storage while the mode stays on.
+func keepIf[T any](want bool, buf []T, n int) []T {
+	if !want {
+		return nil
+	}
+	if buf == nil {
+		buf = make([]T, n)
+	}
+	return buf
 }
 
 func (m *Machine) shardOf(proc int) int32 { return int32(proc / m.perSh) }
@@ -543,6 +683,44 @@ func failStopOnly(p *logp.FaultPlan) bool {
 // Config returns the machine configuration.
 func (m *Machine) Config() logp.Config { return m.cfg }
 
+// StorageBytes reports the bytes of storage the machine keeps between runs
+// for reuse: the capacity of its processor and shard arrays and of every
+// per-processor and per-shard buffer a run grows. It excludes what the
+// config and program own (the program's own state, the metrics registry,
+// trace, profiler and topology), which Reset replaces.
+func (m *Machine) StorageBytes() int64 {
+	n := int64(cap(m.procs))*int64(unsafe.Sizeof(proc{})) +
+		int64(cap(m.sh))*int64(unsafe.Sizeof(shard{})) +
+		int64(cap(m.outCap)+cap(m.inCap))*int64(unsafe.Sizeof(semaphore{})) +
+		int64(cap(m.inTransitFrom)+cap(m.inTransitTo)+cap(m.capWakes))*4 +
+		int64(cap(m.skew)+cap(m.lastBusy))*8 +
+		int64(cap(m.capLedger))*int64(unsafe.Sizeof(capOp{}))
+	for i := range m.procs {
+		p := &m.procs[i]
+		n += int64(cap(p.inbox))*int64(unsafe.Sizeof(logp.Message{})) +
+			int64(cap(p.ops))*int64(unsafe.Sizeof(op{})) +
+			int64(cap(p.held))*int64(unsafe.Sizeof(heldEvent{}))
+	}
+	for i := range m.outCap {
+		n += int64(cap(m.outCap[i].waiters)+cap(m.inCap[i].waiters)) * 4
+	}
+	for s := range m.sh {
+		sh := &m.sh[s]
+		for b := range sh.wheel {
+			n += int64(cap(sh.wheel[b])) * int64(unsafe.Sizeof(ent{}))
+		}
+		n += int64(cap(sh.heap))*int64(unsafe.Sizeof(ent{})) +
+			int64(cap(sh.arena))*int64(unsafe.Sizeof(payload{})) +
+			int64(cap(sh.free))*4 +
+			int64(cap(sh.out))*int64(unsafe.Sizeof([]event(nil))) +
+			int64(cap(sh.capOps))*int64(unsafe.Sizeof(capOp{}))
+		for d := range sh.out {
+			n += int64(cap(sh.out[d])) * int64(unsafe.Sizeof(event{}))
+		}
+	}
+	return n
+}
+
 // Run executes the Program to completion and reports the run. A Machine may
 // be Run repeatedly: each run restarts from cycle zero with the same seed and
 // produces an identical Result, reusing the machine's internal storage so
@@ -551,7 +729,7 @@ func (m *Machine) Config() logp.Config { return m.cfg }
 // so retain (or copy) a previous run's observations before re-running.
 func (m *Machine) Run() (logp.Result, error) {
 	if m.ran {
-		m.reset()
+		m.seat(m.cfg, m.prog)
 	}
 	m.ran = true
 	// Initial schedule, mirroring logp.Machine.Run: fail-stop events first
@@ -632,92 +810,6 @@ func (m *Machine) Run() (logp.Result, error) {
 		m.met.SetSimTime(res.Time)
 	}
 	return res, nil
-}
-
-// reset returns the machine to its just-constructed state, keeping the
-// capacity of every internal buffer. The rng is reseeded and the skews
-// redrawn in construction order, so a re-run replays the exact random
-// sequence of a fresh machine.
-func (m *Machine) reset() {
-	m.resetRecorder()
-	m.rng = rand.New(rand.NewSource(m.cfg.Seed))
-	for i := range m.skew {
-		m.skew[i] = 1 + m.cfg.ProcSkew*m.rng.Float64()
-	}
-	if m.tr != nil {
-		m.tr = &trace.Log{} // the previous Result retains the old log
-	}
-	if m.faults != nil {
-		m.faults = logp.NewFaultRuntime(m.cfg.Faults, m.cfg.P)
-	}
-	if m.rec != nil {
-		m.rec.Begin(prof.RunInfo{
-			Params:                   m.cfg.Params,
-			Coprocessor:              m.cfg.Coprocessor,
-			DisableCapacity:          m.cfg.DisableCapacity,
-			HoldCapacityUntilReceive: m.cfg.HoldCapacityUntilReceive,
-			BarrierCost:              m.cfg.BarrierCost,
-		})
-	}
-	for i := range m.outCap {
-		m.outCap[i] = semaphore{capacity: m.outCap[i].capacity, waiters: m.outCap[i].waiters[:0]}
-		m.inCap[i] = semaphore{capacity: m.inCap[i].capacity, waiters: m.inCap[i].waiters[:0]}
-	}
-	for i := range m.inTransitFrom {
-		m.inTransitFrom[i], m.inTransitTo[i] = 0, 0
-	}
-	m.maxOut, m.maxIn = 0, 0
-	m.duplicated = 0
-	m.capLedger = m.capLedger[:0]
-	m.capWakes = m.capWakes[:0]
-	if m.met != nil {
-		capUnits := 0
-		if !m.cfg.DisableCapacity {
-			capUnits = m.cfg.Params.Capacity()
-		}
-		m.met.Begin(m.cfg.P, capUnits, m.cfg.MetricsEvery)
-		for i := range m.lastBusy {
-			m.lastBusy[i] = 0
-		}
-		m.lastSample = 0
-		m.nextSample = m.every
-	}
-	for s := range m.sh {
-		sh := &m.sh[s]
-		sh.queue.reset()
-		sh.deadline = math.MaxInt64
-		for d := range sh.out {
-			sh.out[d] = sh.out[d][:0]
-		}
-		if sh.flight != nil {
-			sh.flight = metrics.NewHistogram(m.met.FlightCycles.Bounds()...)
-		}
-		if sh.stall != nil {
-			sh.stall = metrics.NewHistogram(m.met.StallCyclesHist.Bounds()...)
-		}
-		sh.capOps = sh.capOps[:0]
-		sh.dropped = 0
-	}
-	for i := range m.procs {
-		p := &m.procs[i]
-		for j := range p.inbox {
-			p.inbox[j].Data = nil
-		}
-		p.inbox = p.inbox[:0]
-		p.inboxHead = 0
-		p.resetOps()
-		for j := range p.held {
-			p.held[j].msg.Data = nil
-		}
-		*p = proc{
-			id:    p.id,
-			shard: p.shard,
-			m:     m,
-			inbox: p.inbox,
-			ops:   p.ops,
-			held:  p.held[:0],
-		}
-	}
 }
 
 // runSingle drains the lone queue to exhaustion: the sequential engine.

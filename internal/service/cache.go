@@ -6,7 +6,9 @@ import (
 )
 
 // Cache is the bounded content-addressed result cache. Keys are spec hashes;
-// values are the canonical response bodies. Lookups of a hash whose body is
+// values are the canonical response bodies, each stored with the run's
+// summary (completion time and message count) so a sweep point is answered
+// without decoding its body. Lookups of a hash whose body is
 // still being computed coalesce onto the in-flight computation
 // (single-flight): N concurrent identical submissions run one simulation and
 // every caller gets the same byte slice. Eviction is LRU over completed
@@ -25,11 +27,19 @@ type Cache struct {
 	hits, misses, coalesced, evictions int64
 }
 
-// cacheEntry is one hash's slot. done is closed when body/err are final.
+// cacheEntry is one hash's slot. done is closed when body/sum/err are final.
 type cacheEntry struct {
 	done chan struct{}
 	body []byte
+	sum  summary
 	err  error
+}
+
+// summary is the part of a run a sweep point reports, kept beside the body
+// so hot sweep points read two numbers instead of decoding the body.
+type summary struct {
+	time     int64
+	messages int
 }
 
 // CacheStats is a point-in-time snapshot of the cache counters.
@@ -70,6 +80,16 @@ func NewCache(maxEntries int, maxBytes int64) *Cache {
 // coalescing onto another caller's in-flight run). The returned slice is
 // shared — callers must not mutate it.
 func (c *Cache) GetOrRun(hash string, run func() ([]byte, error)) (body []byte, hit bool, err error) {
+	e, hit := c.getOrRun(hash, func() ([]byte, summary, error) {
+		body, err := run()
+		return body, summary{}, err
+	})
+	return e.body, hit, e.err
+}
+
+// getOrRun is GetOrRun for fills that also produce the run's summary. It
+// returns the completed entry; callers must not mutate it.
+func (c *Cache) getOrRun(hash string, run func() ([]byte, summary, error)) (*cacheEntry, bool) {
 	c.mu.Lock()
 	if e, ok := c.entries[hash]; ok {
 		select {
@@ -77,20 +97,19 @@ func (c *Cache) GetOrRun(hash string, run func() ([]byte, error)) (body []byte, 
 			c.hits++
 			c.touch(hash)
 			c.mu.Unlock()
-			return e.body, true, e.err
 		default:
 			c.coalesced++
 			c.mu.Unlock()
 			<-e.done
-			return e.body, true, e.err
 		}
+		return e, true
 	}
 	e := &cacheEntry{done: make(chan struct{})}
 	c.entries[hash] = e
 	c.misses++
 	c.mu.Unlock()
 
-	e.body, e.err = run()
+	e.body, e.sum, e.err = run()
 	close(e.done)
 
 	c.mu.Lock()
@@ -100,7 +119,7 @@ func (c *Cache) GetOrRun(hash string, run func() ([]byte, error)) (body []byte, 
 		c.complete(hash, e)
 	}
 	c.mu.Unlock()
-	return e.body, false, e.err
+	return e, false
 }
 
 // Get returns the completed body cached under hash without running

@@ -171,6 +171,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		"logpsimd_executor_queue_depth 0",
 		"logpsimd_executor_in_flight 0",
 		"logpsimd_machine_pool_acquires_total",
+		"logpsimd_machine_pool_bytes",
 		`logpsimd_http_requests_total{route="/v1/jobs"} 2`,
 		`logpsimd_http_request_us_bucket{route="/v1/jobs",le="+Inf"} 2`,
 	} {
@@ -192,23 +193,31 @@ func TestMetricsEndpoint(t *testing.T) {
 
 // TestExtendedServerStats covers the wall-clock fields added to /v1/stats:
 // executor gauges quiesce to zero between requests, the machine pool reports
-// its size and hit rate, and uptime advances.
+// its size, bytes and hit rate per machine shape, and uptime advances.
 func TestExtendedServerStats(t *testing.T) {
 	srv, ts := newTestServer(t, Config{Workers: 2})
 	spec := specBroadcast8()
 	spec.Engine = "flat"
 	postJobs(t, ts.URL, spec, "")
-	postJobs(t, ts.URL, spec, "?refresh=1") // reuses the pooled machine
+	other := spec
+	other.Machine.L = 12
+	postJobs(t, ts.URL, other, "") // a new spec of the same shape re-seats the pooled machine
+	wide := spec
+	wide.Machine.P = 16
+	postJobs(t, ts.URL, wide, "") // a new shape builds a machine
 
 	st := srv.Stats()
 	if st.QueueDepth != 0 || st.InFlight != 0 {
 		t.Errorf("executor gauges not quiesced: queue %d, in-flight %d", st.QueueDepth, st.InFlight)
 	}
-	if st.PoolSize != 1 {
-		t.Errorf("pool size %d, want 1 (one flat spec seen)", st.PoolSize)
+	if st.PoolSize != 2 {
+		t.Errorf("pool size %d, want 2 (two shapes seen, one run at a time)", st.PoolSize)
 	}
-	if st.PoolHitRate != 0.5 {
-		t.Errorf("pool hit rate %v, want 0.5 (one build, one reuse)", st.PoolHitRate)
+	if st.PoolHitRate != 1.0/3 || st.MachineReuses != 1 {
+		t.Errorf("pool hit rate %v with %d reuses, want 1/3 (two builds, one reuse)", st.PoolHitRate, st.MachineReuses)
+	}
+	if st.PoolBytes <= 0 || st.PoolBytes > poolBudget {
+		t.Errorf("pool bytes %d, want within (0, %d]", st.PoolBytes, poolBudget)
 	}
 	if st.UptimeSeconds <= 0 {
 		t.Errorf("uptime %v", st.UptimeSeconds)
@@ -225,7 +234,7 @@ func TestExtendedServerStats(t *testing.T) {
 	if err := json.Unmarshal(body, &got); err != nil {
 		t.Fatalf("stats body %s: %v", body, err)
 	}
-	if got.PoolSize != 1 || got.UptimeSeconds <= 0 {
+	if got.PoolSize != 2 || got.PoolBytes != st.PoolBytes || got.UptimeSeconds <= 0 {
 		t.Errorf("HTTP stats %+v", got)
 	}
 }

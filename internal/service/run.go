@@ -114,52 +114,19 @@ func Run(spec JobSpec) (*Response, error) {
 	return runNormalized(spec, nil)
 }
 
-// runNormalized executes a normalized spec, drawing a reusable machine from
-// pool when one is available.
+// runNormalized executes a normalized spec, re-seating an idle flat machine
+// of the same shape from pool when one is available (pool may be nil).
 func runNormalized(spec JobSpec, pool *machinePool) (*Response, error) {
-	hash := spec.Hash()
-	var (
-		res  logp.Result
-		inst progs.Instance
-		reg  *metrics.Registry
-		err  error
-	)
+	inst, err := progs.Build(spec.Program, spec.Machine.Params(),
+		progs.Args{N: spec.N, Work: spec.Work, Staggered: spec.Staggered})
+	if err != nil {
+		return nil, err
+	}
+	cfg := spec.config()
+	var res logp.Result
 	if spec.Engine == "flat" {
-		var m *flat.Machine
-		if pool != nil {
-			if pm := pool.acquire(hash); pm != nil {
-				m, inst, reg = pm.m, pm.inst, pm.reg
-			}
-		}
-		if m == nil {
-			inst, err = progs.Build(spec.Program, spec.Machine.Params(),
-				progs.Args{N: spec.N, Work: spec.Work, Staggered: spec.Staggered})
-			if err != nil {
-				return nil, err
-			}
-			cfg := spec.config()
-			reg = cfg.Metrics
-			shards := spec.Shards
-			if shards < 1 {
-				shards = 1
-			}
-			m, err = flat.New(cfg, inst.Prog, shards)
-			if err != nil {
-				return nil, err
-			}
-		}
-		res, err = m.Run()
-		if err == nil && pool != nil {
-			pool.release(hash, &pooledMachine{m: m, inst: inst, reg: reg})
-		}
+		res, err = runFlat(cfg, inst.Prog, spec.Shards, pool)
 	} else {
-		inst, err = progs.Build(spec.Program, spec.Machine.Params(),
-			progs.Args{N: spec.N, Work: spec.Work, Staggered: spec.Staggered})
-		if err != nil {
-			return nil, err
-		}
-		cfg := spec.config()
-		reg = cfg.Metrics
 		res, err = logp.RunProgram(cfg, inst.Prog)
 	}
 	if err != nil {
@@ -167,7 +134,7 @@ func runNormalized(spec JobSpec, pool *machinePool) (*Response, error) {
 	}
 
 	resp := &Response{
-		SpecHash: hash,
+		SpecHash: spec.Hash(),
 		Spec:     spec,
 		Result: ResultJSON{
 			Time:             res.Time,
@@ -192,94 +159,121 @@ func runNormalized(spec JobSpec, pool *machinePool) (*Response, error) {
 			}
 		}
 	}
-	if reg != nil {
-		snap := reg.Snapshot()
+	if cfg.Metrics != nil {
+		snap := cfg.Metrics.Snapshot()
 		resp.Metrics = &snap
 	}
 	return resp, nil
 }
 
-// pooledMachine is one reusable flat machine with the program instance and
-// metrics registry it was built with. flat.Machine.Run rewinds everything —
-// rng, faults, metrics, program state — so a reused machine replays the run
-// bit-identically at ~zero construction cost.
-type pooledMachine struct {
-	m    *flat.Machine
-	inst progs.Instance
-	reg  *metrics.Registry
+// runFlat runs prog on a flat machine with the spec's shard count (0 means
+// one). With a pool it re-seats an idle machine of the same shape instead of
+// building one — Reset makes the run identical to a fresh machine's — and
+// returns the machine to the pool after the run. Releasing it before the
+// caller reads the Result, the program's output and the metrics registry is
+// safe: a later Reset replaces the machine's references to them and touches
+// none of them.
+func runFlat(cfg logp.Config, prog logp.Program, shards int, pool *machinePool) (logp.Result, error) {
+	if shards < 1 {
+		shards = 1
+	}
+	if pool == nil {
+		return flat.Run(cfg, prog, shards)
+	}
+	key := poolKey{p: cfg.P, shards: flat.ShardCount(cfg.P, shards)}
+	m := pool.acquire(key)
+	if m == nil {
+		var err error
+		if m, err = flat.New(cfg, prog, shards); err != nil {
+			return logp.Result{}, err
+		}
+	} else if err := m.Reset(cfg, prog); err != nil {
+		pool.release(key, m) // a rejected Reset leaves the machine as it was
+		return logp.Result{}, err
+	}
+	res, err := m.Run()
+	pool.release(key, m)
+	return res, err
 }
 
-// machinePool is a bounded LRU of reusable flat machines keyed by spec hash.
-// acquire removes the entry (a machine must never run concurrently with
-// itself), release puts it back; the least recently used machine is dropped
-// when the pool is full.
+// poolKey is a flat machine's shape: the processor count and effective
+// shard count fixed at construction. Reset re-seats everything else.
+type poolKey struct{ p, shards int }
+
+// poolBudget bounds the storage the machine pool retains: the sum of its
+// idle machines' flat.Machine.StorageBytes.
+const poolBudget = 64 << 20
+
+// machinePool keeps idle flat machines for re-seating, keyed by shape. A
+// shape may have several idle machines, since executor slots can run one
+// shape concurrently; acquire takes the shape's most recently released one,
+// so a machine never runs concurrently with itself. Past the byte budget the
+// least recently released machines are dropped, and a machine larger than
+// the whole budget is never kept. The budget bounds the idle list's length
+// too, so acquire scans it.
 type machinePool struct {
-	mu      sync.Mutex
-	max     int
-	order   *list.List               // front = most recent; values are *poolItem
-	entries map[string]*list.Element // hash → element
+	mu    sync.Mutex
+	max   int64
+	bytes int64
+	idle  *list.List // *idleMachine, front = most recently released
 
 	acquires int64 // lookups, hit or miss (the pool hit-rate denominator)
-	reuses   int64 // lookups that found a pooled machine
+	reuses   int64 // lookups that found an idle machine
 }
 
-type poolItem struct {
-	hash string
-	pm   *pooledMachine
+// idleMachine is one pooled machine with its shape and the storage it
+// retains.
+type idleMachine struct {
+	key   poolKey
+	m     *flat.Machine
+	bytes int64
 }
 
-func newMachinePool(max int) *machinePool {
-	if max < 1 {
-		max = 1
-	}
-	return &machinePool{max: max, order: list.New(), entries: map[string]*list.Element{}}
+func newMachinePool(maxBytes int64) *machinePool {
+	return &machinePool{max: maxBytes, idle: list.New()}
 }
 
-func (p *machinePool) acquire(hash string) *pooledMachine {
+// acquire removes and returns an idle machine of shape key, or nil.
+func (p *machinePool) acquire(key poolKey) *flat.Machine {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.acquires++
-	el, ok := p.entries[hash]
-	if !ok {
-		return nil
+	for el := p.idle.Front(); el != nil; el = el.Next() {
+		if im := el.Value.(*idleMachine); im.key == key {
+			p.idle.Remove(el)
+			p.bytes -= im.bytes
+			p.reuses++
+			return im.m
+		}
 	}
-	p.order.Remove(el)
-	delete(p.entries, hash)
-	p.reuses++
-	return el.Value.(*poolItem).pm
+	return nil
 }
 
-func (p *machinePool) release(hash string, pm *pooledMachine) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if _, dup := p.entries[hash]; dup {
-		return // a concurrent release already stocked this hash
+// release returns a machine of shape key to the pool, evicting the least
+// recently released machines past the byte budget.
+func (p *machinePool) release(key poolKey, m *flat.Machine) {
+	n := m.StorageBytes()
+	if n > p.max {
+		return
 	}
-	p.entries[hash] = p.order.PushFront(&poolItem{hash: hash, pm: pm})
-	for p.order.Len() > p.max {
-		last := p.order.Back()
-		p.order.Remove(last)
-		delete(p.entries, last.Value.(*poolItem).hash)
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.idle.PushFront(&idleMachine{key: key, m: m, bytes: n})
+	p.bytes += n
+	for p.bytes > p.max {
+		p.bytes -= p.idle.Remove(p.idle.Back()).(*idleMachine).bytes
 	}
 }
 
-// Reuses reports how many runs drew a pooled machine.
-func (p *machinePool) Reuses() int64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.reuses
+// poolStats is a snapshot of the pool's counters.
+type poolStats struct {
+	size             int   // idle machines
+	bytes            int64 // storage they retain
+	acquires, reuses int64 // lookups, and lookups served by an idle machine
 }
 
-// Counters reports the pool's lookup and reuse totals (the hit-rate pair).
-func (p *machinePool) Counters() (acquires, reuses int64) {
+func (p *machinePool) stats() poolStats {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.acquires, p.reuses
-}
-
-// Size reports the number of machines currently pooled.
-func (p *machinePool) Size() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.order.Len()
+	return poolStats{size: p.idle.Len(), bytes: p.bytes, acquires: p.acquires, reuses: p.reuses}
 }

@@ -26,9 +26,6 @@ type Config struct {
 	// CacheBytes bounds the result cache's total body size (default
 	// 256 MiB).
 	CacheBytes int64
-	// MachinePool bounds the reusable flat machines kept per spec hash
-	// (default 64).
-	MachinePool int
 	// MaxSweepPoints caps the expansion of one sweep request (default
 	// 4096).
 	MaxSweepPoints int
@@ -65,13 +62,6 @@ func (c Config) cacheBytes() int64 {
 	return 256 << 20
 }
 
-func (c Config) machinePool() int {
-	if c.MachinePool > 0 {
-		return c.MachinePool
-	}
-	return 64
-}
-
 func (c Config) maxSweepPoints() int {
 	if c.MaxSweepPoints > 0 {
 		return c.MaxSweepPoints
@@ -100,8 +90,8 @@ type ServerStats struct {
 	// JobsRun counts simulations actually executed (cache misses and
 	// refreshes); the request count is JobsRun + hits + coalesced.
 	JobsRun int64 `json:"jobs_run"`
-	// MachineReuses counts runs served by a pooled flat machine instead of
-	// a fresh construction.
+	// MachineReuses counts flat runs that re-seated an idle pooled machine
+	// of their shape instead of building one.
 	MachineReuses int64 `json:"machine_reuses"`
 	// Workers is the executor bound.
 	Workers int `json:"workers"`
@@ -111,8 +101,12 @@ type ServerStats struct {
 	// InFlight is the number of simulations currently holding an executor
 	// slot.
 	InFlight int64 `json:"in_flight"`
-	// PoolSize is the number of reusable flat machines currently pooled.
+	// PoolSize is the number of idle flat machines currently pooled, over
+	// all shapes (processor count and shard count).
 	PoolSize int `json:"pool_size"`
+	// PoolBytes is the storage the idle pooled machines retain, bounded by
+	// 64 MiB.
+	PoolBytes int64 `json:"pool_bytes"`
 	// PoolHitRate is MachineReuses over all pool lookups (0 when the pool
 	// was never consulted).
 	PoolHitRate float64 `json:"pool_hit_rate"`
@@ -125,7 +119,7 @@ func New(cfg Config) *Server {
 	return &Server{
 		cfg:   cfg,
 		cache: NewCache(cfg.cacheEntries(), cfg.cacheBytes()),
-		pool:  newMachinePool(cfg.machinePool()),
+		pool:  newMachinePool(poolBudget),
 		sem:   make(chan struct{}, cfg.workers()),
 		tel:   obs.NewTelemetry(),
 		log:   cfg.Logger,
@@ -134,19 +128,20 @@ func New(cfg Config) *Server {
 
 // Stats snapshots the server counters.
 func (s *Server) Stats() ServerStats {
-	acquires, reuses := s.pool.Counters()
+	ps := s.pool.stats()
 	hitRate := 0.0
-	if acquires > 0 {
-		hitRate = float64(reuses) / float64(acquires)
+	if ps.acquires > 0 {
+		hitRate = float64(ps.reuses) / float64(ps.acquires)
 	}
 	return ServerStats{
 		Cache:         s.cache.Stats(),
 		JobsRun:       s.jobsRun.Load(),
-		MachineReuses: reuses,
+		MachineReuses: ps.reuses,
 		Workers:       s.cfg.workers(),
 		QueueDepth:    s.queued.Load(),
 		InFlight:      s.inflight.Load(),
-		PoolSize:      s.pool.Size(),
+		PoolSize:      ps.size,
+		PoolBytes:     ps.bytes,
 		PoolHitRate:   hitRate,
 		UptimeSeconds: s.tel.Uptime().Seconds(),
 	}
@@ -188,11 +183,12 @@ func (s *Server) Handler() http.Handler {
 
 // runCached executes a normalized spec through the cache: concurrent
 // identical submissions coalesce onto one simulation, and completed bodies
-// are served byte-identically without re-running. The span (nil for
-// span-free callers like sweep points) receives the execute and encode
-// stage latencies when this call actually ran the simulation.
-func (s *Server) runCached(spec JobSpec, hash string, sp *obs.Span) (body []byte, hit bool, err error) {
-	return s.cache.GetOrRun(hash, func() ([]byte, error) {
+// are served byte-identically without re-running. It returns the cache
+// entry, whose summary answers sweep points without decoding the body. The
+// span (nil for span-free callers like sweep points) receives the execute
+// and encode stage latencies when this call actually ran the simulation.
+func (s *Server) runCached(spec JobSpec, hash string, sp *obs.Span) (e *cacheEntry, hit bool) {
+	return s.cache.getOrRun(hash, func() ([]byte, summary, error) {
 		s.queued.Add(1)
 		s.sem <- struct{}{}
 		s.queued.Add(-1)
@@ -206,12 +202,12 @@ func (s *Server) runCached(spec JobSpec, hash string, sp *obs.Span) (body []byte
 		resp, err := runNormalized(spec, s.pool)
 		execDone()
 		if err != nil {
-			return nil, err
+			return nil, summary{}, err
 		}
 		encDone := sp.Timer("encode")
 		body, err := resp.Encode()
 		encDone()
-		return body, err
+		return body, summary{time: resp.Result.Time, messages: resp.Result.Messages}, err
 	})
 }
 
@@ -251,7 +247,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		s.cache.Invalidate(hash)
 	}
 	t0 := time.Now()
-	body, hit, err := s.runCached(spec, hash, sp)
+	e, hit := s.runCached(spec, hash, sp)
+	body, err := e.body, e.err
 	// The cache stage is the GetOrRun bookkeeping — lookup, single-flight
 	// coalescing, insertion — net of the simulation the closure may have run.
 	sp.Observe("cache", time.Since(t0)-sp.Get("execute")-sp.Get("encode"))
@@ -367,7 +364,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		return metrics.Family{Name: name, Help: help, Kind: "gauge",
 			Points: []metrics.Point{{Value: v}}}
 	}
-	acquires, _ := s.pool.Counters()
+	acquires := s.pool.stats().acquires
 	fams := []metrics.Family{
 		gauge("logpsimd_uptime_seconds", "Wall-clock age of the server.", st.UptimeSeconds),
 		counter("logpsimd_jobs_run_total", "Simulations actually executed (cache misses and refreshes).", float64(st.JobsRun)),
@@ -380,7 +377,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		gauge("logpsimd_executor_workers", "Executor slot bound.", float64(st.Workers)),
 		gauge("logpsimd_executor_queue_depth", "Submissions waiting for an executor slot.", float64(st.QueueDepth)),
 		gauge("logpsimd_executor_in_flight", "Simulations holding an executor slot.", float64(st.InFlight)),
-		gauge("logpsimd_machine_pool_size", "Reusable flat machines currently pooled.", float64(st.PoolSize)),
+		gauge("logpsimd_machine_pool_size", "Idle flat machines currently pooled, over all shapes.", float64(st.PoolSize)),
+		gauge("logpsimd_machine_pool_bytes", "Storage the idle pooled flat machines retain.", float64(st.PoolBytes)),
 		counter("logpsimd_machine_pool_acquires_total", "Machine-pool lookups.", float64(acquires)),
 		counter("logpsimd_machine_pool_reuses_total", "Machine-pool lookups served by a pooled machine.", float64(st.MachineReuses)),
 	}

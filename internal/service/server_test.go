@@ -43,8 +43,10 @@ func submit(t *testing.T, url string, spec JobSpec, query string) (int, []byte, 
 
 // TestSubmitColdThenHitByteIdentical is the determinism-as-cache-key
 // acceptance test: a cold run, a cache hit, a hash lookup and a forced
-// refresh (which re-runs the simulation, on a reused flat machine for the
-// flat engine) must all return byte-identical bodies.
+// refresh (which re-runs the simulation, on a re-seated pooled machine for
+// the flat engine) must all return byte-identical bodies. A different spec
+// of the same machine shape re-seats the pooled machine too, and still
+// matches a fresh run byte for byte.
 func TestSubmitColdThenHitByteIdentical(t *testing.T) {
 	for _, engine := range []string{"goroutine", "flat"} {
 		t.Run(engine, func(t *testing.T) {
@@ -104,6 +106,21 @@ func TestSubmitColdThenHitByteIdentical(t *testing.T) {
 			}
 			if engine == "flat" && st.MachineReuses != 1 {
 				t.Errorf("machine reuses %d, want 1 (the refresh)", st.MachineReuses)
+			}
+
+			// Same P, different parameters, seed and observers: a new hash on
+			// the same machine shape.
+			other := spec
+			other.Machine.L, other.Seed, other.Metrics = 12, 9, nil
+			code, body, mark := submit(t, ts.URL, other, "")
+			if code != 200 || mark != "miss" {
+				t.Fatalf("same-shape spec: status %d, cache %q", code, mark)
+			}
+			if !bytes.Equal(body, runBody(t, other)) {
+				t.Error("same-shape spec on a re-seated machine differs from a fresh run")
+			}
+			if st := srv.Stats(); engine == "flat" && st.MachineReuses != 2 {
+				t.Errorf("machine reuses %d, want 2 (the refresh and the same-shape spec)", st.MachineReuses)
 			}
 		})
 	}

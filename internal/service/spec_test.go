@@ -17,11 +17,11 @@ func specBroadcast8() JobSpec {
 // no-op blocks drop.
 func TestNormalizeCanonicalizes(t *testing.T) {
 	s := specBroadcast8()
-	s.N = 17                 // broadcast takes no size
-	s.Work = 5               // only alltoall uses work
-	s.Staggered = true       // ditto
-	s.Shards = 1             // one shard is the sequential core
-	s.Faults = &FaultSpec{}  // injects nothing
+	s.N = 17                // broadcast takes no size
+	s.Work = 5              // only alltoall uses work
+	s.Staggered = true      // ditto
+	s.Shards = 1            // one shard is the sequential core
+	s.Faults = &FaultSpec{} // injects nothing
 	s.Metrics = &MetricsSpec{Include: false, Every: 100}
 	if err := s.Normalize(Limits{}); err != nil {
 		t.Fatal(err)

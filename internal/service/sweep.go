@@ -104,8 +104,9 @@ func valuesOr[T any](axis []T, base T) []T {
 
 // handleSweep expands the grid and drives every point through the cache on
 // the experiments parallel runner at the server's worker bound. The response
-// lists the points in expansion order; per-point full responses stay cached
-// under their spec hashes.
+// lists the points in expansion order, each read from the summary its cache
+// entry stores beside the body; per-point full responses stay cached under
+// their spec hashes.
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	var req SweepRequest
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 4<<20))
@@ -128,19 +129,15 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	outs := experiments.MapIndexed(s.cfg.workers(), len(specs), func(i int) outcome {
 		spec := specs[i]
 		hash := spec.Hash()
-		body, hit, err := s.runCached(spec, hash, nil)
-		if err != nil {
-			return outcome{err: fmt.Errorf("sweep point %d (%s): %w", i, hash[:12], err)}
-		}
-		resp, err := DecodeResponse(body)
-		if err != nil {
-			return outcome{err: err}
+		e, hit := s.runCached(spec, hash, nil)
+		if e.err != nil {
+			return outcome{err: fmt.Errorf("sweep point %d (%s): %w", i, hash[:12], e.err)}
 		}
 		return outcome{hit: hit, point: SweepPoint{
 			SpecHash: hash,
 			P:        spec.Machine.P, L: spec.Machine.L, O: spec.Machine.O, G: spec.Machine.G,
 			N: spec.N, Seed: spec.Seed,
-			Time: resp.Result.Time, Messages: resp.Result.Messages,
+			Time: e.sum.time, Messages: e.sum.messages,
 		}}
 	})
 

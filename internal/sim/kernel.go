@@ -76,6 +76,7 @@ type Kernel struct {
 	rng      *rand.Rand
 	procs    []*Process // all spawned processes, for deadlock reporting
 	stopped  bool
+	aborting bool // a deadlock is unwinding the blocked processes (abort)
 	deadline Time // active RunUntil deadline, bounding in-place clock advances
 }
 
@@ -281,18 +282,45 @@ func (k *Kernel) RunUntil(deadline Time) error {
 	}
 	k.release()
 	if len(blocked) > 0 {
+		k.abort()
 		return &DeadlockError{Time: k.now, Blocked: blocked}
 	}
 	return nil
 }
 
+// abort unwinds every blocked process after a deadlock. Nothing can wake
+// them any more, and each one's goroutine would otherwise stay parked on
+// its handoff channel for the life of the program. Each is resumed in turn
+// with the aborting flag set, so its park panics with processAbort, the
+// Spawn wrapper recovers that, and the goroutine exits through the usual
+// final handoff.
+func (k *Kernel) abort() {
+	k.aborting = true
+	for _, p := range k.procs {
+		if !p.done && p.blocked {
+			p.wake()
+		}
+	}
+}
+
 // DeadlockError reports that the event queue drained while simulated
 // processes were still waiting to be woken.
 type DeadlockError struct {
-	Time    Time
+	Time Time
+	// Blocked names every blocked process; Error prints only the first
+	// maxDeadlockNames of them.
 	Blocked []string
 }
 
+// maxDeadlockNames bounds the process names a DeadlockError message lists,
+// so a deadlock of a million processors does not produce a message of
+// megabytes.
+const maxDeadlockNames = 16
+
 func (e *DeadlockError) Error() string {
+	if n := len(e.Blocked); n > maxDeadlockNames {
+		return fmt.Sprintf("sim: deadlock at time %d: %d process(es) blocked forever: %v and %d more",
+			e.Time, n, e.Blocked[:maxDeadlockNames], n-maxDeadlockNames)
+	}
 	return fmt.Sprintf("sim: deadlock at time %d: %d process(es) blocked forever: %v", e.Time, len(e.Blocked), e.Blocked)
 }

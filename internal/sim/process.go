@@ -33,9 +33,16 @@ func (k *Kernel) Spawn(name string, body func(p *Process)) *Process {
 	k.procs = append(k.procs, p)
 	go func() {
 		<-p.handoff // wait for the kernel to start us
+		defer func() {
+			if r := recover(); r != nil {
+				if _, ok := r.(processAbort); !ok {
+					panic(r)
+				}
+			}
+			p.done = true
+			p.handoff <- struct{}{}
+		}()
 		body(p)
-		p.done = true
-		p.handoff <- struct{}{}
 	}()
 	k.AfterRun(0, p)
 	return p
@@ -57,10 +64,19 @@ func (p *Process) wake() {
 	<-p.handoff
 }
 
-// park returns control to the kernel and blocks until woken.
+// processAbort is the panic value that unwinds a process the kernel is
+// aborting after a deadlock (Kernel.abort); only the Spawn wrapper
+// recovers it.
+type processAbort struct{}
+
+// park returns control to the kernel and blocks until woken. A process
+// woken by Kernel.abort unwinds from here instead of returning.
 func (p *Process) park() {
 	p.handoff <- struct{}{}
 	<-p.handoff
+	if p.k.aborting {
+		panic(processAbort{})
+	}
 }
 
 // advance tries to move the simulated clock to t without a kernel round

@@ -1,8 +1,12 @@
 package sim
 
 import (
+	"errors"
+	"fmt"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 )
 
 func TestTimeHelpers(t *testing.T) {
@@ -133,6 +137,65 @@ func TestDeadlockErrorMessage(t *testing.T) {
 	e := &DeadlockError{Time: 9, Blocked: []string{"a", "b"}}
 	if !strings.Contains(e.Error(), "time 9") || !strings.Contains(e.Error(), "2 process(es)") {
 		t.Errorf("error = %q", e.Error())
+	}
+
+	// Past 16 names the message lists the first 16 and counts the rest;
+	// Blocked itself stays complete.
+	var names []string
+	for i := 0; i < 40; i++ {
+		names = append(names, fmt.Sprintf("proc%d", i))
+	}
+	e = &DeadlockError{Time: 3, Blocked: names}
+	want := "sim: deadlock at time 3: 40 process(es) blocked forever: " +
+		fmt.Sprint(names[:16]) + " and 24 more"
+	if got := e.Error(); got != want {
+		t.Errorf("error = %q\nwant    %q", got, want)
+	}
+	if len(e.Blocked) != 40 {
+		t.Errorf("Blocked trimmed to %d names", len(e.Blocked))
+	}
+	e = &DeadlockError{Time: 3, Blocked: names[:16]}
+	if want := fmt.Sprintf("sim: deadlock at time 3: 16 process(es) blocked forever: %v", names[:16]); e.Error() != want {
+		t.Errorf("16-name error = %q, want %q", e.Error(), want)
+	}
+}
+
+// TestDeadlockReleasesGoroutines pins that a deadlocked run unwinds its
+// blocked processes: their goroutines exit, and the deferred code in their
+// bodies runs.
+func TestDeadlockReleasesGoroutines(t *testing.T) {
+	base := runtime.NumGoroutine()
+	k := NewKernel(1)
+	var sig Signal
+	unwound := 0
+	for i := 0; i < 50; i++ {
+		k.Spawn(fmt.Sprintf("p%d", i), func(p *Process) {
+			defer func() { unwound++ }()
+			p.Wait(Time(i))
+			sig.Wait(p)
+			t.Error("a deadlocked process resumed normally")
+		})
+	}
+	var dl *DeadlockError
+	if err := k.Run(); !errors.As(err, &dl) || len(dl.Blocked) != 50 {
+		t.Fatalf("err = %v, want a deadlock of 50 processes", err)
+	}
+	if unwound != 50 {
+		t.Errorf("%d of 50 process bodies unwound", unwound)
+	}
+	waitGoroutines(t, base)
+}
+
+// waitGoroutines waits, up to a generous bound, for the goroutine count to
+// fall back to base: a process goroutine exits just after its final handoff.
+func waitGoroutines(t *testing.T, base int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines, want %d", runtime.NumGoroutine(), base)
+		}
+		runtime.Gosched()
 	}
 }
 
