@@ -13,9 +13,7 @@
 package logp_test
 
 import (
-	"fmt"
 	"math/rand"
-	"runtime"
 	"testing"
 
 	"github.com/logp-model/logp/internal/algo/fft"
@@ -239,46 +237,6 @@ func BenchmarkFlatBroadcastP100k(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64((procs-1)*b.N)/b.Elapsed().Seconds(), "msgs/s")
-}
-
-// BenchmarkFlatCapShardedMatrix is the multi-core scaling matrix for the
-// capacity-sharded kernel: GOMAXPROCS x shards x P over the ring flood with
-// the capacity constraint ON, so every send goes through the two-phase
-// reserve/commit ledger and the window barriers replay it. The shards=1
-// cells are the sequential capacity engine (the baseline); comparing a
-// shards>1 cell at gomaxprocs=4 against the same cell at gomaxprocs=1
-// isolates the multi-core win. Cells with gomaxprocs above the host's CPU
-// count still run (the scheduler multiplexes) but cannot speed up — read
-// the snapshot together with its recorded gomaxprocs/host.
-func BenchmarkFlatCapShardedMatrix(b *testing.B) {
-	const msgs = 50
-	for _, gmp := range []int{1, 4} {
-		for _, shards := range []int{1, 4, 8} {
-			for _, procs := range []int{256, 2048} {
-				name := fmt.Sprintf("gomaxprocs=%d/shards=%d/P=%d", gmp, shards, procs)
-				b.Run(name, func(b *testing.B) {
-					defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(gmp))
-					cfg := logp.Config{Params: core.Params{P: procs, L: 20, O: 2, G: 4}}
-					m, err := flat.New(cfg, &benchRing{msgs: msgs, got: make([]int, procs)}, shards)
-					if err != nil {
-						b.Fatal(err)
-					}
-					b.ReportAllocs()
-					b.ResetTimer()
-					for i := 0; i < b.N; i++ {
-						res, err := m.Run()
-						if err != nil {
-							b.Fatal(err)
-						}
-						if res.Messages != msgs*procs {
-							b.Fatalf("delivered %d messages, want %d", res.Messages, msgs*procs)
-						}
-					}
-					b.ReportMetric(float64(msgs*procs*b.N)/b.Elapsed().Seconds(), "msgs/s")
-				})
-			}
-		}
-	}
 }
 
 // BenchmarkHeapPushPop measures the typed 4-ary event heap in isolation: a

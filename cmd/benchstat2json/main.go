@@ -28,11 +28,10 @@ import (
 
 // defaultBench selects the substrate microbenchmarks: the goroutine and
 // flat engine throughput targets (same machine, same workload), the sharded
-// flat core and the P=10^5 scale pin, the capacity-sharded multi-core
-// matrix (GOMAXPROCS x shards x P), the heap, handoff, and wait-elision
+// flat core and the P=10^5 scale pin, the heap, handoff, and wait-elision
 // paths, and the hook-overhead pairs (profiler recorder and metrics
 // registry, each detached vs attached).
-const defaultBench = "BenchmarkKernelEventThroughput|BenchmarkMachineMessageThroughput|BenchmarkFlatMachineMessageThroughput|BenchmarkFlatShardedMessageThroughput|BenchmarkFlatCapShardedMatrix|BenchmarkFlatBroadcastP100k|BenchmarkHeapPushPop|BenchmarkContextSwitch|BenchmarkProcessWait|BenchmarkSendRecvRecorderOff|BenchmarkSendRecvRecorderOn|BenchmarkSendRecvMetricsOff|BenchmarkSendRecvMetricsOn"
+const defaultBench = "BenchmarkKernelEventThroughput|BenchmarkMachineMessageThroughput|BenchmarkFlatMachineMessageThroughput|BenchmarkFlatShardedMessageThroughput|BenchmarkFlatBroadcastP100k|BenchmarkHeapPushPop|BenchmarkContextSwitch|BenchmarkProcessWait|BenchmarkSendRecvRecorderOff|BenchmarkSendRecvRecorderOn|BenchmarkSendRecvMetricsOff|BenchmarkSendRecvMetricsOn"
 
 type benchmark struct {
 	Name    string             `json:"name"`

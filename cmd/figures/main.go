@@ -19,12 +19,10 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strconv"
 	"sync"
 	"time"
 
 	"github.com/logp-model/logp/internal/experiments"
-	"github.com/logp-model/logp/internal/logp"
 	"github.com/logp-model/logp/internal/metrics"
 	"github.com/logp-model/logp/internal/topo"
 )
@@ -38,25 +36,12 @@ func main() {
 	profDir := flag.String("prof", "", "also write Chrome trace_event JSON of the Figure 3/4 schedule runs to this directory")
 	metOut := flag.String("metrics", "", "write harness telemetry (per-experiment wall time) to this file, \"-\" = stdout; also prints progress to stderr")
 	metFmt := flag.String("metrics-format", "prom", "telemetry output format: prom | json | csv")
-	engine := flag.String("engine", "", "default engine for program-form experiments: goroutine | flat (default $LOGP_ENGINE, else goroutine); experiments that pin both engines, like pscale, ignore it")
-	shards := flag.Int("shards", 0, "flat engine: event-kernel shards for program-form experiments (default $LOGP_SHARDS, else 1)")
 	tier := flag.String("tier", "", "node tier for the hiertree study: node=<ppn>:<L>,<o>,<g> (the experiment sweeps the cluster tier itself; other experiments ignore it)")
 	flag.Parse()
 	if flag.NArg() > 0 {
 		fmt.Fprintf(os.Stderr, "figures: unexpected argument %q (all options are flags)\n\n", flag.Arg(0))
 		flag.Usage()
 		os.Exit(2)
-	}
-	if *engine != "" {
-		if _, err := logp.EngineByName(*engine); err != nil {
-			fmt.Fprintf(os.Stderr, "figures: %v\n\n", err)
-			flag.Usage()
-			os.Exit(2)
-		}
-		logp.SetDefaultEngineName(*engine)
-	}
-	if *shards > 0 {
-		os.Setenv("LOGP_SHARDS", strconv.Itoa(*shards))
 	}
 	if *tier != "" {
 		spec, err := topo.ParseSpec(*tier)

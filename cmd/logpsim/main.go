@@ -65,7 +65,7 @@ func main() {
 		metFmt   = flag.String("metrics-format", "prom", "metrics output format: prom | json | csv")
 		metEvery = flag.Int64("metrics-every", 0, "metrics sampling interval in simulated cycles (0 = default)")
 		engine   = flag.String("engine", "", "execution engine for program-form algorithms (broadcast, sum): goroutine | flat (default $LOGP_ENGINE, else goroutine)")
-		shards   = flag.Int("shards", 0, "flat engine: event-kernel shards, >1 runs the windowed parallel core, with or without capacity (default $LOGP_SHARDS, else 1)")
+		shards   = flag.Int("shards", 0, "flat engine: event-kernel shards, >1 runs the windowed parallel core with -nocap; capacity-on runs use one shard (default $LOGP_SHARDS, else 1)")
 		shStats  = flag.Bool("shardstats", false, "flat engine: record and print the per-shard flight-recorder table (windows, events, wheel/heap split, barrier wait) after the run")
 		nocap    = flag.Bool("nocap", false, "disable the capacity limit of ceil(L/g) in-flight messages per processor")
 		tier     = flag.String("tier", "", "hierarchical topology: node=<ppn>:<L>,<o>,<g>[;rack=<npr>:<L>,<o>,<g>]; -L/-o/-g stay the top (cluster) tier")
@@ -406,19 +406,18 @@ func runProgram(cfg logp.Config, prog logp.Program, engName string, shards int, 
 }
 
 // printShardStats renders the flight-recorder table of a recorded flat run:
-// per-shard event traffic, the wheel/heap insertion split, barrier-merge and
-// capacity-replay activity, and the busy vs barrier-wait wall-clock split.
+// per-shard event traffic, the wheel/heap insertion split, barrier merges,
+// and the busy vs barrier-wait wall-clock split.
 func printShardStats(w io.Writer, stats []flat.ShardStat) {
-	fmt.Fprintln(w, "\nshard  procs  windows    events     wheel      heap   merged   held  rewinds   busy(ms)  wait(ms)  wait%")
+	fmt.Fprintln(w, "\nshard  procs  windows    events     wheel      heap   merged   busy(ms)  wait(ms)  wait%")
 	for _, st := range stats {
 		frac := 0.0
 		if total := st.BusyNs + st.BarrierWaitNs; total > 0 {
 			frac = float64(st.BarrierWaitNs) / float64(total) * 100
 		}
-		fmt.Fprintf(w, "%5d  %5d  %7d  %8d  %8d  %8d  %7d  %5d  %7d  %9.3f  %8.3f  %5.1f\n",
+		fmt.Fprintf(w, "%5d  %5d  %7d  %8d  %8d  %8d  %7d  %9.3f  %8.3f  %5.1f\n",
 			st.Shard, st.Procs, st.Windows, st.Events, st.WheelEvents, st.HeapEvents,
-			st.MergedIn, st.HeldReplays, st.Rewinds,
-			float64(st.BusyNs)/1e6, float64(st.BarrierWaitNs)/1e6, frac)
+			st.MergedIn, float64(st.BusyNs)/1e6, float64(st.BarrierWaitNs)/1e6, frac)
 	}
 }
 

@@ -11,9 +11,9 @@
 //	logpsimd -addr 127.0.0.1:8080
 //	curl -s localhost:8080/v1/jobs -d '{"program":"broadcast","machine":{"p":8,"l":6,"o":2,"g":4}}'
 //
-// The -selftest mode starts the daemon in-process, fires thousands of
-// concurrent sweep requests at it, and writes a BENCH-style JSON snapshot of
-// throughput, latency quantiles and cache hit rate.
+// The repository benchmark (logpbench, run with `bash logpbench/run.sh`)
+// load-tests this daemon in-process; its sweep-hot workload drives the
+// cached sweep path and checks every response body.
 //
 // Observability: every request is logged to stderr via log/slog
 // (-log-level, -log-format) with its spec hash, cache verdict and
@@ -44,11 +44,6 @@ func main() {
 		logLevel     = flag.String("log-level", "info", "request log level: debug | info | warn | error")
 		logFormat    = flag.String("log-format", "text", "request log format on stderr: text | json")
 		pprofOn      = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ (off by default: profiling endpoints are not for open networks)")
-		selftest     = flag.Bool("selftest", false, "run the load test against an in-process daemon and exit")
-		stRequests   = flag.Int("st-requests", 2000, "selftest: total sweep requests to fire")
-		stClients    = flag.Int("st-clients", 64, "selftest: concurrent clients")
-		stGrids      = flag.Int("st-grids", 16, "selftest: distinct sweep grids cycled across requests")
-		benchOut     = flag.String("bench-out", "", "selftest: write the BENCH JSON snapshot to this file (default stdout)")
 	)
 	flag.Parse()
 
@@ -63,17 +58,6 @@ func main() {
 		CacheBytes:   *cacheMB << 20,
 		Logger:       logger,
 		EnablePprof:  *pprofOn,
-	}
-
-	if *selftest {
-		// The load test fires thousands of requests; per-request log lines
-		// would drown stderr and perturb the numbers being measured.
-		cfg.Logger = nil
-		if err := runSelftest(cfg, *stRequests, *stClients, *stGrids, *benchOut); err != nil {
-			fmt.Fprintln(os.Stderr, "logpsimd: selftest:", err)
-			os.Exit(1)
-		}
-		return
 	}
 
 	srv := service.New(cfg)

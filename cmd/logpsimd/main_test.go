@@ -3,14 +3,12 @@ package main
 import (
 	"bufio"
 	"bytes"
-	"encoding/json"
 	"io"
 	"net/http"
 	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 )
 
 // buildBinary compiles the daemon into a temp dir. The smoke tests need the
@@ -89,45 +87,5 @@ func TestDaemonSmoke(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != 200 {
 		t.Errorf("healthz: %d", resp.StatusCode)
-	}
-}
-
-// TestSelftestWritesBench runs a small self-load-test and validates the
-// BENCH snapshot it writes.
-func TestSelftestWritesBench(t *testing.T) {
-	if testing.Short() {
-		t.Skip("subprocess load test")
-	}
-	bin := buildBinary(t)
-	out := filepath.Join(t.TempDir(), "bench.json")
-	start := time.Now()
-	cmdOut, err := exec.Command(bin, "-selftest",
-		"-st-requests", "300", "-st-clients", "16", "-st-grids", "4", "-bench-out", out).CombinedOutput()
-	if err != nil {
-		t.Fatalf("selftest: %v\n%s", err, cmdOut)
-	}
-	t.Logf("selftest took %v: %s", time.Since(start).Round(time.Millisecond), bytes.TrimSpace(cmdOut))
-
-	raw, err := exec.Command("cat", out).Output()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var bf benchFile
-	if err := json.Unmarshal(raw, &bf); err != nil {
-		t.Fatalf("bench snapshot does not parse: %v\n%s", err, raw)
-	}
-	if len(bf.Benchmarks) != 1 || bf.Benchmarks[0].Name != "SelftestSweepThroughput" {
-		t.Fatalf("unexpected snapshot: %+v", bf)
-	}
-	m := bf.Benchmarks[0].Metrics
-	if m["req/s"] <= 0 || bf.Benchmarks[0].NsPerOp <= 0 {
-		t.Errorf("throughput not measured: %v", m)
-	}
-	// 300 requests over 4 grids of 8 points: 32 simulations, the rest hits.
-	if m["jobs_run"] != 32 {
-		t.Errorf("jobs_run = %v, want 32", m["jobs_run"])
-	}
-	if m["cache_hit_rate"] < 0.9 {
-		t.Errorf("cache hit rate %v, want > 0.9 on a 4-grid/300-request run", m["cache_hit_rate"])
 	}
 }

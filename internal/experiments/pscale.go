@@ -22,9 +22,9 @@ import (
 // processor handles comfortably — simulates in seconds. Every run is
 // cross-checked against the schedule's analytic finish time, the sharded
 // parallel kernel must reproduce the sequential kernel's Result exactly with
-// the capacity constraint both off and on, and the smallest size is
-// additionally replayed on the goroutine engine, which must agree
-// cycle-for-cycle.
+// the capacity constraint off, turning the constraint on must not move the
+// schedule's timing, and the smallest size is additionally replayed on the
+// goroutine engine, which must agree cycle-for-cycle.
 func PScaling(scale Scale) Report {
 	const id = "pscale"
 	base := core.Params{L: 8, O: 2, G: 3}
@@ -68,25 +68,16 @@ func PScaling(scale Scale) Report {
 			wall:      wall,
 			shardedOK: reflect.DeepEqual(norm, sharded),
 		}
-		// Capacity on: the same broadcast under the ceil(L/g) in-flight bound
-		// (a one-message-per-link tree never hits it, so the schedule timing
-		// must not move), sequential against the capacity-sharded kernel with
-		// its reserve/commit barrier replay.
-		capCfg := logp.Config{Params: params}
-		capRes, err := flat.Run(capCfg, progs.NewBroadcast(sched, 1, "datum"), 1)
-		if err != nil {
-			return outcome{failMsg: err.Error()}
-		}
+		// Capacity on: the same broadcast under the ceil(L/g) in-flight bound.
+		// A one-message-per-link tree never hits it, so the schedule timing
+		// must not move.
 		start = time.Now()
-		capSharded, err := flat.Run(capCfg, progs.NewBroadcast(sched, 1, "datum"), 4)
+		capRes, err := flat.Run(logp.Config{Params: params}, progs.NewBroadcast(sched, 1, "datum"), 1)
 		o.capWall = time.Since(start)
 		if err != nil {
 			return outcome{failMsg: err.Error()}
 		}
-		// Unlike the capacity-off fast path, the capacity-sharded kernel does
-		// settle per-link accounting (at the window barriers), so the
-		// in-transit high-water marks are tracked and must match exactly.
-		o.capOK = capRes.Time == res.Time && reflect.DeepEqual(capRes, capSharded)
+		o.capOK = capRes.Time == res.Time
 		return o
 	})
 	for _, o := range runs {
@@ -147,7 +138,7 @@ func PScaling(scale Scale) Report {
 	ciTime := bigWall < 60*time.Second
 
 	var b strings.Builder
-	fmt.Fprintf(&b, "optimal broadcast, L=%d o=%d g=%d, capacity off and on, flat engine (sequential + 4 shards)\n\n",
+	fmt.Fprintf(&b, "optimal broadcast, L=%d o=%d g=%d, flat engine: capacity off (sequential + 4 shards) and on (sequential)\n\n",
 		base.L, base.O, base.G)
 	b.WriteString(stats.CSV("P",
 		stats.Series{Name: "predicted_finish", X: ps, Y: predicted},
@@ -163,8 +154,8 @@ func PScaling(scale Scale) Report {
 				"simulated %v vs predicted %v", simulated, predicted),
 			check("every processor reached: P-1 messages at every P", counted, "messages %v", runs[last].res.Messages),
 			check("sharded kernel reproduces the sequential Result at every P", shardedOK, "4 shards vs 1"),
-			check("capacity-sharded kernel agrees with sequential capacity at every P", capOK,
-				"4 shards vs 1, capacity on"),
+			check("capacity on leaves the schedule timing unchanged at every P", capOK,
+				"sequential kernel, capacity on vs off"),
 			check("goroutine engine agrees at P=1000", crossOK,
 				"goroutine (time %d, msgs %d) vs flat (time %d, msgs %d)",
 				gRes.Time, gRes.Messages, runs[0].res.Time, runs[0].res.Messages),

@@ -15,10 +15,10 @@ import (
 )
 
 // ShardBalance turns the flight recorder on the sharded kernel itself: the
-// capacity-mode optimal broadcast at a fixed large P, swept across shard
-// counts, with the per-shard wall-clock split (busy vs barrier wait) and the
-// scheduling traffic (wheel/heap insertions, barrier merges, held replays,
-// queue rewinds) recorded for every run. The observable of interest is the
+// optimal broadcast with the capacity constraint off (the mode that shards;
+// see flat.ShardCount) at a fixed large P, swept across shard counts, with
+// the per-shard wall-clock split (busy vs barrier wait) and the scheduling
+// traffic (wheel/heap insertions, barrier merges) recorded for every run. The observable of interest is the
 // barrier-wait fraction — the share of shard-worker time spent idle at
 // window barriers waiting for the slowest shard — which bounds the speedup
 // the windowed core can extract at the host's GOMAXPROCS. The recorder must
@@ -33,7 +33,7 @@ func ShardBalance(scale Scale) Report {
 	if err != nil {
 		return Report{ID: id, Checks: []Check{check("runs completed", false, "%s", err.Error())}}
 	}
-	cfg := logp.Config{Params: params}
+	cfg := logp.Config{Params: params, DisableCapacity: true}
 
 	type outcome struct {
 		stats    []flat.ShardStat
@@ -76,8 +76,6 @@ func ShardBalance(scale Scale) Report {
 	waitFrac := make([]float64, len(shardCounts))
 	wallMS := make([]float64, len(shardCounts))
 	merged := make([]float64, len(shardCounts))
-	replays := make([]float64, len(shardCounts))
-	rewinds := make([]float64, len(shardCounts))
 	recordOK, conserved, balanced, wellFormed := true, true, true, true
 	for i, o := range runs {
 		xs[i] = float64(shardCounts[i])
@@ -88,8 +86,6 @@ func ShardBalance(scale Scale) Report {
 			events += st.Events
 			inserted += st.WheelEvents + st.HeapEvents
 			merged[i] += float64(st.MergedIn)
-			replays[i] += float64(st.HeldReplays)
-			rewinds[i] += float64(st.Rewinds)
 			windows += st.Windows
 		}
 		busyMS[i] = float64(busy) / 1e6
@@ -115,7 +111,7 @@ func ShardBalance(scale Scale) Report {
 	}
 
 	var b strings.Builder
-	fmt.Fprintf(&b, "capacity-mode optimal broadcast, P=%d, L=%d o=%d g=%d, GOMAXPROCS=%d, flight recorder on\n\n",
+	fmt.Fprintf(&b, "optimal broadcast, capacity off, P=%d, L=%d o=%d g=%d, GOMAXPROCS=%d, flight recorder on\n\n",
 		params.P, params.L, params.O, params.G, runtime.GOMAXPROCS(0))
 	b.WriteString(stats.CSV("shards",
 		stats.Series{Name: "busy_ms", X: xs, Y: busyMS},
@@ -123,8 +119,6 @@ func ShardBalance(scale Scale) Report {
 		stats.Series{Name: "barrier_wait_frac", X: xs, Y: waitFrac},
 		stats.Series{Name: "wall_ms", X: xs, Y: wallMS},
 		stats.Series{Name: "merged_in", X: xs, Y: merged},
-		stats.Series{Name: "held_replays", X: xs, Y: replays},
-		stats.Series{Name: "rewinds", X: xs, Y: rewinds},
 	))
 	return Report{
 		ID:    id,

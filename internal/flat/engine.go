@@ -10,7 +10,9 @@ import (
 
 // Engine is the logp.Engine adapter for the flat core. Shards is the number
 // of event-kernel shards: 1 (or 0) runs the sequential core, which supports
-// every Config; N > 1 runs the windowed parallel core. Shards == 0
+// every Config; N > 1 runs the windowed parallel core when the capacity
+// constraint is off, and the sequential core when it is on (see
+// ShardCount). Shards == 0
 // additionally consults the LOGP_SHARDS environment variable, so the CI
 // engine matrix can select a sharded run without touching call sites.
 type Engine struct{ Shards int }

@@ -3,6 +3,7 @@ package flat_test
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -249,5 +250,165 @@ func TestEquivFailStop(t *testing.T) {
 	}
 	if len(gRes.Failed) != 1 || gRes.Failed[0] != 1 {
 		t.Errorf("Failed = %v, want [1]", gRes.Failed)
+	}
+}
+
+// capCase is one capacity-on machine and program. The capacity cases are
+// the corners of the ceil(L/g) semaphores: parameter extremes, stalls that
+// span many L-cycle spans, and fail-stops of processors that hold capacity.
+// The equivalence suite runs them on both engines, and the one-shard rule
+// (shard_test.go) runs them at several requested shard counts.
+type capCase struct {
+	name string
+	cfg  logp.Config
+	mk   func() logp.Program
+}
+
+// capacityCorners covers the registry programs and the parameter corners:
+// g > L (capacity 1, every link serialized), L = 0, L = o = 0, and
+// hold-until-receive (units released at reception end, not arrival). The
+// hold-mode all-to-all genuinely deadlocks — everyone's reservations are
+// held behind receptions that wait on everyone else — and must fail with
+// the identical error.
+func capacityCorners(t testing.TB) []capCase {
+	std := core.Params{P: 0, L: 8, O: 2, G: 3}
+	with := func(p int) core.Params { pr := std; pr.P = p; return pr }
+	values := func(i int) any { return i }
+	return []capCase{
+		{"broadcast", logp.Config{Params: with(32)}, func() logp.Program {
+			s, err := core.OptimalBroadcast(with(32), 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return newBroadcast(s, 1, "datum")
+		}},
+		{"pingpong", logp.Config{Params: with(16)}, func() logp.Program { return newPingPong(12) }},
+		{"alltoall", logp.Config{Params: with(12)}, func() logp.Program { return newAllToAll(12, 3, 1, 2, true) }},
+		{"chain", logp.Config{Params: with(24)}, func() logp.Program { return newChain(24, 0, 3, 6, values) }},
+		{"gap-exceeds-latency", logp.Config{Params: core.Params{P: 8, L: 2, O: 1, G: 5}},
+			func() logp.Program { return newAllToAll(8, 3, 1, 2, true) }},
+		{"zero-latency", logp.Config{Params: core.Params{P: 8, L: 0, O: 2, G: 1}},
+			func() logp.Program { return newAllToAll(8, 2, 1, 2, true) }},
+		{"zero-latency-zero-overhead", logp.Config{Params: core.Params{P: 6, L: 0, O: 0, G: 1}},
+			func() logp.Program { return newChain(6, 0, 3, 4, values) }},
+		{"hold-until-receive", logp.Config{Params: with(12), HoldCapacityUntilReceive: true},
+			func() logp.Program { return newChain(12, 0, 3, 6, values) }},
+		{"hold-deadlock", logp.Config{Params: with(12), HoldCapacityUntilReceive: true},
+			func() logp.Program { return newAllToAll(12, 3, 1, 2, true) }},
+	}
+}
+
+// capFlood: proc 0 fires burst back-to-back sends at proc 1, which idles
+// for hold cycles before draining its inbox. With hold-until-receive the
+// capacity units stay reserved until proc 1's receptions complete, so proc
+// 0's stalls last many times L and its grants arrive long after its
+// acquires. The remaining processors finish at once.
+type capFlood struct {
+	burst int
+	hold  int64
+}
+
+func (c *capFlood) Start(n logp.Node) {
+	switch n.ID() {
+	case 0:
+		for i := 0; i < c.burst; i++ {
+			n.Send(1, 9, i)
+		}
+		n.Done()
+	case 1:
+		n.Wait(c.hold)
+	default:
+		n.Done()
+	}
+}
+
+func (c *capFlood) Message(n logp.Node, m logp.Message) {
+	if m.Data.(int) == c.burst-1 {
+		n.Done()
+	}
+}
+
+// capacityStalls runs capFlood with units released at arrival, held until
+// reception, and held with a capacity of one.
+func capacityStalls() []capCase {
+	flood := func() logp.Program { return &capFlood{burst: 8, hold: 60} }
+	return []capCase{
+		{"arrival-release", logp.Config{Params: core.Params{P: 6, L: 4, O: 1, G: 2}}, flood},
+		{"hold-release", logp.Config{Params: core.Params{P: 6, L: 4, O: 1, G: 2}, HoldCapacityUntilReceive: true}, flood},
+		{"hold-release-cap1", logp.Config{Params: core.Params{P: 6, L: 3, O: 2, G: 4}, HoldCapacityUntilReceive: true}, flood},
+	}
+}
+
+// holdKillChain: 0 floods 1, 1 floods 2, 2 sleeps long before draining.
+// Hold mode keeps every unit reserved until reception, so 1 stalls on its
+// acquire to 2 while arrivals from 0 pile up in its inbox; killing 1 at
+// various times lands the kill mid-stall, mid-burst and after the drain.
+type holdKillChain struct{ burst int }
+
+func (c *holdKillChain) Start(n logp.Node) {
+	switch n.ID() {
+	case 0:
+		for i := 0; i < c.burst; i++ {
+			n.Send(1, 9, i)
+		}
+		n.Done()
+	case 1:
+		for i := 0; i < c.burst; i++ {
+			n.Send(2, 9, i)
+		}
+	case 2:
+		n.Wait(300)
+	default:
+		n.Done()
+	}
+}
+
+func (c *holdKillChain) Message(n logp.Node, m logp.Message) {
+	if (n.ID() == 1 || n.ID() == 2) && m.Data.(int) == c.burst-1 {
+		n.Done()
+	}
+}
+
+// capacityFailStops kills processors that hold reserved capacity: the
+// sender mid-stall (its queued acquire is granted posthumously, then it
+// halts at the next operation boundary, and its receiver deadlocks waiting
+// for the rest of the burst), the receiver (deliveries to it drop, but
+// non-dup drops still release the reserved units, so the ring keeps going
+// around it), and the middle of holdKillChain at ten kill times.
+func capacityFailStops() []capCase {
+	params := core.Params{P: 6, L: 4, O: 1, G: 2}
+	kill := func(proc int, at int64) *logp.FaultPlan {
+		return &logp.FaultPlan{FailStops: []logp.FailStop{{Proc: proc, At: at}}}
+	}
+	cases := []capCase{
+		{"sender-killed-mid-stall", logp.Config{Params: params, Faults: kill(0, 7)},
+			func() logp.Program { return &capFlood{burst: 8, hold: 60} }},
+		// Proc 2 expects nothing (its predecessor is dead) and the others
+		// their full stream.
+		{"receiver-killed-holding-reservations", logp.Config{Params: params, Faults: kill(1, 9)},
+			func() logp.Program { return newRingExpect(4, []int{4, 0, 0, 4, 4, 4}) }},
+	}
+	for _, at := range []int64{5, 9, 12, 15, 20, 25, 30, 40, 60, 100} {
+		cases = append(cases, capCase{
+			fmt.Sprintf("hold-kill-at-%d", at),
+			logp.Config{Params: params, HoldCapacityUntilReceive: true, Faults: kill(1, at)},
+			func() logp.Program { return &holdKillChain{burst: 8} },
+		})
+	}
+	return cases
+}
+
+// TestEquivCapacity pins both engines on every capacity case with trace,
+// profile and metrics attached; a run that fails must fail with the
+// identical error on both.
+func TestEquivCapacity(t *testing.T) {
+	for _, cases := range [][]capCase{capacityCorners(t), capacityStalls(), capacityFailStops()} {
+		for _, tc := range cases {
+			t.Run(tc.name, func(t *testing.T) {
+				cfg := tc.cfg
+				cfg.CollectTrace = true
+				runBoth(t, tc.name, cfg, tc.mk, true, true)
+			})
+		}
 	}
 }

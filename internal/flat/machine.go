@@ -34,16 +34,11 @@
 // bit-identical for any GOMAXPROCS setting.
 //
 // The capacity constraint — the paper's ceil(L/g) in-flight bound — couples
-// processors across shards through the machine-wide semaphores, so capacity
-// mode runs a two-phase reserve/commit instead: within a window every send
-// parks at its acquire and shards record acquire/release operations into a
-// ledger; the barrier replays the merged ledger single-threaded in sim-time
-// order, granting capacity and injecting deliveries (see runSharded and
-// replayCapacity). The window narrows to [M, M+min(L)+1) to keep barrier
-// grants sound, and the replay order is built from pure sim-time fields, so
-// capacity-sharded runs are bit-identical across shard counts too. Sharded
-// runs exclude the single-shard-only observers (trace, profiler, latency and
-// compute jitter) and allow fault plans with fail-stops only; see New.
+// every sender to every receiver through the machine-wide semaphores, so a
+// machine with it on always runs the sequential kernel, whatever shard count
+// it is asked for (see ShardCount). Sharded runs also exclude the
+// single-shard-only observers (trace, profiler, latency and compute jitter)
+// and allow fault plans with fail-stops only; see New.
 package flat
 
 import (
@@ -74,29 +69,7 @@ const (
 	rCapIn                      // woken from the in-capacity queue
 	rRecvWake                   // woken from the inbox arrival wait
 	rRecvPaid                   // Recv's gap wait + o overhead elapsed
-	rCapGranted                 // sharded: the barrier ledger granted both capacity units
 )
-
-// Capacity-ledger operation kinds. Releases sort before acquires at equal
-// (t, trig): a unit freed at an instant is available to an acquire at that
-// instant, mirroring the barging re-check of sim.Semaphore.
-const (
-	opRelease uint8 = iota
-	opAcquire
-)
-
-// capOp is one capacity-semaphore operation recorded by a shard during a
-// window and replayed single-threaded at the barrier. Every field is a pure
-// sim-time quantity — no shard-local sequence numbers — so the replay order,
-// and with it the whole capacity schedule, is identical for every shard
-// count and GOMAXPROCS setting.
-type capOp struct {
-	t    int64 // sim time the operation occurred
-	trig int64 // tie-break: when the occurrence was set in motion (see sort comment)
-	kind uint8
-	from int32 // sending processor (out-capacity side)
-	to   int32 // destination processor (in-capacity side)
-}
 
 // Recorded Node operation kinds.
 const (
@@ -112,28 +85,6 @@ type op struct {
 	kind uint8
 	a, b int64
 	data any
-}
-
-// heldEvent is an event targeting a capacity-blocked processor, deferred
-// until the barrier grant resolves (capacity-sharded runs only). A shard's
-// window may dispatch a delivery or kill for a processor parked at its
-// capacity acquire at a sim time the grant later rewinds past; applying it
-// at dispatch would leak its effect backward in time (an inbox arrival the
-// rewound execution should not see yet, a fail-stop flag killing work the
-// sequential engine performs). Held events are flushed in dispatch order at
-// grant time: at or before the grant instant they apply directly, after it
-// they are rescheduled at their original times.
-type heldEvent struct {
-	t      int64 // sim time the event was dispatched (arrival / kill time)
-	kind   uint8 // evDeliver or evFail
-	flight int64 // evDeliver: the flight draw (metrics, hold-mode release)
-	msg    logp.Message
-}
-
-// capBlocked reports whether p is parked at a capacity acquire awaiting a
-// barrier grant: events targeting it must be deferred (see heldEvent).
-func capBlocked(p *proc) bool {
-	return p.blocked && (p.resume == rCapOut || p.resume == rCapIn)
 }
 
 // proc is one processor/memory module: the flat-array counterpart of
@@ -176,11 +127,6 @@ type proc struct {
 	recvFrom   int64 // Recv: gap-respecting reception start
 	recvPay    int64 // Recv: overhead cycles being charged
 	cur        logp.Message
-
-	// held buffers deliveries and kills that targeted this processor while
-	// it was parked at a capacity acquire; the barrier grant flushes it
-	// (capFlush). Dispatch order, hence ascending time.
-	held []heldEvent
 
 	// The run's high-water lengths of inbox and ops, which seat compares
 	// with their capacities to drop storage an earlier, larger run grew.
@@ -321,21 +267,18 @@ type shard struct {
 	live    int
 	out     [][]event          // cross-shard deliveries, one buffer per destination shard
 	flight  *metrics.Histogram // shard-local flight-cycle observations, merged at the end
-	stall   *metrics.Histogram // shard-local stall-cycle observations, merged at the end
-	capOps  []capOp            // capacity ledger: this window's acquires and releases
 	dropped int                // deliveries lost to fail-stopped destinations
 }
 
 // Machine is a flat LogP machine ready to run one Program; Reset seats
 // another config and program on the same storage.
 type Machine struct {
-	cfg        logp.Config
-	topol      topo.Model // nil unless cfg.Topology: per-link cost model
-	prog       logp.Program
-	shards     int
-	horizon    int64 // conservative cross-shard lookahead: min(o+L), or min(L)+1 with capacity on
-	capSharded bool  // shards > 1 with the capacity constraint: sends go through the ledger
-	perSh      int   // processors per shard (last shard may be short)
+	cfg     logp.Config
+	topol   topo.Model // nil unless cfg.Topology: per-link cost model
+	prog    logp.Program
+	shards  int
+	horizon int64 // conservative cross-shard lookahead: min(o+L) over all links
+	perSh   int   // processors per shard (last shard may be short)
 
 	procs []proc
 	sh    []shard
@@ -352,12 +295,6 @@ type Machine struct {
 	faults        *logp.FaultRuntime
 	duplicated    int
 
-	// Barrier-replay scratch for capacity-sharded runs, reused across
-	// windows: the merged sorted ledger and the pending wake list of the
-	// instant being replayed.
-	capLedger []capOp
-	capWakes  []int32
-
 	met        *metrics.Registry
 	skew       []float64
 	lastBusy   []int64
@@ -371,27 +308,25 @@ type Machine struct {
 }
 
 // New builds a flat machine for prog. Config semantics are identical to
-// logp.New. shards < 2 builds the sequential engine, which supports every
-// Config and is cycle-identical to the goroutine machine. shards >= 2
-// enables windowed parallel execution, which excludes trace and profiler
-// collection, latency and compute jitter, and fault plans beyond pure
-// fail-stops; ProcSkew is allowed (the skews are drawn up front). The
-// capacity constraint is supported — sends resolve against the machine-wide
-// semaphores at the window barriers (see runSharded) — and with it
-// Result.MaxInTransitFrom/To are exact; capacity-off sharded runs report
-// them as zero (settling a message's in-transit accounting at arrival would
-// cross shards), and both flavors keep the sample in-flight series zero.
-// Capacity-off sharding additionally requires o+L >= 1 (the lookahead
-// window); capacity mode runs its own L+1 window and has no such floor.
+// logp.New. The sequential engine, which supports every Config and is
+// cycle-identical to the goroutine machine, runs when ShardCount(cfg,
+// shards) is 1: for shards < 2, and for any shard count with the capacity
+// constraint on. Otherwise New builds the windowed parallel engine, which
+// excludes trace and profiler collection, latency and compute jitter, and
+// fault plans beyond pure fail-stops, and requires o+L >= 1 on every link
+// (the lookahead window); ProcSkew is allowed (the skews are drawn up
+// front). Sharded runs report Result.MaxInTransitFrom/To and the sample
+// in-flight series as zero: settling a message's in-transit accounting at
+// arrival would cross shards.
 //
 // New validates cfg before allocating anything, lays out P processors over
-// ShardCount(P, shards) shards, and seats cfg and prog on that storage
+// ShardCount(cfg, shards) shards, and seats cfg and prog on that storage
 // through the same path as Reset.
 func New(cfg logp.Config, prog logp.Program, shards int) (*Machine, error) {
 	if err := validate(cfg, shards); err != nil {
 		return nil, err
 	}
-	n := ShardCount(cfg.P, shards)
+	n := ShardCount(cfg, shards)
 	m := &Machine{
 		shards: n,
 		perSh:  (cfg.P + n - 1) / n,
@@ -417,13 +352,17 @@ func New(cfg logp.Config, prog logp.Program, shards int) (*Machine, error) {
 	return m, nil
 }
 
-// ShardCount reports how many event-kernel shards New builds for p >= 1
-// processors when asked for shards: the request clamped to [1, p], less the
+// ShardCount reports how many event-kernel shards New builds for cfg when
+// asked for shards. With the capacity constraint on it is 1: the ceil(L/g)
+// semaphores couple every sender to every receiver, and a windowed kernel
+// that replayed them at each barrier never beat the sequential one (DESIGN
+// §9). Otherwise it is the request clamped to [1, cfg.P], less the
 // trailing shards the contiguous partition leaves empty. Machines with equal
 // P and ShardCount share one storage layout, so either can Reset to any
 // config the other could run.
-func ShardCount(p, shards int) int {
-	if shards < 1 {
+func ShardCount(cfg logp.Config, shards int) int {
+	p := cfg.P
+	if !cfg.DisableCapacity || shards < 1 {
 		shards = 1
 	}
 	if shards > p {
@@ -434,9 +373,9 @@ func ShardCount(p, shards int) int {
 }
 
 // Reset re-seats the machine with a new config and program, reusing its
-// storage: each processor's inbox, operation and held-event buffers, and
-// each shard's wheel buckets, overflow heap, payload arena, free list,
-// outboxes and capacity ledger. Everything else is re-seated from cfg —
+// storage: each processor's inbox and operation buffers, and each shard's
+// wheel buckets, overflow heap, payload arena, free list and outboxes.
+// Everything else is re-seated from cfg —
 // topology, capacity mode, parameters, seed, jitter, faults and observers —
 // and every message payload the last run left behind is cleared, so the
 // machine pins none of the previous program's data. After Reset, Run
@@ -445,15 +384,19 @@ func ShardCount(p, shards int) int {
 //
 // The processor count and the shard layout are fixed at construction. Reset
 // validates cfg exactly as New does at the machine's shard count, and it
-// returns an error if cfg.P differs from the machine's P; on error the
-// machine is left as it was. A flight recorder, if enabled, stays enabled
-// with its counters zeroed.
+// returns an error if cfg.P differs from the machine's P or if cfg turns the
+// capacity constraint on for a machine with more than one shard; on error
+// the machine is left as it was. A flight recorder, if enabled, stays
+// enabled with its counters zeroed.
 func (m *Machine) Reset(cfg logp.Config, prog logp.Program) error {
 	if err := validate(cfg, m.shards); err != nil {
 		return err
 	}
 	if cfg.P != len(m.procs) {
 		return fmt.Errorf("flat: reset to P=%d on a machine built for P=%d", cfg.P, len(m.procs))
+	}
+	if ShardCount(cfg, m.shards) != m.shards {
+		return fmt.Errorf("flat: reset of a %d-shard machine to a capacity-on config, which runs on one shard", m.shards)
 	}
 	m.seat(cfg, prog)
 	return nil
@@ -487,7 +430,7 @@ func validate(cfg logp.Config, shards int) error {
 			return err
 		}
 	}
-	if ShardCount(cfg.P, shards) > 1 {
+	if ShardCount(cfg, shards) > 1 {
 		if cfg.CollectTrace || cfg.Profiler != nil {
 			return fmt.Errorf("flat: sharded execution excludes trace and profiler (single-shard observers)")
 		}
@@ -497,26 +440,25 @@ func validate(cfg logp.Config, shards int) error {
 		if cfg.LatencyJitter != 0 || cfg.ComputeJitter != 0 {
 			return fmt.Errorf("flat: sharded execution requires zero latency/compute jitter (random draws are ordered by a single queue)")
 		}
-		if minOL, _ := lookahead(cfg); cfg.DisableCapacity && minOL < 1 {
+		if lookahead(cfg) < 1 {
 			return fmt.Errorf("flat: sharded execution requires min(o+L) >= 1 over all links for a conservative lookahead window")
 		}
 	}
 	return nil
 }
 
-// lookahead reports the machine-wide minima the sharded windows rest on:
-// minOL = min over links of o+L, minL = min over links of L. Without a
-// topology both reduce to the global parameters. The minimum over link
-// *classes* is what soundness needs — a cross-shard message over some link
-// (i, j) takes at least o(i,j)+L(i,j) >= minOL cycles from initiation to
-// arrival, so a window of minOL cycles still cannot be outrun by any
-// message, just as in the uniform argument (see the package comment and
-// runSharded).
-func lookahead(cfg logp.Config) (minOL, minL int64) {
+// lookahead reports the machine-wide minimum the sharded windows rest on:
+// min over links of o+L, which without a topology is the global o+L. The
+// minimum over link *classes* is what soundness needs — a cross-shard
+// message over some link (i, j) takes at least o(i,j)+L(i,j) cycles from
+// initiation to arrival, so a window of that many cycles still cannot be
+// outrun by any message, just as in the uniform argument (see the package
+// comment and runSharded).
+func lookahead(cfg logp.Config) int64 {
 	if cfg.Topology != nil {
-		return cfg.Topology.MinOL(), cfg.Topology.MinL()
+		return cfg.Topology.MinOL()
 	}
-	return cfg.O + cfg.L, cfg.L
+	return cfg.O + cfg.L
 }
 
 // seat installs a validated cfg and prog on the machine's storage and
@@ -527,20 +469,7 @@ func lookahead(cfg logp.Config) (minOL, minL int64) {
 // of a fresh machine.
 func (m *Machine) seat(cfg logp.Config, prog logp.Program) {
 	m.cfg, m.topol, m.prog = cfg, cfg.Topology, prog
-	minOL, minL := lookahead(cfg)
-	m.horizon = minOL
-	m.capSharded = m.shards > 1 && !cfg.DisableCapacity
-	if m.capSharded {
-		// Capacity mode narrows the window to min(L)+1: every send pauses at
-		// its capacity acquire and is granted at the barrier, so the only
-		// events the barrier schedules into a shard's past-capable future are
-		// deliveries at grant+L(link) with grant >= M — sound iff the window
-		// end M+W-1 never exceeds M+minL, i.e. W <= minL+1, since every
-		// link's L is at least minL. minL = 0 degenerates to single-instant
-		// windows, which stay correct (and need no minOL >= 1 rule: barrier
-		// grants, not in-window sends, carry the progress).
-		m.horizon = minL + 1
-	}
+	m.horizon = lookahead(cfg)
 	if m.rng == nil {
 		m.rng = rand.New(rand.NewSource(cfg.Seed))
 	} else {
@@ -579,20 +508,15 @@ func (m *Machine) seat(cfg logp.Config, prog logp.Program) {
 		m.outCap[i] = semaphore{capacity: capUnits, waiters: m.outCap[i].waiters[:0]}
 		m.inCap[i] = semaphore{capacity: capUnits, waiters: m.inCap[i].waiters[:0]}
 	}
-	// Sequential runs settle in-transit counts at delivery; capacity-sharded
-	// runs replay every acquire and release at the barrier in sim-time
-	// order, which makes the high-water marks exact there too. Only
-	// capacity-off sharded runs leave them untracked (settling a message's
-	// accounting at arrival would cross shards mid-window).
-	tracked := m.shards == 1 || !cfg.DisableCapacity
-	m.inTransitFrom = keepIf(tracked, m.inTransitFrom, cfg.P)
-	m.inTransitTo = keepIf(tracked, m.inTransitTo, cfg.P)
+	// Sequential runs settle in-transit counts at delivery. Sharded runs
+	// leave them untracked: settling a message's accounting at arrival
+	// would cross shards mid-window.
+	m.inTransitFrom = keepIf(m.shards == 1, m.inTransitFrom, cfg.P)
+	m.inTransitTo = keepIf(m.shards == 1, m.inTransitTo, cfg.P)
 	clear(m.inTransitFrom)
 	clear(m.inTransitTo)
 	m.maxOut, m.maxIn = 0, 0
 	m.duplicated = 0
-	m.capLedger = m.capLedger[:0]
-	m.capWakes = m.capWakes[:0]
 
 	m.met = cfg.Metrics
 	if m.met != nil {
@@ -616,30 +540,23 @@ func (m *Machine) seat(cfg logp.Config, prog logp.Program) {
 			clear(sh.out[d])
 			sh.out[d] = sh.out[d][:0]
 		}
-		// Only capacity-off sharded runs have outboxes. Capacity-sharded
-		// runs park every send at its acquire and the barrier injects cross-
-		// and same-shard deliveries alike, so nothing is emitted mid-window.
-		sh.out = keepIf(m.shards > 1 && !m.capSharded, sh.out, m.shards)
-		sh.flight, sh.stall = nil, nil
+		sh.out = keepIf(m.shards > 1, sh.out, m.shards)
+		sh.flight = nil
 		if m.shards > 1 && m.met != nil {
 			sh.flight = metrics.NewHistogram(m.met.FlightCycles.Bounds()...)
-			sh.stall = metrics.NewHistogram(m.met.StallCyclesHist.Bounds()...)
 		}
-		sh.capOps = sh.capOps[:0]
 		sh.dropped = 0
 	}
 	for i := range m.procs {
 		p := &m.procs[i]
 		clear(p.inbox)
 		p.resetOps()
-		clear(p.held)
 		*p = proc{
 			id:    p.id,
 			shard: p.shard,
 			m:     m,
 			inbox: trimmed(p.inbox, p.inboxPeak),
 			ops:   trimmed(p.ops, p.opsPeak),
-			held:  p.held[:0],
 		}
 	}
 	m.ran = false
@@ -692,14 +609,12 @@ func (m *Machine) StorageBytes() int64 {
 	n := int64(cap(m.procs))*int64(unsafe.Sizeof(proc{})) +
 		int64(cap(m.sh))*int64(unsafe.Sizeof(shard{})) +
 		int64(cap(m.outCap)+cap(m.inCap))*int64(unsafe.Sizeof(semaphore{})) +
-		int64(cap(m.inTransitFrom)+cap(m.inTransitTo)+cap(m.capWakes))*4 +
-		int64(cap(m.skew)+cap(m.lastBusy))*8 +
-		int64(cap(m.capLedger))*int64(unsafe.Sizeof(capOp{}))
+		int64(cap(m.inTransitFrom)+cap(m.inTransitTo))*4 +
+		int64(cap(m.skew)+cap(m.lastBusy))*8
 	for i := range m.procs {
 		p := &m.procs[i]
 		n += int64(cap(p.inbox))*int64(unsafe.Sizeof(logp.Message{})) +
-			int64(cap(p.ops))*int64(unsafe.Sizeof(op{})) +
-			int64(cap(p.held))*int64(unsafe.Sizeof(heldEvent{}))
+			int64(cap(p.ops))*int64(unsafe.Sizeof(op{}))
 	}
 	for i := range m.outCap {
 		n += int64(cap(m.outCap[i].waiters)+cap(m.inCap[i].waiters)) * 4
@@ -712,8 +627,7 @@ func (m *Machine) StorageBytes() int64 {
 		n += int64(cap(sh.heap))*int64(unsafe.Sizeof(ent{})) +
 			int64(cap(sh.arena))*int64(unsafe.Sizeof(payload{})) +
 			int64(cap(sh.free))*4 +
-			int64(cap(sh.out))*int64(unsafe.Sizeof([]event(nil))) +
-			int64(cap(sh.capOps))*int64(unsafe.Sizeof(capOp{}))
+			int64(cap(sh.out))*int64(unsafe.Sizeof([]event(nil)))
 		for d := range sh.out {
 			n += int64(cap(sh.out[d])) * int64(unsafe.Sizeof(event{}))
 		}
@@ -800,9 +714,6 @@ func (m *Machine) Run() (logp.Result, error) {
 			if m.sh[s].flight != nil {
 				m.met.FlightCycles.Merge(m.sh[s].flight)
 			}
-			if m.sh[s].stall != nil {
-				m.met.StallCyclesHist.Merge(m.sh[s].stall)
-			}
 		}
 		if res.Time > m.lastSample || len(m.met.Samples) == 0 {
 			m.takeSample(res.Time)
@@ -864,8 +775,6 @@ func (m *Machine) dispatch(sh *shard, e *ent) {
 		m.resumeProc(sh, &m.procs[e.proc])
 	case evDeliver:
 		m.deliver(sh, e)
-	case evArrive:
-		m.arrive(sh, e)
 	case evFail:
 		m.kill(&m.procs[e.proc])
 	case evSample:
@@ -909,34 +818,6 @@ func (m *Machine) resumeProc(sh *shard, p *proc) {
 			p.opHead++
 			m.step(sh, p)
 		}
-	case rCapGranted:
-		// Sharded capacity: the barrier ledger granted both units at sh.now
-		// and already injected the message (capGrant). What remains is the
-		// sequential sendAcquireIn/sendInject bookkeeping that belongs to the
-		// sender: the stall charge and the gap floor for the next send.
-		if d := sh.now - p.stallStart; d > 0 {
-			p.stats.Stall += d
-			if m.met != nil {
-				// OnStall splits like OnDeliver: the per-processor counters
-				// are owned by this shard, the stall histogram is shared, so
-				// observe into shard scratch merged at the end of the run.
-				pm := &m.met.Procs[p.id]
-				pm.StallEvents.Inc()
-				pm.StallCycles.Add(d)
-				sh.stall.Observe(d)
-			}
-		}
-		_, lkO, lkG := m.link(int(p.id), int(p.ops[p.opHead].a))
-		iv := lkO
-		if lkG > iv {
-			iv = lkG
-		}
-		p.nextSend = p.initiation + iv
-		if t := sh.now + lkG - lkO; t > p.nextSend {
-			p.nextSend = t
-		}
-		p.opHead++
-		m.step(sh, p)
 	case rRecvWake:
 		// Mirror of the wait loop in logp.Proc.Recv: record the idle
 		// segment, halt if fail-stopped, re-wait if the wake was for a
@@ -1183,23 +1064,6 @@ func (m *Machine) sendAfterOverhead(sh *shard, p *proc) bool {
 	}
 	if m.outCap != nil {
 		p.stallStart = sh.now
-		if m.capSharded {
-			// Sharded capacity: every send pauses here, even when both units
-			// are free — whether they are free at this instant depends on
-			// releases other shards are producing concurrently. The acquire
-			// goes into the window ledger (trig: the park time of the wake
-			// that ran this attempt, i.e. the send's start) and the barrier
-			// replays all shards' ledgers in sim-time order, granting via
-			// capGrant and waking the sender with rCapGranted. p.resume
-			// doubles as the replay stage marker: rCapOut = holding nothing,
-			// rCapIn = holding the out unit, exactly the sequential codes.
-			p.blocked = true
-			p.resume = rCapOut
-			sh.capOps = append(sh.capOps, capOp{
-				t: sh.now, trig: p.sendStart, kind: opAcquire, from: p.id, to: int32(to),
-			})
-			return false
-		}
 		return m.sendAcquireOut(sh, p)
 	}
 	m.sendInject(sh, p)
@@ -1325,22 +1189,8 @@ func (m *Machine) deliver(sh *shard, e *ent) {
 			m.met.OnDrop(msg.To)
 		}
 		if !msg.Dup() {
-			m.settleAt(sh, msg, pay.flight)
+			m.settle(msg)
 		}
-		sh.freePayload(e.idx)
-		return
-	}
-	if m.capSharded && capBlocked(dst) {
-		// dst is parked at a capacity acquire: the barrier may grant it at
-		// an instant before now and rewind its execution, which must not
-		// observe this arrival yet. The release belongs to this instant
-		// regardless (a drop to a dead destination settles identically), so
-		// it is recorded now; the inbox push and the delivery-vs-drop
-		// metrics are deferred to the grant (capFlush).
-		if !m.cfg.HoldCapacityUntilReceive && !msg.Dup() {
-			m.settleAt(sh, msg, pay.flight)
-		}
-		dst.held = append(dst.held, heldEvent{t: sh.now, kind: evDeliver, flight: pay.flight, msg: *msg})
 		sh.freePayload(e.idx)
 		return
 	}
@@ -1363,56 +1213,7 @@ func (m *Machine) deliver(sh *shard, e *ent) {
 			}
 		}
 		if !m.cfg.HoldCapacityUntilReceive {
-			m.settleAt(sh, msg, pay.flight)
-		}
-	}
-	sh.freePayload(e.idx)
-	if dst.waiting {
-		dst.waiting, dst.blocked = false, false
-		sh.scheduleAt(sh.now, evWake, dst.id)
-	}
-}
-
-// arrive completes a deferred arrival (capacity-sharded runs): the delivery
-// originally dispatched while its destination was parked at a capacity
-// acquire and was rescheduled past the grant (capFlush). Its settle and
-// release already ran at the original dispatch; what remains mirrors the
-// tail of deliver — the drop to a dead destination, the inbox push, the
-// delivery-vs-drop metrics, the receiver wake — plus deferring again if the
-// destination has stalled at a new acquire in the meantime.
-func (m *Machine) arrive(sh *shard, e *ent) {
-	pay := &sh.arena[e.idx]
-	msg := &pay.msg
-	dst := &m.procs[e.proc]
-	if capBlocked(dst) {
-		dst.held = append(dst.held, heldEvent{t: sh.now, kind: evDeliver, flight: pay.flight, msg: *msg})
-		sh.freePayload(e.idx)
-		return
-	}
-	if dst.failed {
-		sh.dropped++
-		if m.met != nil {
-			m.met.OnDrop(msg.To)
-		}
-		if m.cfg.HoldCapacityUntilReceive && !msg.Dup() {
-			// Hold-mode arrivals settle at reception or drop time; this one
-			// dropped, so its release is recorded here (the non-hold release
-			// already ran at the original dispatch).
-			sh.capOps = append(sh.capOps, capOp{
-				t: sh.now, trig: sh.now - pay.flight, kind: opRelease,
-				from: int32(msg.From), to: int32(msg.To),
-			})
-		}
-		sh.freePayload(e.idx)
-		return
-	}
-	dst.pushInbox(msg)
-	if m.met != nil {
-		if sh.flight != nil {
-			m.met.Procs[msg.To].Delivered.Inc()
-			sh.flight.Observe(pay.flight)
-		} else {
-			m.met.OnDeliver(msg.To, pay.flight)
+			m.settle(msg)
 		}
 	}
 	sh.freePayload(e.idx)
@@ -1423,8 +1224,7 @@ func (m *Machine) arrive(sh *shard, e *ent) {
 }
 
 // settle ends a message's in-transit accounting and frees its capacity
-// slots (single-shard runs; in capacity-sharded runs the barrier replay
-// performs the equivalent release via capOp).
+// slots (both exist only in single-shard runs).
 func (m *Machine) settle(msg *logp.Message) {
 	if m.inTransitFrom != nil {
 		m.inTransitFrom[msg.From]--
@@ -1434,23 +1234,6 @@ func (m *Machine) settle(msg *logp.Message) {
 		m.semRelease(&m.outCap[msg.From])
 		m.semRelease(&m.inCap[msg.To])
 	}
-}
-
-// settleAt settles a message at a delivery point: directly in sequential
-// runs, or — capacity-sharded — as a release recorded in the window ledger,
-// to be replayed at the barrier (the semaphores and in-transit counts are
-// machine-wide and may not be touched mid-window). The trig tie-break is the
-// injection time (arrival minus flight): the sim time at which the sequential
-// engine scheduled this delivery event.
-func (m *Machine) settleAt(sh *shard, msg *logp.Message, flight int64) {
-	if m.capSharded {
-		sh.capOps = append(sh.capOps, capOp{
-			t: sh.now, trig: sh.now - flight, kind: opRelease,
-			from: int32(msg.From), to: int32(msg.To),
-		})
-		return
-	}
-	m.settle(msg)
 }
 
 // semWait queues the processor on the semaphore (mirror of Signal.Wait +
@@ -1540,16 +1323,7 @@ func (m *Machine) finishRecvBook(sh *shard, p *proc) {
 		p.nextRecv = t
 	}
 	if m.cfg.HoldCapacityUntilReceive && !p.cur.Dup() {
-		if m.capSharded {
-			// Hold-mode release at reception end: trig is the arrival time —
-			// when the reception (and so this release) was set in motion.
-			sh.capOps = append(sh.capOps, capOp{
-				t: sh.now, trig: p.recvArrive, kind: opRelease,
-				from: int32(p.cur.From), to: int32(p.cur.To),
-			})
-		} else {
-			m.settle(&p.cur)
-		}
+		m.settle(&p.cur)
 	}
 	if m.rec != nil {
 		m.rec.RecvDone(int(p.id))
@@ -1595,15 +1369,6 @@ func (m *Machine) kill(p *proc) {
 	if p.failed {
 		return
 	}
-	if m.capSharded && capBlocked(p) {
-		// p is parked at a capacity acquire: a barrier grant may rewind it
-		// to a time before this kill, and the sends it performs there must
-		// not see the failed flag early (the sequential engine grants a
-		// queued acquire posthumously and halts the victim at the next
-		// operation boundary). Applied — or rescheduled — at grant time.
-		p.held = append(p.held, heldEvent{t: m.sh[p.shard].now, kind: evFail})
-		return
-	}
 	p.failed = true
 	if p.waiting {
 		p.waiting, p.blocked = false, false
@@ -1642,11 +1407,7 @@ func (m *Machine) takeSample(now int64) {
 	interval := now - m.lastSample
 	for i := range m.procs {
 		pr := &m.procs[i]
-		if m.shards == 1 && m.inTransitFrom != nil {
-			// Sharded runs keep the sample gauges zero even when the barrier
-			// replay tracks in-transit counts exactly (capacity mode): the
-			// mid-window state a sequential sampler would observe at this
-			// instant is not reconstructible at a barrier.
+		if m.inTransitFrom != nil {
 			s.InFlightFrom[i] = m.inTransitFrom[i]
 			s.InFlightTo[i] = m.inTransitTo[i]
 		}

@@ -7,14 +7,11 @@ import (
 )
 
 // Event kinds. A wake resumes a processor's continuation, a deliver
-// completes a message flight, an arrive finishes a delivery that was
-// deferred past a capacity grant (capacity-sharded runs; bookkeeping
-// already settled), a fail executes a fail-stop, a sample fires the
-// metrics sampler (single-shard runs only).
+// completes a message flight, a fail executes a fail-stop, a sample fires
+// the metrics sampler (single-shard runs only).
 const (
 	evWake uint8 = iota
 	evDeliver
-	evArrive
 	evFail
 	evSample
 )
@@ -213,21 +210,6 @@ func (q *queue) scheduleDeliver(t int64, proc int32, msg *logp.Message, flight i
 	q.insert(ent{t: t, seq: q.seq, proc: proc, idx: i, kind: evDeliver, drop: drop})
 }
 
-// scheduleArrive queues the deferred completion of a delivery whose settle,
-// release and metrics decisions belong elsewhere (see heldEvent): only the
-// inbox push, the delivery metrics and the receiver wake remain at dispatch.
-func (q *queue) scheduleArrive(t int64, proc int32, msg *logp.Message, flight int64) {
-	if t < q.now {
-		panic(fmt.Sprintf("flat: scheduling event at %d before current time %d", t, q.now))
-	}
-	q.seq++
-	i := q.allocPayload()
-	p := &q.arena[i]
-	p.flight = flight
-	p.msg = *msg
-	q.insert(ent{t: t, seq: q.seq, proc: proc, idx: i, kind: evArrive})
-}
-
 // pushHeap inserts e into the 4-ary overflow heap (sift-up with a hole).
 func (q *queue) pushHeap(e ent) {
 	h := append(q.heap, e)
@@ -329,37 +311,6 @@ func (q *queue) popNext(limit int64, out *ent) bool {
 	}
 	q.popBucket(int(t)&wheelMask, out)
 	return true
-}
-
-// rewind moves the clock back to t (<= now) so a window-barrier grant can
-// schedule a wake at a sim time the shard already ran past. Every wheel
-// bucket whose index falls in [t, now) holds only entries at that index plus
-// wheelSize (the wheel invariant pins entries to [now, now+wheelSize), and
-// the bucket residues below now wrapped around) — all at least t+wheelSize,
-// outside the rewound horizon — so they spill to the overflow heap, from
-// which popNext's migration loop recovers them as the clock re-approaches.
-// Buckets at indices in [now, t+wheelSize) keep their entries: those times
-// stay within the horizon of the new now.
-func (q *queue) rewind(t int64) {
-	if t >= q.now {
-		return
-	}
-	if q.rec != nil {
-		q.rec.Rewinds++
-	}
-	span := q.now - t
-	if span > wheelSize {
-		span = wheelSize // all wheelSize buckets covered; further laps revisit them
-	}
-	for d := int64(0); d < span; d++ {
-		s := int(t+d) & wheelMask
-		for q.heads[s] < int32(len(q.wheel[s])) {
-			var e ent
-			q.popBucket(s, &e)
-			q.pushHeap(e)
-		}
-	}
-	q.now = t
 }
 
 // reset empties the queue and rewinds its clock and sequence counter,

@@ -21,18 +21,11 @@ type ShardStat struct {
 	// (the fast path: within the 128-cycle horizon).
 	WheelEvents int64 `json:"wheel_events"`
 	// HeapEvents counts queue insertions that overflowed to the 4-ary heap
-	// (past the wheel horizon; includes rewind spills).
+	// (past the wheel horizon).
 	HeapEvents int64 `json:"heap_events"`
-	// MergedIn counts events injected into this shard at window barriers:
-	// outbox deliveries in capacity-off runs, grant-scheduled deliveries in
-	// capacity mode.
+	// MergedIn counts cross-shard deliveries merged into this shard's
+	// queue at window barriers.
 	MergedIn int64 `json:"merged_in"`
-	// HeldReplays counts held events (deliveries and kills deferred while
-	// their target was parked at a capacity acquire) replayed at grants.
-	HeldReplays int64 `json:"held_replays"`
-	// Rewinds counts queue-clock rewinds forced by barrier grants at
-	// instants the shard's window had already run past (capacity mode).
-	Rewinds int64 `json:"rewinds"`
 	// BusyNs is wall-clock nanoseconds the shard's worker spent executing
 	// window events.
 	BusyNs int64 `json:"busy_ns"`

@@ -1,6 +1,7 @@
 package flat_test
 
 import (
+	"fmt"
 	"reflect"
 	"runtime"
 	"testing"
@@ -13,7 +14,7 @@ import (
 
 // broadcastMachine builds a flat machine running the paper's optimal
 // broadcast at P, the flight-recorder test workload (fan-out traffic that
-// crosses shards and, with capacity on, exercises the barrier replay).
+// crosses shards).
 func broadcastMachine(t testing.TB, p, shards int, nocap bool) *flat.Machine {
 	t.Helper()
 	params := core.Params{P: p, L: 8, O: 2, G: 3}
@@ -31,8 +32,8 @@ func broadcastMachine(t testing.TB, p, shards int, nocap bool) *flat.Machine {
 
 // TestFlightRecorderResultIdentical pins the acceptance property: a recorded
 // run's Result is bit-identical to an unrecorded one — the recorder observes
-// wall-clock behavior and never steers sim time — across the sequential,
-// capacity-off sharded, and capacity-sharded kernels.
+// wall-clock behavior and never steers sim time — on the sequential and
+// the sharded kernel.
 func TestFlightRecorderResultIdentical(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -41,7 +42,6 @@ func TestFlightRecorderResultIdentical(t *testing.T) {
 	}{
 		{"sequential", 1, false},
 		{"sharded-nocap", 4, true},
-		{"sharded-capacity", 4, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			plain := broadcastMachine(t, 64, tc.shards, tc.nocap)
@@ -75,9 +75,8 @@ func TestFlightRecorderResultIdentical(t *testing.T) {
 }
 
 // TestShardStatsCounters sanity-checks the recorded traffic: every event
-// dispatched was inserted somewhere (wheel or heap), sharded runs count
-// their windows and barrier merges, and the capacity kernel records its
-// grant injections.
+// dispatched was inserted somewhere (wheel or heap), and sharded runs count
+// their windows and barrier merges.
 func TestShardStatsCounters(t *testing.T) {
 	m := broadcastMachine(t, 64, 4, true)
 	m.EnableFlightRecorder()
@@ -110,23 +109,6 @@ func TestShardStatsCounters(t *testing.T) {
 	// All shards run every window together.
 	if windows != 4*stats[0].Windows {
 		t.Errorf("unequal window counts across shards: %v", stats)
-	}
-
-	// Capacity mode: grants inject deliveries at the barrier (MergedIn) and
-	// the recorder sees them; with the broadcast's one-message-per-link tree
-	// no send stalls, so held replays may stay zero, but the injections must
-	// not.
-	cm := broadcastMachine(t, 64, 4, false)
-	cm.EnableFlightRecorder()
-	if _, err := cm.Run(); err != nil {
-		t.Fatal(err)
-	}
-	var capMerged int64
-	for _, st := range cm.ShardStats() {
-		capMerged += st.MergedIn
-	}
-	if capMerged == 0 {
-		t.Error("capacity-sharded broadcast recorded no grant injections")
 	}
 
 	// Recorder off: ShardStats is nil.
@@ -206,24 +188,49 @@ func TestShardStatsOnSteadyStateAllocFree(t *testing.T) {
 }
 
 // BenchmarkShardBalance is the kernel-tuning bench the shardbalance
-// experiment complements: the sharded broadcast across a (GOMAXPROCS,
-// shards, P) matrix with the flight recorder on, reporting the barrier-wait
-// fraction — the share of shard-worker wall time spent idle at window
-// barriers — alongside throughput. CI uploads this output as the
-// shardbalance artifact.
+// experiment complements: two capacity-off workloads — the optimal broadcast
+// at P=256 and 4096, and the staggered all-to-all at P=1024 (one message per
+// pair, 8 cycles of work per send, L=12 o=2 g=4, about 1.05M messages) —
+// across GOMAXPROCS and shard counts with the flight recorder on. It reports
+// the barrier-wait fraction, the share of shard-worker wall time spent idle
+// at window barriers. Each point has a shards=1 row, the sequential kernel,
+// so the speedup of a sharded row is the ratio of their ns/op. CI uploads
+// this output as the shardbalance artifact.
 func BenchmarkShardBalance(b *testing.B) {
-	maxProcs := runtime.GOMAXPROCS(0)
-	for _, procs := range []int{1, 2, 4} {
-		if procs > maxProcs {
-			continue
+	type workload struct {
+		name string
+		p    int
+		mk   func(tb testing.TB, p, shards int) *flat.Machine
+	}
+	alltoall := func(tb testing.TB, p, shards int) *flat.Machine {
+		params := core.Params{P: p, L: 12, O: 2, G: 4}
+		m, err := flat.New(logp.Config{Params: params, DisableCapacity: true},
+			progs.NewAllToAll(p, 1, 8, 1, true), shards)
+		if err != nil {
+			tb.Fatal(err)
 		}
-		for _, shards := range []int{2, 4, 8} {
-			for _, p := range []int{256, 4096} {
-				name := benchName(procs, shards, p)
+		return m
+	}
+	broadcast := func(tb testing.TB, p, shards int) *flat.Machine {
+		return broadcastMachine(tb, p, shards, true)
+	}
+	workloads := []workload{
+		{"broadcast", 256, broadcast},
+		{"broadcast", 4096, broadcast},
+		{"alltoall", 1024, alltoall},
+	}
+	maxProcs := runtime.GOMAXPROCS(0)
+	for _, w := range workloads {
+		for _, procs := range []int{1, 2, 4} {
+			if procs > maxProcs {
+				continue
+			}
+			for _, shards := range []int{1, 2, 4, 8} {
+				name := fmt.Sprintf("%s/P=%d/gomaxprocs=%d/shards=%d", w.name, w.p, procs, shards)
 				b.Run(name, func(b *testing.B) {
 					prev := runtime.GOMAXPROCS(procs)
 					defer runtime.GOMAXPROCS(prev)
-					m := broadcastMachine(b, p, shards, false)
+					m := w.mk(b, w.p, shards)
 					m.EnableFlightRecorder()
 					b.ResetTimer()
 					for n := 0; n < b.N; n++ {
@@ -244,22 +251,4 @@ func BenchmarkShardBalance(b *testing.B) {
 			}
 		}
 	}
-}
-
-// benchName renders one matrix point's sub-benchmark name.
-func benchName(procs, shards, p int) string {
-	digits := func(n int) string {
-		if n == 0 {
-			return "0"
-		}
-		var buf [12]byte
-		i := len(buf)
-		for n > 0 {
-			i--
-			buf[i] = byte('0' + n%10)
-			n /= 10
-		}
-		return string(buf[i:])
-	}
-	return "gomaxprocs=" + digits(procs) + "/shards=" + digits(shards) + "/P=" + digits(p)
 }

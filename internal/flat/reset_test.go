@@ -146,34 +146,33 @@ func TestResetMatchesNew(t *testing.T) {
 }
 
 // TestResetMatchesNewSharded is the same contract on a 4-shard machine, over
-// the configs the windowed kernel admits: both capacity modes, two-tier
-// links, skew and fail-stop plans.
+// the configs the windowed kernel admits: capacity off, with metrics,
+// two-tier links, skew and fail-stop plans.
 func TestResetMatchesNewSharded(t *testing.T) {
 	base := core.Params{P: 8, L: 12, O: 2, G: 4}
 	other := core.Params{P: 8, L: 20, O: 3, G: 5}
 	checkResetChain(t, 4, []resetCfg{
-		{name: "metrics", cfg: logp.Config{Params: base}, metrics: true},
-		{name: "nocap", cfg: logp.Config{Params: base, DisableCapacity: true}},
-		{name: "two-tier-nocap", cfg: logp.Config{Params: base, DisableCapacity: true,
+		{name: "metrics", cfg: logp.Config{Params: base, DisableCapacity: true}, metrics: true},
+		{name: "plain", cfg: logp.Config{Params: base, DisableCapacity: true}},
+		{name: "two-tier", cfg: logp.Config{Params: base, DisableCapacity: true,
 			Topology: twoTierModel(t, base)}, metrics: true},
-		{name: "two-tier", cfg: logp.Config{Params: base, Topology: twoTierModel(t, base)}},
-		{name: "hold-skew", cfg: logp.Config{Params: other, HoldCapacityUntilReceive: true,
-			ProcSkew: 0.3, Seed: 5}},
-		{name: "fail-stop", cfg: logp.Config{Params: base, Faults: &logp.FaultPlan{
+		{name: "skew", cfg: logp.Config{Params: other, DisableCapacity: true, ProcSkew: 0.3, Seed: 5}},
+		{name: "fail-stop", cfg: logp.Config{Params: base, DisableCapacity: true, Faults: &logp.FaultPlan{
 			FailStops: []logp.FailStop{{Proc: 6, At: 30}},
 		}}, metrics: true},
 	})
 }
 
-// TestResetRejects pins Reset's errors: a config for a different P, and
-// every invalid config with New's own error — including the restrictions
-// that depend on the machine's shard count. A rejected Reset leaves the
-// machine as it was.
+// TestResetRejects pins Reset's errors: a config for a different P, every
+// invalid config with New's own error — including the restrictions that
+// depend on the machine's shard count — and, on a 4-shard machine, the
+// capacity constraint, which New would lay out on one shard. A rejected
+// Reset leaves the machine as it was.
 func TestResetRejects(t *testing.T) {
 	base := core.Params{P: 8, L: 12, O: 2, G: 4}
 	prog := func() logp.Program { return newAllToAll(8, 2, 1, 3, true) }
 	for _, shards := range []int{1, 4} {
-		m, err := flat.New(logp.Config{Params: base}, prog(), shards)
+		m, err := flat.New(logp.Config{Params: base, DisableCapacity: true}, prog(), shards)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -203,11 +202,17 @@ func TestResetRejects(t *testing.T) {
 		if shards > 1 {
 			// Valid on one shard, rejected by the windowed kernel.
 			bad = append(bad,
-				logp.Config{Params: base, CollectTrace: true},
-				logp.Config{Params: base, LatencyJitter: 2},
-				logp.Config{Params: base, Faults: &logp.FaultPlan{Default: logp.LinkFault{Drop: 0.1}}},
+				logp.Config{Params: base, DisableCapacity: true, CollectTrace: true},
+				logp.Config{Params: base, DisableCapacity: true, LatencyJitter: 2},
+				logp.Config{Params: base, DisableCapacity: true,
+					Faults: &logp.FaultPlan{Default: logp.LinkFault{Drop: 0.1}}},
 				logp.Config{Params: core.Params{P: 8, L: 0, O: 0, G: 1}, DisableCapacity: true},
 			)
+			// Capacity on: New builds one shard for it, so a 4-shard
+			// machine cannot take it.
+			if err := m.Reset(logp.Config{Params: base}, prog()); err == nil {
+				t.Errorf("shards=%d: Reset to capacity on succeeded", shards)
+			}
 		}
 		for _, cfg := range bad {
 			_, newErr := flat.New(cfg, prog(), shards)

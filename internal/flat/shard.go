@@ -2,11 +2,8 @@ package flat
 
 import (
 	"math"
-	"sort"
 	"sync"
 	"time"
-
-	"github.com/logp-model/logp/internal/logp"
 )
 
 // runSharded executes the machine in conservative lookahead windows. Each
@@ -31,36 +28,19 @@ import (
 // case is load-bearing: an rSendPaid wake can fire in a later window, where
 // only L cycles — less than the window span — separate it from delivery, so
 // injecting there could land the message behind a destination shard whose
-// clock ran ahead via Wait/WaitUntil/Compute. Sharded runs disallow latency
-// jitter, capacity stalls and faults, so the park-time flight is exact.
+// clock ran ahead via Wait/WaitUntil/Compute. Sharded runs have no latency
+// jitter, no capacity stalls (see ShardCount) and no faults but fail-stops,
+// so the park-time flight is exact.
 // Under a tiered topology the window is set by the *cheapest* link class —
 // typically the intra-node tier — even though most shard boundaries carry
 // only expensive cluster links: the partition is by contiguous ID block, so
 // a node can straddle a boundary and put fast links cross-shard, and minOL
 // is the only bound that is sound for every partition.
 //
-// Capacity mode (capSharded) replaces the outboxes with a window ledger. The
-// capacity semaphores couple processors across shards, so no shard may decide
-// a stall-vs-go outcome mid-window: every send instead parks at its acquire
-// point and appends an acquire record; every settling delivery appends a
-// release record. The barrier merges all shards' records, sorts them into a
-// single sim-time order, and replays them single-threaded against the
-// machine-wide semaphores (replayCapacity), granting via capGrant — which
-// injects the delivery at grant+L of the message's link and wakes the sender
-// at the grant instant, rewinding the sender's queue clock when its window
-// ran past it. The window narrows to min(L)+1 so a grant at gt >= M
-// schedules its delivery at gt+L(link) >= gt+minL >= M+minL >= every shard's
-// clock (each at most M+minL after its window). Fail-stop faults stay
-// admissible: a kill is an event on the victim's own shard, and a victim
-// parked in a capacity queue stays parked, exactly as in the sequential
-// engine.
-//
 // Determinism: each shard's window execution is sequential, so its outbox
-// order is a pure function of its pre-window state; the merge order is
-// fixed; ledger records carry only pure sim-time fields and the replay is
-// single-threaded over a totally ordered sort of them; therefore the run is
-// bit-identical for any GOMAXPROCS setting, including 1 — and, in capacity
-// mode, for any shard count.
+// order is a pure function of its pre-window state, and the merge order is
+// fixed; therefore the run is bit-identical for any GOMAXPROCS setting,
+// including 1.
 func (m *Machine) runSharded() error {
 	var wg sync.WaitGroup
 	for {
@@ -114,22 +94,18 @@ func (m *Machine) runSharded() error {
 				m.fr.stats[s].BarrierWaitNs += bend.Sub(m.fr.finish[s]).Nanoseconds()
 			}
 		}
-		if m.capSharded {
-			m.replayCapacity()
-		} else {
-			for d := range m.sh {
-				dst := &m.sh[d]
-				for s := range m.sh {
-					buf := m.sh[s].out[d]
-					if dst.rec != nil {
-						dst.rec.MergedIn += int64(len(buf))
-					}
-					for i := range buf {
-						dst.schedule(buf[i].t, &buf[i])
-						buf[i].msg.Data = nil
-					}
-					m.sh[s].out[d] = buf[:0]
+		for d := range m.sh {
+			dst := &m.sh[d]
+			for s := range m.sh {
+				buf := m.sh[s].out[d]
+				if dst.rec != nil {
+					dst.rec.MergedIn += int64(len(buf))
 				}
+				for i := range buf {
+					dst.schedule(buf[i].t, &buf[i])
+					buf[i].msg.Data = nil
+				}
+				m.sh[s].out[d] = buf[:0]
 			}
 		}
 		if m.met != nil {
@@ -150,242 +126,4 @@ func (m *Machine) runSharded() error {
 		}
 	}
 	return m.checkDeadlock()
-}
-
-// replayCapacity merges every shard's window ledger and replays it
-// single-threaded against the machine-wide capacity semaphores, in a total
-// order built from pure sim-time fields: (t, trig, releases-before-acquires,
-// from, to). t is when the operation occurred; trig is when it was set in
-// motion — the injection time for a delivery's release, the send start for
-// an acquire — standing in for the sequential engine's scheduling-order seq.
-// Releases sort first at an equal (t, trig) because a unit freed at an
-// instant is acquirable at that instant. Two records that compare equal are
-// necessarily same-link releases with identical effects, so sort.Slice's
-// instability cannot perturb the outcome.
-//
-// Within one instant the replay runs recorded operations in sorted order —
-// releases free units and pop their longest-stalled waiter into the pending
-// wake list; fresh acquires try out-then-in, parking FIFO on the full
-// semaphore — and then resolves the pending wakes, which re-check from their
-// recorded stage and re-queue at the back on failure. That is the barging
-// re-check of sim.Semaphore.Acquire: a fresh same-instant acquire (whose
-// wake event predates the release in the sequential engine) may take a freed
-// unit ahead of the popped waiter.
-//
-// The replay stops after the first instant that grants anything, carrying
-// the unprocessed tail of the ledger to the next barrier. A grant at gt
-// resumes its sender at gt, and the resumed execution can record new
-// operations at any time from gt onward — times that an op already sitting
-// later in this ledger may postdate. Processing such an op now would run it
-// ahead of operations with smaller sim times (the source of the hazard is
-// real: a granted sender's next acquire at gt+o can land between two ops of
-// the current ledger). Stopping at the granting instant re-sorts the carried
-// tail together with everything the resumed senders record, restoring the
-// global time order. Ops at the granting instant itself stay safe: a
-// resumed sender's new ops are causally after its grant, and the next
-// barrier replays them at that same instant, after this one's.
-func (m *Machine) replayCapacity() {
-	ops := m.capLedger
-	for s := range m.sh {
-		ops = append(ops, m.sh[s].capOps...)
-		m.sh[s].capOps = m.sh[s].capOps[:0]
-	}
-	m.capLedger = ops
-	if len(ops) == 0 {
-		return
-	}
-	sort.Slice(ops, func(i, j int) bool {
-		a, b := &ops[i], &ops[j]
-		if a.t != b.t {
-			return a.t < b.t
-		}
-		if a.trig != b.trig {
-			return a.trig < b.trig
-		}
-		if a.kind != b.kind {
-			return a.kind < b.kind
-		}
-		if a.from != b.from {
-			return a.from < b.from
-		}
-		return a.to < b.to
-	})
-	i := 0
-	for i < len(ops) {
-		t := ops[i].t
-		granted := false
-		for ; i < len(ops) && ops[i].t == t; i++ {
-			op := &ops[i]
-			if op.kind == opRelease {
-				m.inTransitFrom[op.from]--
-				m.inTransitTo[op.to]--
-				m.capRelease(&m.outCap[op.from])
-				m.capRelease(&m.inCap[op.to])
-			} else if m.capTryAcquire(&m.procs[op.from], t) {
-				granted = true
-			}
-		}
-		for len(m.capWakes) > 0 {
-			w := m.capWakes[0]
-			m.capWakes = m.capWakes[:copy(m.capWakes, m.capWakes[1:])]
-			if m.capTryAcquire(&m.procs[w], t) {
-				granted = true
-			}
-		}
-		if granted {
-			break
-		}
-	}
-	m.capLedger = m.capLedger[:copy(m.capLedger, ops[i:])]
-}
-
-// capFlush applies p's deferred events at its grant instant gt (see
-// heldEvent). Events at or before gt apply directly, in dispatch order
-// (ascending time — all from p's own shard): a kill sets the failed flag
-// (the grant still injects, exactly as the sequential engine's posthumous
-// grant), an arrival lands in the inbox — or, when a kill applied first,
-// drops just as the sequential engine drops arrivals to a dead processor.
-// Events after gt are rescheduled at their original times: the kill as a
-// regular evFail, the arrival as an evArrive whose settle and release
-// already ran at the original dispatch. p's queue clock has been rewound to
-// at most gt, so the reschedules are never in the past.
-func (m *Machine) capFlush(p *proc, gt int64) {
-	sh := &m.sh[p.shard]
-	held := p.held
-	if sh.rec != nil {
-		sh.rec.HeldReplays += int64(len(held))
-	}
-	i := 0
-	for ; i < len(held) && held[i].t <= gt; i++ {
-		h := &held[i]
-		if h.kind == evFail {
-			p.failed = true
-			continue
-		}
-		if p.failed {
-			sh.dropped++
-			if m.met != nil {
-				m.met.OnDrop(h.msg.To)
-			}
-			if m.cfg.HoldCapacityUntilReceive && !h.msg.Dup() {
-				// Hold-mode drops settle at arrival; recorded now, replayed
-				// at the next barrier (the non-hold release already ran at
-				// the original dispatch).
-				sh.capOps = append(sh.capOps, capOp{
-					t: h.t, trig: h.t - h.flight, kind: opRelease,
-					from: int32(h.msg.From), to: int32(h.msg.To),
-				})
-			}
-			h.msg.Data = nil
-			continue
-		}
-		p.pushInbox(&h.msg)
-		if m.met != nil {
-			if sh.flight != nil {
-				m.met.Procs[h.msg.To].Delivered.Inc()
-				sh.flight.Observe(h.flight)
-			} else {
-				m.met.OnDeliver(h.msg.To, h.flight)
-			}
-		}
-		h.msg.Data = nil
-	}
-	for ; i < len(held); i++ {
-		h := &held[i]
-		if h.kind == evFail {
-			sh.scheduleAt(h.t, evFail, p.id)
-		} else {
-			sh.queue.scheduleArrive(h.t, p.id, &h.msg, h.flight)
-			h.msg.Data = nil
-		}
-	}
-	p.held = p.held[:0]
-}
-
-// capRelease frees one unit and pops the longest-stalled waiter into the
-// pending wake list of the instant being replayed (the ledger twin of
-// semRelease; the wake resolves at the end of the instant).
-func (m *Machine) capRelease(s *semaphore) {
-	if s.used == 0 {
-		panic("flat: semaphore release without acquire")
-	}
-	s.used--
-	if s.head < len(s.waiters) {
-		m.capWakes = append(m.capWakes, s.waiters[s.head])
-		s.head++
-	}
-}
-
-// capTryAcquire attempts the two-unit acquire for p's pending send during
-// the barrier replay, reporting whether it granted. p.resume is the stage
-// marker — rCapOut holding nothing, rCapIn holding the out unit, exactly
-// the sequential continuation codes — so a re-check after a failed
-// in-acquire does not re-take the out unit. A full semaphore parks p at the
-// back of its FIFO; success grants both units at instant t.
-func (m *Machine) capTryAcquire(p *proc, t int64) bool {
-	if p.resume == rCapOut {
-		s := &m.outCap[p.id]
-		if s.used >= s.capacity {
-			m.capParkOn(s, p)
-			return false
-		}
-		s.used++
-		p.resume = rCapIn
-	}
-	s := &m.inCap[p.ops[p.opHead].a]
-	if s.used >= s.capacity {
-		m.capParkOn(s, p)
-		return false
-	}
-	s.used++
-	m.capGrant(p, t)
-	return true
-}
-
-// capParkOn queues p on the semaphore's FIFO (p is already blocked and its
-// resume code already marks the acquire stage).
-func (m *Machine) capParkOn(s *semaphore, p *proc) {
-	if s.head == len(s.waiters) {
-		s.waiters = s.waiters[:0]
-		s.head = 0
-	}
-	s.waiters = append(s.waiters, p.id)
-}
-
-// capGrant completes a replayed acquire at instant gt: the in-transit
-// accounting and high-water marks (exact here — the replay sees every
-// acquire and release in sim-time order), the delivery at gt+L of the
-// message's own link into the destination's queue, and the sender's wake at
-// gt with resume = rCapGranted for the stall and gap bookkeeping. The
-// sender's window may have run past gt, so its queue clock rewinds first;
-// the destination's cannot have: the link's L is at least the machine-wide
-// minL the capacity window spans, so gt+L(link) >= M+minL bounds every
-// clock from above and the delivery never lands in the past.
-func (m *Machine) capGrant(p *proc, gt int64) {
-	o := &p.ops[p.opHead]
-	to := int(o.a)
-	m.inTransitFrom[p.id]++
-	m.inTransitTo[to]++
-	if u := int(m.inTransitFrom[p.id]); u > m.maxOut {
-		m.maxOut = u
-	}
-	if u := int(m.inTransitTo[to]); u > m.maxIn {
-		m.maxIn = u
-	}
-	sq := &m.sh[p.shard].queue
-	sq.rewind(gt)
-	if len(p.held) > 0 {
-		m.capFlush(p, gt)
-	}
-	msg := logp.Message{From: int(p.id), To: to, Tag: int(o.b), Data: o.data, Size: 1, SentAt: p.initiation}
-	o.data = nil
-	lkL, _, _ := m.link(int(p.id), to)
-	dq := &m.sh[m.shardOf(to)].queue
-	if dq.rec != nil {
-		dq.rec.MergedIn++
-	}
-	dq.scheduleDeliver(gt+lkL, int32(to), &msg, lkL, false)
-	p.blocked = false
-	p.resume = rCapGranted
-	sq.scheduleAt(gt, evWake, p.id)
 }

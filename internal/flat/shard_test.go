@@ -246,8 +246,9 @@ func TestShardedRejectsUnsupportedConfig(t *testing.T) {
 			}
 		})
 	}
-	// Capacity mode and fail-stop-only fault plans are supported under
-	// sharding (via the window ledger and victim-shard kill events).
+	// Capacity mode is accepted at any shard count (it runs the sequential
+	// kernel; see TestCapShardedMatchesSequential), and fail-stop-only fault
+	// plans are supported under sharding (a kill is a victim-shard event).
 	accepts := []struct {
 		name   string
 		mutate func(*logp.Config)
@@ -275,6 +276,122 @@ func TestShardedRejectsUnsupportedConfig(t *testing.T) {
 	cfg.CollectTrace = true
 	if _, err := flat.Run(cfg, newPingPong(2), 1); err != nil {
 		t.Errorf("sequential flat rejected supported config: %v", err)
+	}
+}
+
+// runCapacity runs mk under cfg with metrics sampled every 8 cycles and the
+// flight recorder on, asking for the given shard count, and returns what
+// the one-shard rule compares: the Result, the error text, the Prometheus
+// text, the sample series and the number of shards the machine has.
+func runCapacity(t *testing.T, cfg logp.Config, mk func() logp.Program, shards int) (logp.Result, string, []byte, []metrics.Sample, int) {
+	t.Helper()
+	reg := metrics.NewRegistry()
+	cfg.Metrics, cfg.MetricsEvery = reg, 8
+	m, err := flat.New(cfg, mk(), shards)
+	if err != nil {
+		t.Fatalf("shards=%d: %v", shards, err)
+	}
+	m.EnableFlightRecorder()
+	res, err := m.Run()
+	errText := ""
+	if err != nil {
+		errText = err.Error()
+	}
+	var buf bytes.Buffer
+	if err := metrics.WritePrometheus(&buf, reg.Snapshot()); err != nil {
+		t.Fatal(err)
+	}
+	return res, errText, buf.Bytes(), reg.Samples, len(m.ShardStats())
+}
+
+// checkOneShard pins the one-shard rule on a capacity-on case: asked for 2,
+// 3, 4 or 8 shards, flat.New builds the sequential kernel — one ShardStats
+// row — and the run equals the shards=1 run in Result, error text,
+// Prometheus bytes and sample series (exact in-flight gauges included).
+func checkOneShard(t *testing.T, tc capCase) {
+	t.Helper()
+	want, wantErr, wantProm, wantSamples, _ := runCapacity(t, tc.cfg, tc.mk, 1)
+	for _, shards := range []int{2, 3, 4, 8} {
+		res, errText, prom, samples, rows := runCapacity(t, tc.cfg, tc.mk, shards)
+		if rows != 1 {
+			t.Errorf("shards=%d: %d ShardStats rows, want 1", shards, rows)
+		}
+		if errText != wantErr || !reflect.DeepEqual(res, want) {
+			t.Errorf("shards=%d differs from shards=1:\n got:  %+v %q\n want: %+v %q", shards, res, errText, want, wantErr)
+		}
+		if !bytes.Equal(prom, wantProm) {
+			t.Errorf("shards=%d: Prometheus text differs from shards=1", shards)
+		}
+		if !reflect.DeepEqual(samples, wantSamples) {
+			t.Errorf("shards=%d: sample series differs from shards=1", shards)
+		}
+	}
+}
+
+// TestCapShardedMatchesSequential: with the capacity constraint on, a
+// sharded request runs the sequential kernel on the capacity corners (see
+// capacityCorners), errors included.
+func TestCapShardedMatchesSequential(t *testing.T) {
+	for _, tc := range capacityCorners(t) {
+		t.Run(tc.name, func(t *testing.T) { checkOneShard(t, tc) })
+	}
+}
+
+// TestCapShardedStallSpansBarrier applies the one-shard rule to stalls that
+// outlast many L-cycle spans (see capacityStalls).
+func TestCapShardedStallSpansBarrier(t *testing.T) {
+	for _, tc := range capacityStalls() {
+		t.Run(tc.name, func(t *testing.T) { checkOneShard(t, tc) })
+	}
+}
+
+// TestCapShardedFailStopHoldingCapacity applies the one-shard rule to
+// fail-stops of processors that hold reserved capacity (see
+// capacityFailStops).
+func TestCapShardedFailStopHoldingCapacity(t *testing.T) {
+	for _, tc := range capacityFailStops() {
+		t.Run(tc.name, func(t *testing.T) { checkOneShard(t, tc) })
+	}
+}
+
+// TestCapShardedPrometheusMatchesSequential: with the capacity constraint on
+// and no flight recorder, a sharded request renders the whole counter and
+// histogram surface — sends, receptions, deliveries, stall events and
+// cycles, the stall and flight histograms, the traffic matrix — as
+// byte-identical Prometheus text to shards=1, and samples the same series.
+// The unstaggered all-to-all (every processor walks the destinations in the
+// same order) stalls on capacity, so the stall families carry data; the
+// staggered one does not stall at these parameters.
+func TestCapShardedPrometheusMatchesSequential(t *testing.T) {
+	params := core.Params{P: 12, L: 8, O: 2, G: 3}
+	run := func(shards int) ([]byte, []metrics.Sample, int64) {
+		reg := metrics.NewRegistry()
+		cfg := logp.Config{Params: params, Metrics: reg, MetricsEvery: 8}
+		if _, err := flat.Run(cfg, newAllToAll(12, 3, 1, 2, false), shards); err != nil {
+			t.Fatalf("shards=%d: %v", shards, err)
+		}
+		var stalls int64
+		for i := range reg.Procs {
+			stalls += reg.Procs[i].StallEvents.Value()
+		}
+		var buf bytes.Buffer
+		if err := metrics.WritePrometheus(&buf, reg.Snapshot()); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes(), reg.Samples, stalls
+	}
+	promSeq, sampSeq, stalls := run(1)
+	if stalls == 0 {
+		t.Fatal("the all-to-all never stalled on capacity; the comparison would not cover the stall families")
+	}
+	for _, shards := range []int{2, 3, 4, 6} {
+		prom, samp, _ := run(shards)
+		if !bytes.Equal(prom, promSeq) {
+			t.Errorf("shards=%d Prometheus text differs from shards=1:\n--- shards=1\n%s\n--- shards=%d\n%s", shards, promSeq, shards, prom)
+		}
+		if !reflect.DeepEqual(samp, sampSeq) {
+			t.Errorf("shards=%d sample series differs from shards=1", shards)
+		}
 	}
 }
 

@@ -14,8 +14,8 @@ import (
 // topology at all on both engines, tiered parameters keep the goroutine and
 // flat engines pinned to each other (Results, traces, profiles, metrics),
 // and the sharded kernel — whose lookahead window shrinks to the minimum
-// o+L (or min L + 1 with capacity on) over all links — reproduces the
-// sequential kernel bit-for-bit at any shard count.
+// o+L over all links — reproduces the sequential kernel bit-for-bit at any
+// shard count.
 
 // twoTierModel builds the suite's standard tiered machine over base: nodes
 // of 4 processors with a (L=2, o=1, g=1) intra-node link.
@@ -135,11 +135,9 @@ func TestEquivThreeTier(t *testing.T) {
 }
 
 // TestTieredShardedDeterminism pins the shrunken lookahead windows: under a
-// two-tier model the sharded kernel must reproduce the sequential Result at
-// every shard count, capacity off (min o+L window) and on (min L + 1 window
-// with the reserve/commit ledger). Sharded runs report the in-transit
-// high-water marks as zero with capacity off, so those fields are masked
-// there and compared exactly with capacity on.
+// two-tier model the sharded kernel (capacity off, min o+L window) must
+// reproduce the sequential Result at every shard count. Sharded runs report
+// the in-transit high-water marks as zero, so those fields are masked.
 func TestTieredShardedDeterminism(t *testing.T) {
 	p := core.Params{P: 32, L: 16, O: 2, G: 3}
 	model := twoTierModel(t, p)
@@ -147,25 +145,19 @@ func TestTieredShardedDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, nocap := range []bool{true, false} {
-		cfg := logp.Config{Params: p, DisableCapacity: nocap, Topology: model}
-		seq, err := flat.Run(cfg, newBroadcast(s, 7, "datum"), 1)
+	cfg := logp.Config{Params: p, DisableCapacity: true, Topology: model}
+	want, err := flat.Run(cfg, newBroadcast(s, 7, "datum"), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want.MaxInTransitFrom, want.MaxInTransitTo = 0, 0
+	for _, shards := range []int{2, 4, 8} {
+		got, err := flat.Run(cfg, newBroadcast(s, 7, "datum"), shards)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := seq
-		if nocap {
-			want.MaxInTransitFrom, want.MaxInTransitTo = 0, 0
-		}
-		for _, shards := range []int{2, 4, 8} {
-			got, err := flat.Run(cfg, newBroadcast(s, 7, "datum"), shards)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(want, got) {
-				t.Errorf("nocap=%v shards=%d: sharded result diverges:\n seq:     %+v\n sharded: %+v",
-					nocap, shards, want, got)
-			}
+		if !reflect.DeepEqual(want, got) {
+			t.Errorf("shards=%d: sharded result diverges:\n seq:     %+v\n sharded: %+v", shards, want, got)
 		}
 	}
 }

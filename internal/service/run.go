@@ -180,7 +180,7 @@ func runFlat(cfg logp.Config, prog logp.Program, shards int, pool *machinePool) 
 	if pool == nil {
 		return flat.Run(cfg, prog, shards)
 	}
-	key := poolKey{p: cfg.P, shards: flat.ShardCount(cfg.P, shards)}
+	key := poolKey{p: cfg.P, shards: flat.ShardCount(cfg, shards)}
 	m := pool.acquire(key)
 	if m == nil {
 		var err error

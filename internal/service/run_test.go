@@ -19,10 +19,10 @@ func tieredBroadcastSpec(engine string, shards int) JobSpec {
 }
 
 // TestRunTieredSpec runs a tiered spec through the service path on both
-// engines and the sharded kernel: all three must report the same simulated
-// time, and the tiered machine must beat the flat one (the broadcast tree
-// sends one message per link, so uniformly cheaper intra-node links can only
-// help).
+// engines and the sharded kernel (which needs the capacity constraint off;
+// the broadcast tree sends one message per link, so capacity never binds):
+// all three must report the same simulated time, and the tiered machine must
+// beat the flat one (uniformly cheaper intra-node links can only help).
 func TestRunTieredSpec(t *testing.T) {
 	g, err := Run(tieredBroadcastSpec("goroutine", 0))
 	if err != nil {
@@ -32,9 +32,14 @@ func TestRunTieredSpec(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := Run(tieredBroadcastSpec("flat", 4))
+	shardedSpec := tieredBroadcastSpec("flat", 4)
+	shardedSpec.Machine.NoCapacity = true
+	s, err := Run(shardedSpec)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if s.Spec.Shards != 4 {
+		t.Fatalf("sharded spec normalized to %d shards, want 4", s.Spec.Shards)
 	}
 	if g.Result.Time != f.Result.Time || g.Result.Time != s.Result.Time {
 		t.Errorf("engines disagree under the tiered model: goroutine %d, flat %d, sharded %d",

@@ -19,6 +19,7 @@ import (
 	"fmt"
 
 	"github.com/logp-model/logp/internal/core"
+	"github.com/logp-model/logp/internal/flat"
 	"github.com/logp-model/logp/internal/logp"
 	"github.com/logp-model/logp/internal/progs"
 	"github.com/logp-model/logp/internal/topo"
@@ -31,10 +32,9 @@ type MachineSpec struct {
 	L int64 `json:"l"` // network latency upper bound in cycles
 	O int64 `json:"o"` // per-endpoint send/receive overhead in cycles
 	G int64 `json:"g"` // minimum gap between transmissions in cycles
-	// NoCapacity disables the ceil(L/g) capacity constraint. Legal with
-	// sharded flat execution either way: capacity-off sharding uses the
-	// o+L lookahead fast path, capacity-on sharding settles the per-link
-	// accounting at window barriers.
+	// NoCapacity disables the ceil(L/g) capacity constraint. Only a
+	// capacity-off machine shards: with capacity on the flat engine runs
+	// its sequential kernel whatever JobSpec.Shards asks for.
 	NoCapacity bool `json:"no_capacity,omitempty"`
 	// LatencyJitter makes message latency uniform in [L-LatencyJitter, L]
 	// instead of exactly L, deterministic in Seed (the other asynchrony
@@ -131,10 +131,13 @@ type JobSpec struct {
 	// goroutine — the spec default is fixed, not environment-dependent, so
 	// hashes are stable across daemon configurations).
 	Engine string `json:"engine"`
-	// Shards > 1 selects the flat engine's windowed parallel kernel. The
-	// sharded kernel is bit-deterministic in the shard count, but the
-	// capacity-off fast path reports the in-transit observables as zero
-	// (settling them would couple shards), so Shards is part of the hash.
+	// Shards > 1 selects the flat engine's windowed parallel kernel for a
+	// capacity-off machine. Normalize rewrites it to the shard count the
+	// machine will actually have (flat.ShardCount), so a capacity-on spec
+	// normalizes to 0 and hashes like the sequential run it is. The sharded
+	// kernel is bit-deterministic in the shard count, but it reports the
+	// in-transit observables as zero (settling them would couple shards),
+	// so Shards is part of the hash.
 	Shards int `json:"shards,omitempty"`
 
 	// Seed drives the machine's random draws; 0 is normalized to 1,
@@ -229,11 +232,11 @@ func (s *JobSpec) Normalize(lim Limits) error {
 	if s.Shards > 1 && s.Engine != "flat" {
 		return fmt.Errorf("service: shards apply to the flat engine only")
 	}
-	if s.Shards > s.Machine.P {
-		s.Shards = s.Machine.P // the machine clamps; canonicalize so hashes agree
-	}
+	// Hash by the shard count the machine will have: one shard is the
+	// sequential core, the same machine and the same bytes as no shards.
+	s.Shards = flat.ShardCount(logp.Config{Params: s.Machine.Params(), DisableCapacity: s.Machine.NoCapacity}, s.Shards)
 	if s.Shards == 1 {
-		s.Shards = 0 // one shard is the sequential core: same machine, same bytes
+		s.Shards = 0
 	}
 
 	// Program-size canonicalization mirrors progs.Build: sizeless programs
@@ -279,11 +282,11 @@ func (s *JobSpec) Normalize(lim Limits) error {
 	}
 	if s.Shards > 1 {
 		// Mirror the flat kernel's sharding preconditions here so a bad
-		// spec fails at validation, before it occupies a worker. Capacity
-		// on is legal (the capacity-sharded kernel settles the accounting
-		// at window barriers), and so are fail-stop-only fault plans (a
-		// kill is an event on its victim's own shard and consumes no
-		// random draws); probabilistic link faults are not.
+		// spec fails at validation, before it occupies a worker. Only
+		// capacity-off specs get here (see flat.ShardCount). Fail-stop-only
+		// fault plans are legal (a kill is an event on its victim's own
+		// shard and consumes no random draws); probabilistic link faults
+		// are not.
 		if s.Faults != nil && (s.Faults.Drop != 0 || s.Faults.Dup != 0 || s.Faults.Jitter != 0) {
 			return fmt.Errorf("service: sharded execution allows fail-stop faults only")
 		}
@@ -296,8 +299,8 @@ func (s *JobSpec) Normalize(lim Limits) error {
 				minOL = m.MinOL()
 			}
 		}
-		if s.Machine.NoCapacity && minOL < 1 {
-			return fmt.Errorf("service: sharded execution without capacity requires min(o+L) >= 1 over all links")
+		if minOL < 1 {
+			return fmt.Errorf("service: sharded execution requires min(o+L) >= 1 over all links")
 		}
 	}
 	return nil

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 
@@ -47,19 +48,47 @@ func TestNormalizeCanonicalizes(t *testing.T) {
 	}
 }
 
-// TestNormalizeAcceptsCapacitySharded pins the admissible sharded envelope:
-// capacity on (the reserve/commit kernel) and fail-stop-only fault plans are
-// both legal with shards > 1.
+// TestNormalizeAcceptsCapacitySharded pins the one-shard rule at the spec
+// level. A capacity-on flat spec asking for 4 shards runs the sequential
+// kernel (flat.ShardCount), so it normalizes to shards 0, hashes like the
+// shards-0 spec and gets a byte-identical body; the sharded preconditions do
+// not apply to it, so jitter and a fail-stop plan are accepted. A
+// capacity-off spec hashes by the shard count its machine builds: P=10 asked
+// for 6 shards lays out 5 shards of 2 processors.
 func TestNormalizeAcceptsCapacitySharded(t *testing.T) {
-	s := specBroadcast8()
-	s.Engine = "flat"
-	s.Shards = 4
-	s.Faults = &FaultSpec{Fails: []FailStopSpec{{Proc: 3, At: 10}}}
-	if err := s.Normalize(Limits{}); err != nil {
-		t.Fatalf("capacity-sharded spec with fail-stop rejected: %v", err)
+	seq := JobSpec{Program: "alltoall", Engine: "flat", Staggered: true, Work: 3,
+		Machine: MachineSpec{P: 8, L: 6, O: 2, G: 4, LatencyJitter: 2, ComputeJitter: 0.2},
+		Faults:  &FaultSpec{Fails: []FailStopSpec{{Proc: 3, At: 5000}}},
+		Metrics: &MetricsSpec{Include: true, Every: 8}}
+	sharded := seq
+	sharded.Shards = 4
+	if err := sharded.Normalize(Limits{}); err != nil {
+		t.Fatalf("capacity-on spec with shards, jitter and a fail-stop rejected: %v", err)
 	}
-	if s.Machine.NoCapacity || s.Shards != 4 {
-		t.Errorf("normalization mangled the spec: %+v", s)
+	if err := seq.Normalize(Limits{}); err != nil {
+		t.Fatal(err)
+	}
+	if sharded.Shards != 0 || sharded.Machine.NoCapacity {
+		t.Errorf("capacity-on spec normalized to shards %d: %+v", sharded.Shards, sharded)
+	}
+	if sharded.Hash() != seq.Hash() {
+		t.Errorf("capacity-on shards-4 spec hashes apart from shards 0:\n%s\n%s", sharded.Canonical(), seq.Canonical())
+	}
+	if !bytes.Equal(runBody(t, sharded), runBody(t, seq)) {
+		t.Error("capacity-on shards-4 body differs from the shards-0 body")
+	}
+
+	wide := JobSpec{Program: "broadcast", Engine: "flat", Shards: 6,
+		Machine: MachineSpec{P: 10, L: 6, O: 2, G: 4, NoCapacity: true}}
+	five := wide
+	five.Shards = 5
+	for _, s := range []*JobSpec{&wide, &five} {
+		if err := s.Normalize(Limits{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if wide.Shards != 5 || wide.Hash() != five.Hash() {
+		t.Errorf("P=10 shards 6 normalized to shards %d, want 5 with the shards-5 hash", wide.Shards)
 	}
 }
 

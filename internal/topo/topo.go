@@ -77,10 +77,10 @@ type Model interface {
 	// before the stochastic skew and jitter factors.
 	Rate(proc int) float64
 	// MinOL is the minimum o+L over all links: the sharded flat kernel's
-	// conservative lookahead window (capacity off) must shrink to it.
+	// conservative lookahead window must shrink to it.
 	MinOL() int64
-	// MinL is the minimum L over all links: the capacity-sharded window is
-	// MinL+1, and latency jitter must not exceed it.
+	// MinL is the minimum L over all links: latency jitter must not exceed
+	// it.
 	MinL() int64
 }
 
