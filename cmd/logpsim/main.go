@@ -326,7 +326,7 @@ func main() {
 	}
 
 	if *jsonOut {
-		if err := emitCLIResponse(*algo, params, *n, engName, *nocap, *seed, tierSpec, res, reg, *metOut, *metFmt); err != nil {
+		if err := emitCLIResponse(*algo, params, *n, *nocap, *seed, tierSpec, res, reg, *metOut, *metFmt); err != nil {
 			fatal(err)
 		}
 		return
@@ -423,21 +423,19 @@ func printShardStats(w io.Writer, stats []flat.ShardStat) {
 
 // runServiceJSON executes a registry program through service.Run — the exact
 // spec→response path logpsimd serves — and prints the canonical body. The
-// same flags therefore produce the same bytes locally and from the daemon,
-// and the printed spec_hash addresses the daemon's cache directly.
+// same flags therefore produce the same bytes locally, on either -engine,
+// and from the daemon, and the printed spec_hash addresses the daemon's
+// cache directly.
 func runServiceJSON(algo string, params core.Params, n int, engName string, shards int,
 	nocap bool, seed int64, tierSpec *topo.Spec, faults *logp.FaultPlan, metOut, metFmt string, metEvery int64) error {
 	spec := service.JobSpec{
 		Program: algo,
 		N:       n,
 		Machine: service.MachineSpec{P: params.P, L: params.L, O: params.O, G: params.G, NoCapacity: nocap, Topology: tierSpec},
-		Engine:  engName,
+		Engine:  engName, // the engine service.Run executes; the body does not name it
 		Shards:  shards,
 		Seed:    seed,
 		Faults:  serviceFaults(faults),
-	}
-	if shards > 1 {
-		spec.Engine = "flat"
 	}
 	if metOut != "" {
 		spec.Metrics = &service.MetricsSpec{Include: true, Every: metEvery}
@@ -462,14 +460,13 @@ func runServiceJSON(algo string, params core.Params, n int, engName string, shar
 // emitCLIResponse renders an imperative (CLI-only) algorithm's result in the
 // service response encoding. These algorithms are not in the daemon's program
 // registry, so the response carries no spec hash — it is not cache-addressable.
-func emitCLIResponse(algo string, params core.Params, n int, engName string,
+func emitCLIResponse(algo string, params core.Params, n int,
 	nocap bool, seed int64, tierSpec *topo.Spec, res logp.Result, reg *metrics.Registry, metOut, metFmt string) error {
 	resp := &service.Response{
 		Spec: service.JobSpec{
 			Program: algo,
 			N:       n,
 			Machine: service.MachineSpec{P: params.P, L: params.L, O: params.O, G: params.G, NoCapacity: nocap, Topology: tierSpec},
-			Engine:  engName,
 			Seed:    seed,
 		},
 		Result: service.ResultJSON{

@@ -343,11 +343,29 @@ func capacityStalls() []capCase {
 // Hold mode keeps every unit reserved until reception, so 1 stalls on its
 // acquire to 2 while arrivals from 0 pile up in its inbox; killing 1 at
 // various times lands the kill mid-stall, mid-burst and after the drain.
-type holdKillChain struct{ burst int }
+// Every kill time deadlocks: 2 finishes on the burst's last message, which
+// the killed 1 never sends, and 0 stalls for good once two of its messages
+// sit unreceived in the dead 1's inbox, holding its units.
+//
+// With release set the chain completes with 1 failed. 0 sends 1 a single
+// message (dropped if it arrives after the kill, else left in the dead 1's
+// inbox holding one of 0's two units) and then sends 2 one message of its
+// own; 2 finishes on that message instead of the burst's last, and leaves
+// the rest of what 1 sent before its kill unreceived.
+type holdKillChain struct {
+	burst   int
+	release bool
+}
 
 func (c *holdKillChain) Start(n logp.Node) {
 	switch n.ID() {
 	case 0:
+		if c.release {
+			n.Send(1, 9, 0)
+			n.Send(2, 10, 0)
+			n.Done()
+			return
+		}
 		for i := 0; i < c.burst; i++ {
 			n.Send(1, 9, i)
 		}
@@ -364,7 +382,8 @@ func (c *holdKillChain) Start(n logp.Node) {
 }
 
 func (c *holdKillChain) Message(n logp.Node, m logp.Message) {
-	if (n.ID() == 1 || n.ID() == 2) && m.Data.(int) == c.burst-1 {
+	last := (n.ID() == 1 || n.ID() == 2) && m.Data.(int) == c.burst-1
+	if last || m.Tag == 10 { // tag 10: 0's message to 2 in the released chain
 		n.Done()
 	}
 }
@@ -374,7 +393,8 @@ func (c *holdKillChain) Message(n logp.Node, m logp.Message) {
 // halts at the next operation boundary, and its receiver deadlocks waiting
 // for the rest of the burst), the receiver (deliveries to it drop, but
 // non-dup drops still release the reserved units, so the ring keeps going
-// around it), and the middle of holdKillChain at ten kill times.
+// around it), and the middle of holdKillChain at ten kill times, in the
+// deadlocking form and the released one.
 func capacityFailStops() []capCase {
 	params := core.Params{P: 6, L: 4, O: 1, G: 2}
 	kill := func(proc int, at int64) *logp.FaultPlan {
@@ -388,11 +408,24 @@ func capacityFailStops() []capCase {
 		{"receiver-killed-holding-reservations", logp.Config{Params: params, Faults: kill(1, 9)},
 			func() logp.Program { return newRingExpect(4, []int{4, 0, 0, 4, 4, 4}) }},
 	}
+	cases = append(cases, holdKillCases(false)...)
+	return append(cases, holdKillCases(true)...)
+}
+
+// holdKillCases kills the middle of holdKillChain at ten times, in the
+// deadlocking form or the released one.
+func holdKillCases(release bool) []capCase {
+	name := "hold-kill-at-%d"
+	if release {
+		name = "hold-kill-released-at-%d"
+	}
+	var cases []capCase
 	for _, at := range []int64{5, 9, 12, 15, 20, 25, 30, 40, 60, 100} {
 		cases = append(cases, capCase{
-			fmt.Sprintf("hold-kill-at-%d", at),
-			logp.Config{Params: params, HoldCapacityUntilReceive: true, Faults: kill(1, at)},
-			func() logp.Program { return &holdKillChain{burst: 8} },
+			fmt.Sprintf(name, at),
+			logp.Config{Params: core.Params{P: 6, L: 4, O: 1, G: 2}, HoldCapacityUntilReceive: true,
+				Faults: &logp.FaultPlan{FailStops: []logp.FailStop{{Proc: 1, At: at}}}},
+			func() logp.Program { return &holdKillChain{burst: 8, release: release} },
 		})
 	}
 	return cases
@@ -410,5 +443,26 @@ func TestEquivCapacity(t *testing.T) {
 				runBoth(t, tc.name, cfg, tc.mk, true, true)
 			})
 		}
+	}
+}
+
+// TestEquivHoldKillCompletes: the released hold-kill chain completes at every
+// kill time on both engines with exactly proc 1 failed, so TestEquivCapacity
+// compares its full Results, traces, profiles and metrics rather than the
+// deadlock text the plain chain ends in.
+func TestEquivHoldKillCompletes(t *testing.T) {
+	for _, tc := range holdKillCases(true) {
+		t.Run(tc.name, func(t *testing.T) {
+			g, gErr := logp.RunProgram(tc.cfg, tc.mk())
+			f, fErr := flat.Run(tc.cfg, tc.mk(), 1)
+			if gErr != nil || fErr != nil {
+				t.Fatalf("did not complete: goroutine=%v flat=%v", gErr, fErr)
+			}
+			for _, res := range []logp.Result{g, f} {
+				if !reflect.DeepEqual(res.Failed, []int{1}) {
+					t.Errorf("Failed = %v, want [1]", res.Failed)
+				}
+			}
+		})
 	}
 }

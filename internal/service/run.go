@@ -105,30 +105,36 @@ func (s JobSpec) config() logp.Config {
 }
 
 // Run normalizes and executes one spec from scratch and builds its Response.
-// This is the uncached, pool-free entry point the CLI uses; the daemon runs
-// the same jobSpec→Response path through its cache and machine pool.
+// This is the uncached, pool-free entry point the CLI uses. It runs the
+// engine the spec names before Normalize clears the name: the goroutine
+// machine for "goroutine", a fresh flat machine for "" and "flat". Both give
+// the same hash and, the engines being cycle-identical, the same bytes. The
+// daemon runs every job on the flat engine, through its cache and machine
+// pool.
 func Run(spec JobSpec) (*Response, error) {
+	engine := spec.Engine
 	if err := spec.Normalize(Limits{}); err != nil {
 		return nil, err
 	}
-	return runNormalized(spec, nil)
+	return runNormalized(spec, func(cfg logp.Config, prog logp.Program, shards int) (logp.Result, error) {
+		if engine == "goroutine" {
+			return logp.RunProgram(cfg, prog) // Normalize allows it no shards
+		}
+		return flat.Run(cfg, prog, max(shards, 1)) // flat.Run reads LOGP_SHARDS for 0
+	})
 }
 
-// runNormalized executes a normalized spec, re-seating an idle flat machine
-// of the same shape from pool when one is available (pool may be nil).
-func runNormalized(spec JobSpec, pool *machinePool) (*Response, error) {
+// runNormalized executes a normalized spec with run, which receives the
+// spec's shard count, and builds its Response.
+func runNormalized(spec JobSpec,
+	run func(cfg logp.Config, prog logp.Program, shards int) (logp.Result, error)) (*Response, error) {
 	inst, err := progs.Build(spec.Program, spec.Machine.Params(),
 		progs.Args{N: spec.N, Work: spec.Work, Staggered: spec.Staggered})
 	if err != nil {
 		return nil, err
 	}
 	cfg := spec.config()
-	var res logp.Result
-	if spec.Engine == "flat" {
-		res, err = runFlat(cfg, inst.Prog, spec.Shards, pool)
-	} else {
-		res, err = logp.RunProgram(cfg, inst.Prog)
-	}
+	res, err := run(cfg, inst.Prog, spec.Shards)
 	if err != nil {
 		return nil, err
 	}
@@ -166,33 +172,26 @@ func runNormalized(spec JobSpec, pool *machinePool) (*Response, error) {
 	return resp, nil
 }
 
-// runFlat runs prog on a flat machine with the spec's shard count (0 means
-// one). With a pool it re-seats an idle machine of the same shape instead of
-// building one — Reset makes the run identical to a fresh machine's — and
-// returns the machine to the pool after the run. Releasing it before the
-// caller reads the Result, the program's output and the metrics registry is
-// safe: a later Reset replaces the machine's references to them and touches
-// none of them.
-func runFlat(cfg logp.Config, prog logp.Program, shards int, pool *machinePool) (logp.Result, error) {
-	if shards < 1 {
-		shards = 1
-	}
-	if pool == nil {
-		return flat.Run(cfg, prog, shards)
-	}
+// run runs prog on a flat machine with the spec's shard count (0 means one),
+// re-seating an idle machine of the same shape instead of building one —
+// Reset makes the run identical to a fresh machine's — and returns the
+// machine to the pool after the run. Releasing it before the caller reads
+// the Result, the program's output and the metrics registry is safe: a later
+// Reset replaces the machine's references to them and touches none of them.
+func (p *machinePool) run(cfg logp.Config, prog logp.Program, shards int) (logp.Result, error) {
 	key := poolKey{p: cfg.P, shards: flat.ShardCount(cfg, shards)}
-	m := pool.acquire(key)
+	m := p.acquire(key)
 	if m == nil {
 		var err error
 		if m, err = flat.New(cfg, prog, shards); err != nil {
 			return logp.Result{}, err
 		}
 	} else if err := m.Reset(cfg, prog); err != nil {
-		pool.release(key, m) // a rejected Reset leaves the machine as it was
+		p.release(key, m) // a rejected Reset leaves the machine as it was
 		return logp.Result{}, err
 	}
 	res, err := m.Run()
-	pool.release(key, m)
+	p.release(key, m)
 	return res, err
 }
 

@@ -1,8 +1,13 @@
 package service
 
 import (
+	"bytes"
+	"fmt"
+	"runtime"
+	"sync/atomic"
 	"testing"
 
+	"github.com/logp-model/logp/internal/progs"
 	"github.com/logp-model/logp/internal/topo"
 )
 
@@ -60,5 +65,112 @@ func TestRunTieredSpec(t *testing.T) {
 	}
 	if g.SpecHash == flat.SpecHash {
 		t.Error("tiered and flat specs must not share a cache address")
+	}
+}
+
+// TestEnginesAgreeOnBody is the service-level engine equivalence check. The
+// daemon runs every job on the flat engine and leaves the engine out of the
+// hash, which is sound only if the goroutine machine would have answered
+// with the same bytes. So every registry program, under each machine
+// variant and at two sizes, runs through Run on both engines: the hashes and
+// the encoded bodies (result, output, per-processor stats, metrics) must be
+// identical, or both runs must fail with the same error text.
+func TestEnginesAgreeOnBody(t *testing.T) {
+	variants := []struct {
+		name    string
+		mut     func(*JobSpec)
+		mayFail bool // lost messages can leave a program waiting forever
+	}{
+		{"plain", func(*JobSpec) {}, false},
+		{"no-capacity", func(s *JobSpec) { s.Machine.NoCapacity = true }, false},
+		{"two-tier", func(s *JobSpec) {
+			s.Machine.Topology = &topo.Spec{ProcsPerNode: 4, Node: topo.Link{L: 2, O: 1, G: 1}}
+		}, false},
+		{"metrics", func(s *JobSpec) { s.Metrics = &MetricsSpec{Include: true, Every: 7} }, false},
+		{"jitter-skew", func(s *JobSpec) {
+			s.Machine.LatencyJitter, s.Machine.ComputeJitter, s.Machine.ProcSkew = 3, 0.4, 0.25
+		}, false},
+		{"link-faults", func(s *JobSpec) {
+			s.Faults = &FaultSpec{Seed: 3, Drop: 0.05, Dup: 0.05, Jitter: 4}
+			s.Metrics = &MetricsSpec{Include: true}
+		}, true},
+		{"dup-delay", func(s *JobSpec) {
+			s.Faults = &FaultSpec{Seed: 3, Dup: 0.1, Jitter: 4}
+			s.Metrics = &MetricsSpec{Include: true}
+		}, false},
+		{"fail-stop", func(s *JobSpec) {
+			s.Faults = &FaultSpec{Fails: []FailStopSpec{{Proc: 3, At: 30}}}
+			s.Metrics = &MetricsSpec{Include: true}
+		}, true},
+		{"procs", func(s *JobSpec) { s.IncludeProcs = true }, false},
+	}
+	for _, prog := range progs.Names() {
+		for _, v := range variants {
+			for _, p := range []int{8, 16} {
+				spec := JobSpec{Program: prog, Work: 3, Staggered: true, Seed: 5,
+					Machine: MachineSpec{P: p, L: 6, O: 2, G: 4}}
+				v.mut(&spec)
+				name := fmt.Sprintf("%s/%s/P%d", prog, v.name, p)
+				var bodies [2][]byte
+				var errs [2]error
+				for i, engine := range []string{"goroutine", "flat"} {
+					s := spec
+					s.Engine = engine
+					resp, err := Run(s)
+					if errs[i] = err; err == nil {
+						if bodies[i], err = resp.Encode(); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+				switch {
+				case (errs[0] == nil) != (errs[1] == nil):
+					t.Errorf("%s: goroutine error %v, flat error %v", name, errs[0], errs[1])
+				case errs[0] != nil:
+					if !v.mayFail {
+						t.Errorf("%s: %v", name, errs[0])
+					}
+					if errs[0].Error() != errs[1].Error() {
+						t.Errorf("%s: errors differ:\n goroutine: %v\n flat:      %v", name, errs[0], errs[1])
+					}
+				case !bytes.Equal(bodies[0], bodies[1]):
+					t.Errorf("%s: bodies differ:\n--- goroutine ---\n%.2000s\n--- flat ---\n%.2000s", name, bodies[0], bodies[1])
+				}
+			}
+		}
+	}
+}
+
+// TestRunHonoursEngineName: Run executes an explicit "goroutine" on the
+// goroutine machine, which holds one goroutine per processor for the whole
+// run, and "" or "flat" on the flat engine, which starts none. Without this,
+// TestEnginesAgreeOnBody could compare flat with flat. A sampler records the
+// peak goroutine count while each run is in progress.
+func TestRunHonoursEngineName(t *testing.T) {
+	const p = 4096
+	for _, tc := range []struct {
+		engine    string
+		goroutine bool
+	}{{"goroutine", true}, {"flat", false}, {"", false}} {
+		var done atomic.Bool
+		var peak int
+		sampled := make(chan struct{})
+		go func() {
+			defer close(sampled)
+			for !done.Load() {
+				peak = max(peak, runtime.NumGoroutine())
+				runtime.Gosched()
+			}
+		}()
+		_, err := Run(JobSpec{Program: "broadcast", Engine: tc.engine, Machine: MachineSpec{P: p, L: 6, O: 2, G: 4}})
+		done.Store(true)
+		<-sampled
+		if err != nil {
+			t.Fatalf("engine %q: %v", tc.engine, err)
+		}
+		if (peak > p) != tc.goroutine {
+			t.Errorf("engine %q: peak of %d goroutines during a P=%d run; want one per processor on the goroutine engine only",
+				tc.engine, peak, p)
+		}
 	}
 }

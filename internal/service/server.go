@@ -90,8 +90,8 @@ type ServerStats struct {
 	// JobsRun counts simulations actually executed (cache misses and
 	// refreshes); the request count is JobsRun + hits + coalesced.
 	JobsRun int64 `json:"jobs_run"`
-	// MachineReuses counts flat runs that re-seated an idle pooled machine
-	// of their shape instead of building one.
+	// MachineReuses counts jobs that re-seated an idle pooled machine of
+	// their shape instead of building one.
 	MachineReuses int64 `json:"machine_reuses"`
 	// Workers is the executor bound.
 	Workers int `json:"workers"`
@@ -181,12 +181,13 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-// runCached executes a normalized spec through the cache: concurrent
-// identical submissions coalesce onto one simulation, and completed bodies
-// are served byte-identically without re-running. It returns the cache
-// entry, whose summary answers sweep points without decoding the body. The
-// span (nil for span-free callers like sweep points) receives the execute
-// and encode stage latencies when this call actually ran the simulation.
+// runCached executes a normalized spec through the cache on a pooled flat
+// machine: concurrent identical submissions coalesce onto one simulation,
+// and completed bodies are served byte-identically without re-running. It
+// returns the cache entry, whose summary answers sweep points without
+// decoding the body. The span (nil for span-free callers like sweep points)
+// receives the execute and encode stage latencies when this call actually
+// ran the simulation.
 func (s *Server) runCached(spec JobSpec, hash string, sp *obs.Span) (e *cacheEntry, hit bool) {
 	return s.cache.getOrRun(hash, func() ([]byte, summary, error) {
 		s.queued.Add(1)
@@ -199,7 +200,7 @@ func (s *Server) runCached(spec JobSpec, hash string, sp *obs.Span) (e *cacheEnt
 		}()
 		s.jobsRun.Add(1)
 		execDone := sp.Timer("execute")
-		resp, err := runNormalized(spec, s.pool)
+		resp, err := runNormalized(spec, s.pool.run)
 		execDone()
 		if err != nil {
 			return nil, summary{}, err

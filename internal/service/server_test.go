@@ -7,7 +7,6 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -43,10 +42,10 @@ func submit(t *testing.T, url string, spec JobSpec, query string) (int, []byte, 
 
 // TestSubmitColdThenHitByteIdentical is the determinism-as-cache-key
 // acceptance test: a cold run, a cache hit, a hash lookup and a forced
-// refresh (which re-runs the simulation, on a re-seated pooled machine for
-// the flat engine) must all return byte-identical bodies. A different spec
-// of the same machine shape re-seats the pooled machine too, and still
-// matches a fresh run byte for byte.
+// refresh (which re-runs the simulation on a re-seated pooled machine) must
+// all return byte-identical bodies. A different spec of the same machine
+// shape re-seats the pooled machine too, and still matches a fresh run byte
+// for byte. Both engine spellings run on the pooled flat machines.
 func TestSubmitColdThenHitByteIdentical(t *testing.T) {
 	for _, engine := range []string{"goroutine", "flat"} {
 		t.Run(engine, func(t *testing.T) {
@@ -104,7 +103,7 @@ func TestSubmitColdThenHitByteIdentical(t *testing.T) {
 			if st.JobsRun != 2 {
 				t.Errorf("jobs run %d, want 2 (cold + refresh)", st.JobsRun)
 			}
-			if engine == "flat" && st.MachineReuses != 1 {
+			if st.MachineReuses != 1 {
 				t.Errorf("machine reuses %d, want 1 (the refresh)", st.MachineReuses)
 			}
 
@@ -119,40 +118,51 @@ func TestSubmitColdThenHitByteIdentical(t *testing.T) {
 			if !bytes.Equal(body, runBody(t, other)) {
 				t.Error("same-shape spec on a re-seated machine differs from a fresh run")
 			}
-			if st := srv.Stats(); engine == "flat" && st.MachineReuses != 2 {
+			if st := srv.Stats(); st.MachineReuses != 2 {
 				t.Errorf("machine reuses %d, want 2 (the refresh and the same-shape spec)", st.MachineReuses)
 			}
 		})
 	}
 }
 
-// TestEnginesAgreeOnResult pins flat vs goroutine agreement through the
-// service path: same program, same machine, both engines — identical Result
-// and Output (the bodies differ only in the spec's engine field and hash).
-func TestEnginesAgreeOnResult(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 2})
-	for _, prog := range []string{"pingpong", "broadcast", "sum", "chain", "binomial", "alltoall"} {
-		spec := JobSpec{Program: prog, Machine: MachineSpec{P: 8, L: 6, O: 2, G: 4}, IncludeProcs: true}
-		var got [2]*Response
-		for i, engine := range []string{"goroutine", "flat"} {
-			s := spec
-			s.Engine = engine
-			code, body, _ := submit(t, ts.URL, s, "")
-			if code != 200 {
-				t.Fatalf("%s/%s: status %d: %s", prog, engine, code, body)
-			}
-			r, err := DecodeResponse(body)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got[i] = r
+// TestEngineSpellingsShareOneEntry: the daemon runs every job on a pooled
+// flat machine and keys it without the engine. A "goroutine" submission
+// re-seats the machine an earlier job of its shape left in the pool; the
+// same spec spelled "flat" or with no engine is then a hit with identical
+// bytes, and those bytes are what the goroutine machine produces through
+// Run.
+func TestEngineSpellingsShareOneEntry(t *testing.T) {
+	srv, ts := newTestServer(t, Config{Workers: 1})
+	if code, body, mark := submit(t, ts.URL, specBroadcast8(), ""); code != 200 || mark != "miss" {
+		t.Fatalf("first job: status %d, cache %q: %s", code, mark, body)
+	}
+	spec := specBroadcast8()
+	spec.Seed, spec.Metrics, spec.IncludeProcs = 9, &MetricsSpec{Include: true, Every: 7}, true
+	spec.Engine = "goroutine"
+	code, cold, mark := submit(t, ts.URL, spec, "")
+	if code != 200 || mark != "miss" {
+		t.Fatalf("goroutine spelling: status %d, cache %q: %s", code, mark, cold)
+	}
+	if st := srv.Stats(); st.JobsRun != 2 || st.MachineReuses != 1 {
+		t.Errorf("jobs run %d, machine reuses %d; want 2 and 1 (the goroutine spelling re-seats the pooled machine)",
+			st.JobsRun, st.MachineReuses)
+	}
+	for _, engine := range []string{"flat", ""} {
+		spec.Engine = engine
+		code, body, mark := submit(t, ts.URL, spec, "")
+		if code != 200 || mark != "hit" || !bytes.Equal(body, cold) {
+			t.Errorf("engine %q: status %d, cache %q, identical=%v", engine, code, mark, bytes.Equal(body, cold))
 		}
-		if !reflect.DeepEqual(got[0].Result, got[1].Result) {
-			t.Errorf("%s: engines disagree on Result:\ngoroutine: %+v\nflat:      %+v", prog, got[0].Result, got[1].Result)
-		}
-		if !reflect.DeepEqual(got[0].Output, got[1].Output) {
-			t.Errorf("%s: engines disagree on Output: %v vs %v", prog, got[0].Output, got[1].Output)
-		}
+	}
+	if st := srv.Stats(); st.JobsRun != 2 {
+		t.Errorf("jobs run %d, want 2", st.JobsRun)
+	}
+	if bytes.Contains(cold, []byte(`"engine"`)) {
+		t.Errorf("body names an engine:\n%s", cold)
+	}
+	spec.Engine = "goroutine"
+	if !bytes.Equal(cold, runBody(t, spec)) {
+		t.Error("daemon body differs from the goroutine machine's through Run")
 	}
 }
 
@@ -411,7 +421,6 @@ func TestResponseGoldenShape(t *testing.T) {
 	for _, want := range []string{
 		"\"spec_hash\": \"" + resp.SpecHash + "\"",
 		`"program": "broadcast"`,
-		`"engine": "goroutine"`,
 		`"time": 24`,
 		`"messages": 7`,
 		`"predicted_finish": 24`,
@@ -419,6 +428,9 @@ func TestResponseGoldenShape(t *testing.T) {
 		if !strings.Contains(string(body), want) {
 			t.Errorf("encoded body missing %s:\n%s", want, body)
 		}
+	}
+	if strings.Contains(string(body), `"engine"`) {
+		t.Errorf("encoded body names an engine:\n%s", body)
 	}
 	if body[len(body)-1] != '\n' {
 		t.Error("body does not end in newline")

@@ -114,7 +114,7 @@ type MetricsSpec struct {
 // the same bytes and therefore the same Hash.
 type JobSpec struct {
 	// Program names a registry program (progs.Names): pingpong, broadcast,
-	// sum, chain, binomial, alltoall.
+	// sum, chain, binomial, alltoall, fftremap, bitonic.
 	Program string `json:"program"`
 	// N is the program's problem size (see progs.Args); 0 resolves to the
 	// program's default.
@@ -127,10 +127,13 @@ type JobSpec struct {
 	// Machine is the simulated machine the program runs on.
 	Machine MachineSpec `json:"machine"`
 
-	// Engine selects the execution engine: "goroutine" or "flat" ("" =
-	// goroutine — the spec default is fixed, not environment-dependent, so
-	// hashes are stable across daemon configurations).
-	Engine string `json:"engine"`
+	// Engine names an execution engine: "goroutine", "flat", or "" (flat).
+	// The engines are pinned cycle-identical, so the engine is not part of
+	// the simulation: Normalize validates the field and then clears it, and
+	// it appears in no hash and no response body. The daemon runs every job
+	// on the flat engine; Run honours "goroutine", which is how the CLI and
+	// the cross-engine checks reach the goroutine machine.
+	Engine string `json:"engine,omitempty"`
 	// Shards > 1 selects the flat engine's windowed parallel kernel for a
 	// capacity-off machine. Normalize rewrites it to the shard count the
 	// machine will actually have (flat.ShardCount), so a capacity-on spec
@@ -178,12 +181,13 @@ func (l Limits) maxN() int {
 	return DefaultLimits.MaxN
 }
 
-// Normalize validates the spec and rewrites it into canonical form: engine
-// and seed defaults resolved, the program's default size filled in, fields
-// the program ignores zeroed, no-op fault and metrics blocks dropped. Two
-// specs describing the same simulation normalize to identical values, so
-// their hashes match and the second is a cache hit. Returns the first
-// validation error; a normalized spec is ready to run.
+// Normalize validates the spec and rewrites it into canonical form: the
+// engine cleared, the seed default resolved, the program's default size
+// filled in, fields the program ignores zeroed, no-op fault and metrics
+// blocks dropped. Two specs describing the same simulation normalize to
+// identical values, whichever engine they name, so their hashes match and
+// the second is a cache hit. Returns the first validation error; a
+// normalized spec is ready to run.
 func (s *JobSpec) Normalize(lim Limits) error {
 	defN, err := progs.DefaultN(s.Program)
 	if err != nil {
@@ -220,18 +224,17 @@ func (s *JobSpec) Normalize(lim Limits) error {
 	}
 
 	switch s.Engine {
-	case "":
-		s.Engine = "goroutine"
-	case "goroutine", "flat":
+	case "", "goroutine", "flat":
 	default:
 		return fmt.Errorf("service: unknown engine %q (want goroutine or flat)", s.Engine)
 	}
 	if s.Shards < 0 {
 		return fmt.Errorf("service: negative shard count %d", s.Shards)
 	}
-	if s.Shards > 1 && s.Engine != "flat" {
+	if s.Shards > 1 && s.Engine == "goroutine" {
 		return fmt.Errorf("service: shards apply to the flat engine only")
 	}
+	s.Engine = ""
 	// Hash by the shard count the machine will have: one shard is the
 	// sequential core, the same machine and the same bytes as no shards.
 	s.Shards = flat.ShardCount(logp.Config{Params: s.Machine.Params(), DisableCapacity: s.Machine.NoCapacity}, s.Shards)

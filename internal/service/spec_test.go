@@ -22,6 +22,7 @@ func TestNormalizeCanonicalizes(t *testing.T) {
 	s.Work = 5              // only alltoall uses work
 	s.Staggered = true      // ditto
 	s.Shards = 1            // one shard is the sequential core
+	s.Engine = "goroutine"  // the engine is not part of the simulation
 	s.Faults = &FaultSpec{} // injects nothing
 	s.Metrics = &MetricsSpec{Include: false, Every: 100}
 	if err := s.Normalize(Limits{}); err != nil {
@@ -34,7 +35,7 @@ func TestNormalizeCanonicalizes(t *testing.T) {
 	if s.Hash() != base.Hash() {
 		t.Errorf("normalization did not canonicalize:\n%s\n%s", s.Canonical(), base.Canonical())
 	}
-	if s.Engine != "goroutine" || s.Seed != 1 || s.N != 0 || s.Work != 0 || s.Staggered ||
+	if s.Engine != "" || s.Seed != 1 || s.N != 0 || s.Work != 0 || s.Staggered ||
 		s.Shards != 0 || s.Faults != nil || s.Metrics != nil {
 		t.Errorf("unexpected normalized spec: %+v", s)
 	}
@@ -102,7 +103,7 @@ func TestNormalizeRejects(t *testing.T) {
 		{"unknown program", func(s *JobSpec) { s.Program = "nosuch" }, "unknown program"},
 		{"bad machine", func(s *JobSpec) { s.Machine.P = 0 }, "at least one processor"},
 		{"unknown engine", func(s *JobSpec) { s.Engine = "warp" }, "unknown engine"},
-		{"shards on goroutine", func(s *JobSpec) { s.Shards = 4 }, "flat engine only"},
+		{"shards on goroutine", func(s *JobSpec) { s.Engine = "goroutine"; s.Shards = 4 }, "flat engine only"},
 		{"negative n", func(s *JobSpec) { s.Program = "sum"; s.N = -1 }, "negative problem size"},
 		{"over P limit", func(s *JobSpec) { s.Machine.P = 3_000_000 }, "exceeds the limit"},
 		{"bad drop", func(s *JobSpec) { s.Faults = &FaultSpec{Drop: 1.5} }, "outside [0,1]"},
@@ -138,6 +139,8 @@ func TestNormalizeRejects(t *testing.T) {
 // representative specs. If this test fails, the spec format changed and
 // every deployed cache key (and any stored BENCH/replay artifact keyed by
 // hash) silently diverges — change the format deliberately or not at all.
+// The sum and all-to-all specs name "flat" to pin that the engine is not
+// part of the hash.
 func TestSpecHashGolden(t *testing.T) {
 	golden := []struct {
 		name string
@@ -147,25 +150,25 @@ func TestSpecHashGolden(t *testing.T) {
 		{
 			name: "broadcast-default",
 			spec: specBroadcast8(),
-			hash: "27274fbbb9d904652e8a888c66e6a72e5120e0fcfa4865118e587aae34915bf1",
+			hash: "b92340c203bb1e311a9a849318ef4292a78f9bff0f16fc85692954e76bfcccfa",
 		},
 		{
 			name: "sum-flat",
 			spec: JobSpec{Program: "sum", N: 79, Machine: MachineSpec{P: 8, L: 5, O: 2, G: 4}, Engine: "flat"},
-			hash: "7dc4ef0c624540acaaf4a73c37e37562896182e8a34ce007a9e2c0f9593d48c2",
+			hash: "807905e17af60458a3afbed7b8b465d64697c87e226e5a6b6cdeb9689466070a",
 		},
 		{
 			name: "alltoall-sharded",
 			spec: JobSpec{Program: "alltoall", N: 2, Work: 3, Staggered: true,
 				Machine: MachineSpec{P: 64, L: 8, O: 2, G: 4, NoCapacity: true}, Engine: "flat", Shards: 4},
-			hash: "db3bbb80f0e9f347ea1fd6738eca6324e1c1dcfc9e1605cab7be6faec780f781",
+			hash: "8117a4be27ea279be35c1abf0588a5854f0f4e79073928e7ace7c9c76314b162",
 		},
 		{
 			name: "chaos-metrics",
 			spec: JobSpec{Program: "pingpong", N: 5, Machine: MachineSpec{P: 4, L: 6, O: 2, G: 4}, Seed: 7,
 				Faults:  &FaultSpec{Seed: 3, Drop: 0.1, Fails: []FailStopSpec{{Proc: 2, At: 100}}},
 				Metrics: &MetricsSpec{Include: true, Every: 50}},
-			hash: "8f137332e8e4ae9e26aecd4a4f69031528ebb90d2eb96aa86bc9cfbb1c43b8ad",
+			hash: "2f9d1dd6de4d1aa56e09b605e2450191994fefaa04114828ae359a7fdc46f8ef",
 		},
 		{
 			// The Topology block is appended with omitempty precisely so the
@@ -175,7 +178,7 @@ func TestSpecHashGolden(t *testing.T) {
 			spec: JobSpec{Program: "broadcast",
 				Machine: MachineSpec{P: 8, L: 6, O: 2, G: 4,
 					Topology: &topo.Spec{ProcsPerNode: 4, Node: topo.Link{L: 2, O: 1, G: 1}}}},
-			hash: "2212efff485fbc6892c1a027543661cf738cd3fa66637cf2493aa0c4917274cc",
+			hash: "1d2dc04652422503d4212bad0d43ebf3159dd1de16d3697913a8e98511c972c0",
 		},
 	}
 	for _, g := range golden {
@@ -190,7 +193,8 @@ func TestSpecHashGolden(t *testing.T) {
 }
 
 // TestHashDistinguishes checks that every knob that changes the observable
-// result also changes the hash.
+// result also changes the hash, and that the engine, which changes nothing,
+// does not.
 func TestHashDistinguishes(t *testing.T) {
 	base := specBroadcast8()
 	if err := base.Normalize(Limits{}); err != nil {
@@ -206,7 +210,6 @@ func TestHashDistinguishes(t *testing.T) {
 		{"o", func(s *JobSpec) { s.Machine.O = 3 }},
 		{"g", func(s *JobSpec) { s.Machine.G = 5 }},
 		{"capacity", func(s *JobSpec) { s.Machine.NoCapacity = true }},
-		{"engine", func(s *JobSpec) { s.Engine = "flat" }},
 		{"seed", func(s *JobSpec) { s.Seed = 2 }},
 		{"faults", func(s *JobSpec) { s.Faults = &FaultSpec{Drop: 0.5} }},
 		{"metrics", func(s *JobSpec) { s.Metrics = &MetricsSpec{Include: true} }},
@@ -226,6 +229,19 @@ func TestHashDistinguishes(t *testing.T) {
 		}
 		if s.Hash() == base.Hash() {
 			t.Errorf("changing %s did not change the hash", m.name)
+		}
+	}
+
+	// The engines are cycle-identical, so the engine a spec names is not a
+	// knob: every spelling hashes like the base.
+	for _, engine := range []string{"", "goroutine", "flat"} {
+		s := specBroadcast8()
+		s.Engine = engine
+		if err := s.Normalize(Limits{}); err != nil {
+			t.Fatalf("engine %q: %v", engine, err)
+		}
+		if s.Hash() != base.Hash() {
+			t.Errorf("engine %q hashes apart from the base:\n%s\n%s", engine, s.Canonical(), base.Canonical())
 		}
 	}
 }
