@@ -27,6 +27,7 @@ import (
 	"github.com/logp-model/logp/internal/network"
 	"github.com/logp-model/logp/internal/prof"
 	"github.com/logp-model/logp/internal/progs"
+	"github.com/logp-model/logp/internal/service"
 	"github.com/logp-model/logp/internal/sim"
 )
 
@@ -466,6 +467,39 @@ func BenchmarkSendRecvMetricsOff(b *testing.B) { benchSendRecvMetrics(b, nil) }
 // registry attached and sampling at the default interval (the registry is
 // reused across runs, so its sample storage reaches a steady state too).
 func BenchmarkSendRecvMetricsOn(b *testing.B) { benchSendRecvMetrics(b, metrics.NewRegistry()) }
+
+// --- Daemon response encoding.
+
+// BenchmarkResponseEncode times Response.Encode, the encode stage of every
+// daemon cache miss, on two fixed bodies: a P=64 all-to-all with its metrics
+// block, and a P=64 broadcast without one.
+func BenchmarkResponseEncode(b *testing.B) {
+	for _, bc := range []struct {
+		name string
+		spec service.JobSpec
+	}{
+		{"alltoall-P64-metrics", service.JobSpec{Program: "alltoall", Metrics: &service.MetricsSpec{Include: true},
+			Machine: service.MachineSpec{P: 64, L: 12, O: 2, G: 4, LatencyJitter: 2}}},
+		{"broadcast-P64", service.JobSpec{Program: "broadcast",
+			Machine: service.MachineSpec{P: 64, L: 12, O: 2, G: 4, LatencyJitter: 2}}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			resp, err := service.Run(bc.spec)
+			if err != nil {
+				b.Fatal(err)
+			}
+			var body []byte
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if body, err = resp.Encode(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(len(body))/1024, "body_kb")
+		})
+	}
+}
 
 // TestSendRecvZeroAllocPerMessage pins the zero-allocation claim: with the
 // recorder disabled, the steady-state cost of a message is zero heap

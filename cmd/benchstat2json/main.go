@@ -29,9 +29,9 @@ import (
 // defaultBench selects the substrate microbenchmarks: the goroutine and
 // flat engine throughput targets (same machine, same workload), the sharded
 // flat core and the P=10^5 scale pin, the heap, handoff, and wait-elision
-// paths, and the hook-overhead pairs (profiler recorder and metrics
-// registry, each detached vs attached).
-const defaultBench = "BenchmarkKernelEventThroughput|BenchmarkMachineMessageThroughput|BenchmarkFlatMachineMessageThroughput|BenchmarkFlatShardedMessageThroughput|BenchmarkFlatBroadcastP100k|BenchmarkHeapPushPop|BenchmarkContextSwitch|BenchmarkProcessWait|BenchmarkSendRecvRecorderOff|BenchmarkSendRecvRecorderOn|BenchmarkSendRecvMetricsOff|BenchmarkSendRecvMetricsOn"
+// paths, the hook-overhead pairs (profiler recorder and metrics registry,
+// each detached vs attached), and the daemon's response encoding.
+const defaultBench = "BenchmarkKernelEventThroughput|BenchmarkMachineMessageThroughput|BenchmarkFlatMachineMessageThroughput|BenchmarkFlatShardedMessageThroughput|BenchmarkFlatBroadcastP100k|BenchmarkHeapPushPop|BenchmarkContextSwitch|BenchmarkProcessWait|BenchmarkSendRecvRecorderOff|BenchmarkSendRecvRecorderOn|BenchmarkSendRecvMetricsOff|BenchmarkSendRecvMetricsOn|BenchmarkResponseEncode"
 
 type benchmark struct {
 	Name    string             `json:"name"`

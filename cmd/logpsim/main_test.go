@@ -2,8 +2,10 @@ package main
 
 import (
 	"encoding/json"
+	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -125,13 +127,20 @@ func TestJSONMatchesServiceBytes(t *testing.T) {
 }
 
 // TestJSONImperativeAlgo checks the CLI-only algorithms emit the service
-// response shape with an empty (non-cacheable) spec hash.
+// response shape with an empty (non-cacheable) spec hash. The subprocess
+// runs without LOGP_ENGINE and LOGP_SHARDS: the imperative algorithms run
+// on the goroutine engine only, and this test checks the -json shape, not
+// the engine choice.
 func TestJSONImperativeAlgo(t *testing.T) {
 	if testing.Short() {
 		t.Skip("subprocess smoke test")
 	}
 	bin := buildBinary(t)
-	out, err := exec.Command(bin, "-algo", "sort", "-P", "8", "-n", "128", "-json").Output()
+	cmd := exec.Command(bin, "-algo", "sort", "-P", "8", "-n", "128", "-json")
+	cmd.Env = slices.DeleteFunc(os.Environ(), func(kv string) bool {
+		return strings.HasPrefix(kv, "LOGP_ENGINE=") || strings.HasPrefix(kv, "LOGP_SHARDS=")
+	})
+	out, err := cmd.Output()
 	if err != nil {
 		t.Fatalf("logpsim -algo sort -json: %v", err)
 	}

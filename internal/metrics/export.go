@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"strconv"
 	"strings"
 )
 
@@ -78,14 +79,17 @@ func histSnapshot(h *Histogram) *HistogramSnapshot {
 // daemon's wall-clock telemetry in internal/obs).
 func HistSnapshot(h *Histogram) *HistogramSnapshot { return histSnapshot(h) }
 
-// procLabel builds the {proc="i"} label set.
-func procLabel(i int) []Label { return []Label{{Name: "proc", Value: fmt.Sprintf("%d", i)}} }
-
 // Snapshot freezes the registry's current state for export. Families are
 // emitted in a fixed order and points in processor / link order, so two
 // identical runs export byte-identical snapshots (the golden-test
 // property). Reliable-layer families appear only when the protocol ran.
 func (r *Registry) Snapshot() Snapshot {
+	// Every label value is a processor index: format each one once.
+	ids := make([]string, r.p)
+	for i := range ids {
+		ids[i] = strconv.Itoa(i)
+	}
+	procLabel := func(i int) []Label { return []Label{{Name: "proc", Value: ids[i]}} }
 	var fams []Family
 	gauge := func(name, help string, v float64) {
 		fams = append(fams, Family{Name: name, Help: help, Kind: "gauge", Points: []Point{{Value: v}}})
@@ -114,7 +118,7 @@ func (r *Registry) Snapshot() Snapshot {
 		for to := 0; to < r.p; to++ {
 			if v := r.link[from*r.p+to].Value(); v != 0 {
 				link.Points = append(link.Points, Point{
-					Labels: []Label{{Name: "from", Value: fmt.Sprintf("%d", from)}, {Name: "to", Value: fmt.Sprintf("%d", to)}},
+					Labels: []Label{{Name: "from", Value: ids[from]}, {Name: "to", Value: ids[to]}},
 					Value:  float64(v),
 				})
 			}

@@ -1,7 +1,6 @@
 package service
 
 import (
-	"bytes"
 	"container/list"
 	"encoding/json"
 	"fmt"
@@ -39,10 +38,12 @@ type ResultJSON struct {
 }
 
 // Response is the full observable result of one job: what the daemon caches
-// and serves, and what logpsim -json prints. Its encoding is deterministic —
-// struct fields encode in definition order, the Output map's keys sort, and
-// the metrics snapshot is ordered by construction — so equal specs produce
-// byte-identical bodies whether computed or replayed from the cache.
+// and serves, and what logpsim -json prints. Its encoding is deterministic:
+// Encode's canonical writer (encode.go) emits struct fields in definition
+// order, the Output map's keys sorted and the metrics snapshot in its
+// constructed order, so equal specs produce byte-identical bodies whether
+// computed or replayed from the cache. The writer's output is pinned
+// byte-identical to encoding/json's, which DecodeResponse reads back.
 type Response struct {
 	// SpecHash is the content address of the normalized Spec.
 	SpecHash string `json:"spec_hash"`
@@ -54,18 +55,6 @@ type Response struct {
 	Output map[string]float64 `json:"output,omitempty"`
 	// Metrics is the telemetry snapshot (when Spec.Metrics asked for it).
 	Metrics *metrics.Snapshot `json:"metrics,omitempty"`
-}
-
-// Encode renders the canonical response body: two-space-indented JSON with a
-// trailing newline, matching the metrics JSON writer's house style.
-func (r *Response) Encode() ([]byte, error) {
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(r); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
 }
 
 // DecodeResponse parses a canonical response body.

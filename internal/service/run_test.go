@@ -68,6 +68,46 @@ func TestRunTieredSpec(t *testing.T) {
 	}
 }
 
+// bodyVariants are the machine variants TestEnginesAgreeOnBody runs every
+// registry program under, at P = 8 and 16; TestEncodeMatchesJSON encodes the
+// same bodies.
+var bodyVariants = []struct {
+	name    string
+	mut     func(*JobSpec)
+	mayFail bool // lost messages can leave a program waiting forever
+}{
+	{"plain", func(*JobSpec) {}, false},
+	{"no-capacity", func(s *JobSpec) { s.Machine.NoCapacity = true }, false},
+	{"two-tier", func(s *JobSpec) {
+		s.Machine.Topology = &topo.Spec{ProcsPerNode: 4, Node: topo.Link{L: 2, O: 1, G: 1}}
+	}, false},
+	{"metrics", func(s *JobSpec) { s.Metrics = &MetricsSpec{Include: true, Every: 7} }, false},
+	{"jitter-skew", func(s *JobSpec) {
+		s.Machine.LatencyJitter, s.Machine.ComputeJitter, s.Machine.ProcSkew = 3, 0.4, 0.25
+	}, false},
+	{"link-faults", func(s *JobSpec) {
+		s.Faults = &FaultSpec{Seed: 3, Drop: 0.05, Dup: 0.05, Jitter: 4}
+		s.Metrics = &MetricsSpec{Include: true}
+	}, true},
+	{"dup-delay", func(s *JobSpec) {
+		s.Faults = &FaultSpec{Seed: 3, Dup: 0.1, Jitter: 4}
+		s.Metrics = &MetricsSpec{Include: true}
+	}, false},
+	{"fail-stop", func(s *JobSpec) {
+		s.Faults = &FaultSpec{Fails: []FailStopSpec{{Proc: 3, At: 30}}}
+		s.Metrics = &MetricsSpec{Include: true}
+	}, true},
+	{"procs", func(s *JobSpec) { s.IncludeProcs = true }, false},
+}
+
+// bodyVariantSpec is the spec of one bodyVariants case.
+func bodyVariantSpec(prog string, mut func(*JobSpec), p int) JobSpec {
+	spec := JobSpec{Program: prog, Work: 3, Staggered: true, Seed: 5,
+		Machine: MachineSpec{P: p, L: 6, O: 2, G: 4}}
+	mut(&spec)
+	return spec
+}
+
 // TestEnginesAgreeOnBody is the service-level engine equivalence check. The
 // daemon runs every job on the flat engine and leaves the engine out of the
 // hash, which is sound only if the goroutine machine would have answered
@@ -76,40 +116,10 @@ func TestRunTieredSpec(t *testing.T) {
 // the encoded bodies (result, output, per-processor stats, metrics) must be
 // identical, or both runs must fail with the same error text.
 func TestEnginesAgreeOnBody(t *testing.T) {
-	variants := []struct {
-		name    string
-		mut     func(*JobSpec)
-		mayFail bool // lost messages can leave a program waiting forever
-	}{
-		{"plain", func(*JobSpec) {}, false},
-		{"no-capacity", func(s *JobSpec) { s.Machine.NoCapacity = true }, false},
-		{"two-tier", func(s *JobSpec) {
-			s.Machine.Topology = &topo.Spec{ProcsPerNode: 4, Node: topo.Link{L: 2, O: 1, G: 1}}
-		}, false},
-		{"metrics", func(s *JobSpec) { s.Metrics = &MetricsSpec{Include: true, Every: 7} }, false},
-		{"jitter-skew", func(s *JobSpec) {
-			s.Machine.LatencyJitter, s.Machine.ComputeJitter, s.Machine.ProcSkew = 3, 0.4, 0.25
-		}, false},
-		{"link-faults", func(s *JobSpec) {
-			s.Faults = &FaultSpec{Seed: 3, Drop: 0.05, Dup: 0.05, Jitter: 4}
-			s.Metrics = &MetricsSpec{Include: true}
-		}, true},
-		{"dup-delay", func(s *JobSpec) {
-			s.Faults = &FaultSpec{Seed: 3, Dup: 0.1, Jitter: 4}
-			s.Metrics = &MetricsSpec{Include: true}
-		}, false},
-		{"fail-stop", func(s *JobSpec) {
-			s.Faults = &FaultSpec{Fails: []FailStopSpec{{Proc: 3, At: 30}}}
-			s.Metrics = &MetricsSpec{Include: true}
-		}, true},
-		{"procs", func(s *JobSpec) { s.IncludeProcs = true }, false},
-	}
 	for _, prog := range progs.Names() {
-		for _, v := range variants {
+		for _, v := range bodyVariants {
 			for _, p := range []int{8, 16} {
-				spec := JobSpec{Program: prog, Work: 3, Staggered: true, Seed: 5,
-					Machine: MachineSpec{P: p, L: 6, O: 2, G: 4}}
-				v.mut(&spec)
+				spec := bodyVariantSpec(prog, v.mut, p)
 				name := fmt.Sprintf("%s/%s/P%d", prog, v.name, p)
 				var bodies [2][]byte
 				var errs [2]error

@@ -158,5 +158,6 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("X-Logpsimd-Cache-Hits", strconv.Itoa(hits))
 	w.Header().Set("X-Logpsimd-Cache-Misses", strconv.Itoa(misses))
-	writeJSON(w, sr)
+	w.Header().Set("Content-Type", "application/json")
+	w.Write(sr.encode())
 }
