@@ -33,18 +33,18 @@ import (
 
 // runExperiment executes one experiment per iteration and fails the
 // benchmark if any of the figure's qualitative checks fail.
-func runExperiment(b *testing.B, f func(experiments.Scale) experiments.Report) {
+func runExperiment(b *testing.B, f func(experiments.Options) experiments.Report) {
 	b.Helper()
 	for i := 0; i < b.N; i++ {
-		rep := f(1)
+		rep := f(experiments.Options{Scale: 1})
 		for _, c := range rep.Failed() {
 			b.Fatalf("%s: check %q failed: %s", rep.ID, c.Name, c.Detail)
 		}
 	}
 }
 
-func fixed(f func() experiments.Report) func(experiments.Scale) experiments.Report {
-	return func(experiments.Scale) experiments.Report { return f() }
+func fixed(f func() experiments.Report) func(experiments.Options) experiments.Report {
+	return func(experiments.Options) experiments.Report { return f() }
 }
 
 // --- One benchmark per table and figure (Deliverable d).
@@ -57,7 +57,7 @@ func BenchmarkFig6FFTRemapSchedules(b *testing.B)    { runExperiment(b, experime
 func BenchmarkFig7FFTComputeRates(b *testing.B)      { runExperiment(b, experiments.Fig7) }
 func BenchmarkFig8CommunicationRates(b *testing.B)   { runExperiment(b, experiments.Fig8) }
 func BenchmarkTableAvgDistance(b *testing.B) {
-	runExperiment(b, fixed(experiments.TableAvgDistance))
+	runExperiment(b, experiments.TableAvgDistance)
 }
 func BenchmarkTable1UnloadedTime(b *testing.B)  { runExperiment(b, fixed(experiments.Table1)) }
 func BenchmarkNetworkSaturation(b *testing.B)   { runExperiment(b, experiments.NetworkSaturation) }
@@ -71,9 +71,9 @@ func BenchmarkBroadcastScheduleSweep(b *testing.B) {
 	runExperiment(b, fixed(experiments.BroadcastSweep))
 }
 func BenchmarkMultithreadingLimits(b *testing.B) {
-	runExperiment(b, fixed(experiments.Multithreading))
+	runExperiment(b, experiments.Multithreading)
 }
-func BenchmarkLongMessages(b *testing.B)    { runExperiment(b, fixed(experiments.LongMessages)) }
+func BenchmarkLongMessages(b *testing.B)    { runExperiment(b, experiments.LongMessages) }
 func BenchmarkSurfaceToVolume(b *testing.B) { runExperiment(b, experiments.SurfaceToVolume) }
 
 // --- Substrate microbenchmarks: how fast the simulators themselves run.
@@ -391,7 +391,7 @@ func BenchmarkCollectiveBarrier(b *testing.B) {
 	}
 }
 
-func BenchmarkOverlapFFT(b *testing.B) { runExperiment(b, fixed(experiments.OverlapFFT)) }
+func BenchmarkOverlapFFT(b *testing.B) { runExperiment(b, experiments.OverlapFFT) }
 
 func BenchmarkPatternGaps(b *testing.B)    { runExperiment(b, experiments.PatternGaps) }
 func BenchmarkParameterSpace(b *testing.B) { runExperiment(b, fixed(experiments.ParameterSpace)) }

@@ -43,6 +43,7 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
+	opts := experiments.Options{Scale: experiments.Scale(*scale), Workers: *par}
 	if *tier != "" {
 		spec, err := topo.ParseSpec(*tier)
 		if err != nil {
@@ -50,7 +51,7 @@ func main() {
 			flag.Usage()
 			os.Exit(2)
 		}
-		experiments.SetTierSpec(spec)
+		opts.Tier = spec
 	}
 
 	cat := experiments.Catalog()
@@ -66,7 +67,6 @@ func main() {
 			os.Exit(1)
 		}
 	}
-	experiments.SetParallelism(*par)
 	if *profDir != "" {
 		if err := os.MkdirAll(*profDir, 0o755); err != nil {
 			fmt.Fprintln(os.Stderr, "figures:", err)
@@ -80,6 +80,7 @@ func main() {
 
 	var obs []experiments.Observation
 	var obsMu sync.Mutex
+	var observe func(experiments.Observation)
 	if *metOut != "" {
 		switch *metFmt {
 		case "prom", "json", "csv":
@@ -90,24 +91,24 @@ func main() {
 		}
 		// The observer runs on the harness worker goroutines as experiments
 		// finish (completion order, not catalog order).
-		experiments.SetObserver(func(o experiments.Observation) {
+		observe = func(o experiments.Observation) {
 			obsMu.Lock()
 			obs = append(obs, o)
 			done := len(obs)
 			obsMu.Unlock()
 			fmt.Fprintf(os.Stderr, "figures: [%d/%d] %s done in %v\n", done, o.Total, o.ID, o.Wall.Round(time.Millisecond))
-		})
+		}
 	}
 
 	var reports []experiments.Report
 	if *id == "" {
-		reports = experiments.RunAll(experiments.Scale(*scale))
+		reports = experiments.RunAll(opts, observe)
 	} else {
 		found := false
 		for i, e := range cat {
 			if e.ID == *id {
 				start := time.Now()
-				reports = append(reports, e.Run(experiments.Scale(*scale)))
+				reports = append(reports, e.Run(opts))
 				found = true
 				if *metOut != "" {
 					obs = append(obs, experiments.Observation{ID: e.ID, Index: i, Total: 1, Wall: time.Since(start)})

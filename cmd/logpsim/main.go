@@ -64,8 +64,8 @@ func main() {
 		metOut   = flag.String("metrics", "", "write run metrics (of the last machine run) to this file, \"-\" = stdout")
 		metFmt   = flag.String("metrics-format", "prom", "metrics output format: prom | json | csv")
 		metEvery = flag.Int64("metrics-every", 0, "metrics sampling interval in simulated cycles (0 = default)")
-		engine   = flag.String("engine", "", "execution engine for program-form algorithms (broadcast, sum): goroutine | flat (default $LOGP_ENGINE, else goroutine)")
-		shards   = flag.Int("shards", 0, "flat engine: event-kernel shards, >1 runs the windowed parallel core with -nocap; capacity-on runs use one shard (default $LOGP_SHARDS, else 1)")
+		engine   = flag.String("engine", "goroutine", "execution engine for program-form algorithms (broadcast, sum): goroutine | flat")
+		shards   = flag.Int("shards", 1, "flat engine: event-kernel shards, >1 runs the windowed parallel core with -nocap; capacity-on runs use one shard")
 		shStats  = flag.Bool("shardstats", false, "flat engine: record and print the per-shard flight-recorder table (windows, events, wheel/heap split, barrier wait) after the run")
 		nocap    = flag.Bool("nocap", false, "disable the capacity limit of ceil(L/g) in-flight messages per processor")
 		tier     = flag.String("tier", "", "hierarchical topology: node=<ppn>:<L>,<o>,<g>[;rack=<npr>:<L>,<o>,<g>]; -L/-o/-g stay the top (cluster) tier")
@@ -77,13 +77,12 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	if *engine != "" {
-		if _, err := logp.EngineByName(*engine); err != nil {
-			usageError(err)
-		}
-		logp.SetDefaultEngineName(*engine)
+	engName := *engine
+	switch engName {
+	case "goroutine", "flat":
+	default:
+		usageError(fmt.Errorf("unknown engine %q (want goroutine or flat)", engName))
 	}
-	engName := logp.DefaultEngineName()
 	if *shards > 1 && engName == "goroutine" {
 		usageError(fmt.Errorf("-shards applies to the flat engine only (use -engine flat)"))
 	}
@@ -377,32 +376,24 @@ func main() {
 	}
 }
 
-// runProgram executes a program-form algorithm on the selected engine. An
-// explicit -shards count or -shardstats builds the flat machine directly
-// (with the flight recorder wired in for -shardstats); otherwise the
-// registered engine (which consults LOGP_SHARDS itself) runs it. The shard
-// table is nil unless recording was requested.
+// runProgram executes a program-form algorithm on the selected engine: the
+// goroutine machine, or a flat machine with the given shard count (and the
+// flight recorder wired in for -shardstats). The shard table is nil unless
+// recording was requested.
 func runProgram(cfg logp.Config, prog logp.Program, engName string, shards int, record bool) (logp.Result, []flat.ShardStat, error) {
-	if shards > 1 || record {
-		if shards < 1 {
-			shards = 1
-		}
-		m, err := flat.New(cfg, prog, shards)
-		if err != nil {
-			return logp.Result{}, nil, err
-		}
-		if record {
-			m.EnableFlightRecorder()
-		}
-		res, err := m.Run()
-		return res, m.ShardStats(), err
+	if engName == "goroutine" {
+		res, err := logp.RunProgram(cfg, prog)
+		return res, nil, err
 	}
-	e, err := logp.EngineByName(engName)
+	m, err := flat.New(cfg, prog, shards)
 	if err != nil {
 		return logp.Result{}, nil, err
 	}
-	res, err := e.Run(cfg, prog)
-	return res, nil, err
+	if record {
+		m.EnableFlightRecorder()
+	}
+	res, err := m.Run()
+	return res, m.ShardStats(), err
 }
 
 // printShardStats renders the flight-recorder table of a recorded flat run:

@@ -2,10 +2,8 @@ package main
 
 import (
 	"encoding/json"
-	"os"
 	"os/exec"
 	"path/filepath"
-	"slices"
 	"strings"
 	"testing"
 
@@ -78,19 +76,32 @@ func TestMetricsFormatsSmoke(t *testing.T) {
 	}
 }
 
-// TestBadMetricsFormatExit2 checks that an unknown format is a usage error.
-func TestBadMetricsFormatExit2(t *testing.T) {
+// TestBadFlagValuesExit2 checks that an unknown metrics format, an unknown
+// engine and a NaN fault probability (with or without -json) are usage
+// errors: exit 2, a diagnostic naming the bad value, and the usage text.
+func TestBadFlagValuesExit2(t *testing.T) {
 	if testing.Short() {
 		t.Skip("subprocess smoke test")
 	}
 	bin := buildBinary(t)
-	out, err := exec.Command(bin, "-metrics", "-", "-metrics-format", "xml").CombinedOutput()
-	ee, ok := err.(*exec.ExitError)
-	if !ok || ee.ExitCode() != 2 {
-		t.Fatalf("expected exit 2 for bad format, got %v\n%s", err, out)
-	}
-	if !strings.Contains(string(out), "unknown metrics format") {
-		t.Errorf("no format diagnostic in output:\n%s", out)
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-metrics", "-", "-metrics-format", "xml"}, `unknown metrics format "xml"`},
+		{[]string{"-engine", "bogus"}, `unknown engine "bogus" (want goroutine or flat)`},
+		{[]string{"-drop", "NaN"}, "drop rate NaN outside [0,1]"},
+		{[]string{"-drop", "NaN", "-json"}, "drop rate NaN outside [0,1]"},
+	} {
+		out, err := exec.Command(bin, tc.args...).CombinedOutput()
+		ee, ok := err.(*exec.ExitError)
+		if !ok || ee.ExitCode() != 2 {
+			t.Errorf("%v: expected exit 2, got %v\n%s", tc.args, err, out)
+			continue
+		}
+		if !strings.Contains(string(out), tc.want) || !strings.Contains(string(out), "Usage") {
+			t.Errorf("%v: want %q and the usage text in:\n%s", tc.args, tc.want, out)
+		}
 	}
 }
 
@@ -127,20 +138,13 @@ func TestJSONMatchesServiceBytes(t *testing.T) {
 }
 
 // TestJSONImperativeAlgo checks the CLI-only algorithms emit the service
-// response shape with an empty (non-cacheable) spec hash. The subprocess
-// runs without LOGP_ENGINE and LOGP_SHARDS: the imperative algorithms run
-// on the goroutine engine only, and this test checks the -json shape, not
-// the engine choice.
+// response shape with an empty (non-cacheable) spec hash.
 func TestJSONImperativeAlgo(t *testing.T) {
 	if testing.Short() {
 		t.Skip("subprocess smoke test")
 	}
 	bin := buildBinary(t)
-	cmd := exec.Command(bin, "-algo", "sort", "-P", "8", "-n", "128", "-json")
-	cmd.Env = slices.DeleteFunc(os.Environ(), func(kv string) bool {
-		return strings.HasPrefix(kv, "LOGP_ENGINE=") || strings.HasPrefix(kv, "LOGP_SHARDS=")
-	})
-	out, err := cmd.Output()
+	out, err := exec.Command(bin, "-algo", "sort", "-P", "8", "-n", "128", "-json").Output()
 	if err != nil {
 		t.Fatalf("logpsim -algo sort -json: %v", err)
 	}

@@ -25,8 +25,8 @@ func simMachine(p int) logp.Config {
 // communication by about sqrt(P); the blocked grid loses to load imbalance;
 // the scattered grid wins — "the fastest Linpack benchmark programs
 // actually employ a scattered grid layout".
-func LULayouts(scale Scale) Report {
-	n := 32 * scale.clamp()
+func LULayouts(opts Options) Report {
+	n := 32 * opts.Scale.clamp()
 	P := 16
 	a := lu.Random(n, 77)
 	tb := stats.Table{Header: []string{"layout", "sim time", "max msgs recvd", "compute max/min", "residual ok"}}
@@ -79,11 +79,11 @@ func LULayouts(scale Scale) Report {
 // SortComparison regenerates the Section 4.2.2 study: splitter sort's
 // compute-remap-compute pattern versus bitonic sort's oblivious exchanges,
 // across per-processor chunk sizes.
-func SortComparison(scale Scale) Report {
+func SortComparison(opts Options) Report {
 	P := 8
 	sizes := []int{512, 2048, 8192}
 	for i := range sizes {
-		sizes[i] *= scale.clamp()
+		sizes[i] *= opts.Scale.clamp()
 	}
 	rng := rand.New(rand.NewSource(3))
 	var xs, split, bitonic, column []float64
@@ -127,8 +127,8 @@ func SortComparison(scale Scale) Report {
 // CCStudy regenerates the Section 4.2.3 study: contention at component
 // representatives, its mitigation by combining, and the compute-bound
 // regime on dense graphs.
-func CCStudy(scale Scale) Report {
-	s := scale.clamp()
+func CCStudy(opts Options) Report {
+	s := opts.Scale.clamp()
 	P := 8
 	star := cc.Star(256 * s)
 	_, naive, err := cc.Run(cc.Config{Machine: simMachine(P), Mode: cc.NaiveMode}, star)

@@ -15,8 +15,8 @@ import (
 // remap, no barriers), both on the simulated CM-5. The BSP execution pays
 // the synchronization per superstep and cannot "use a message as soon as it
 // arrives"; the LogP program schedules communication precisely.
-func BSPComparison(scale Scale) Report {
-	s := scale.clamp()
+func BSPComparison(opts Options) Report {
+	s := opts.Scale.clamp()
 	P := 16
 	sizes := []int{1 << 10, 1 << 12, 1 << 14}
 	for i := range sizes {
@@ -28,7 +28,7 @@ func BSPComparison(scale Scale) Report {
 		agree             bool
 		fail              failure
 	}
-	points := mapIndexed(len(sizes), func(i int) point {
+	points := MapIndexed(opts.Workers, len(sizes), func(i int) point {
 		n := sizes[i]
 		in := fftInput(n, int64(n))
 		cfg := fft.Config{N: n, Machine: fft.CM5Machine(P), Cost: fft.CM5Cost(), Schedule: fft.StaggeredSchedule}

@@ -21,7 +21,7 @@ import (
 // regression anchor: an all-zero FaultPlan must leave the machine
 // cycle-identical to a fault-free one, which is checked by re-running the
 // exact Figure 3 and Figure 4 schedules under such a plan.
-func Chaos() Report {
+func Chaos(opts Options) Report {
 	const id = "chaos"
 	params := core.Params{P: 8, L: 6, O: 2, G: 4}
 
@@ -77,7 +77,7 @@ func Chaos() Report {
 		retrans   int
 		delivered bool
 	}
-	flat := mapIndexed(len(rates)*seeds, func(i int) outcome {
+	flat := MapIndexed(opts.Workers, len(rates)*seeds, func(i int) outcome {
 		rate := rates[i/seeds]
 		seed := int64(i%seeds + 1)
 		plan := &logp.FaultPlan{Seed: seed, Default: logp.LinkFault{Drop: rate}}

@@ -31,7 +31,7 @@ func TestFig6(t *testing.T) {
 		t.Skip("simulated FFT sweep")
 	}
 	t.Parallel()
-	assertReport(t, Fig6(1), "fig6")
+	assertReport(t, Fig6(Options{Scale: 1}), "fig6")
 }
 
 func TestFig7(t *testing.T) {
@@ -39,7 +39,7 @@ func TestFig7(t *testing.T) {
 		t.Skip("simulated FFT sweep")
 	}
 	t.Parallel()
-	assertReport(t, Fig7(1), "fig7")
+	assertReport(t, Fig7(Options{Scale: 1}), "fig7")
 }
 
 func TestFig8(t *testing.T) {
@@ -47,12 +47,12 @@ func TestFig8(t *testing.T) {
 		t.Skip("simulated FFT sweep")
 	}
 	t.Parallel()
-	assertReport(t, Fig8(1), "fig8")
+	assertReport(t, Fig8(Options{Scale: 1}), "fig8")
 }
 
 func TestTableAvgDistance(t *testing.T) {
 	t.Parallel()
-	assertReport(t, TableAvgDistance(), "table-dist")
+	assertReport(t, TableAvgDistance(Options{}), "table-dist")
 }
 
 func TestTable1(t *testing.T) { assertReport(t, Table1(), "table1") }
@@ -62,7 +62,7 @@ func TestNetworkSaturation(t *testing.T) {
 		t.Skip("packet sweep")
 	}
 	t.Parallel()
-	assertReport(t, NetworkSaturation(1), "netsat")
+	assertReport(t, NetworkSaturation(Options{Scale: 1}), "netsat")
 }
 
 func TestCapacitySaturation(t *testing.T) {
@@ -70,12 +70,12 @@ func TestCapacitySaturation(t *testing.T) {
 		t.Skip("16-seed load sweep")
 	}
 	t.Parallel()
-	assertReport(t, CapacitySaturation(1), "saturation")
+	assertReport(t, CapacitySaturation(Options{Scale: 1}), "saturation")
 }
 
 func TestLULayouts(t *testing.T) {
 	t.Parallel()
-	assertReport(t, LULayouts(1), "lu")
+	assertReport(t, LULayouts(Options{Scale: 1}), "lu")
 }
 
 func TestSortComparison(t *testing.T) {
@@ -83,12 +83,12 @@ func TestSortComparison(t *testing.T) {
 		t.Skip("simulated sorts")
 	}
 	t.Parallel()
-	assertReport(t, SortComparison(1), "sort")
+	assertReport(t, SortComparison(Options{Scale: 1}), "sort")
 }
 
 func TestCCStudy(t *testing.T) {
 	t.Parallel()
-	assertReport(t, CCStudy(1), "cc")
+	assertReport(t, CCStudy(Options{Scale: 1}), "cc")
 }
 
 func TestModelComparison(t *testing.T) { assertReport(t, ModelComparison(), "models") }
@@ -100,10 +100,10 @@ func TestBroadcastSweep(t *testing.T) { assertReport(t, BroadcastSweep(), "bcast
 
 func TestMultithreading(t *testing.T) {
 	t.Parallel()
-	assertReport(t, Multithreading(), "multithreading")
+	assertReport(t, Multithreading(Options{}), "multithreading")
 }
 
-func TestLongMessages(t *testing.T) { assertReport(t, LongMessages(), "longmsg") }
+func TestLongMessages(t *testing.T) { assertReport(t, LongMessages(Options{}), "longmsg") }
 
 func TestScaleClamp(t *testing.T) {
 	if Scale(0).clamp() != 1 || Scale(-3).clamp() != 1 || Scale(4).clamp() != 4 {
@@ -127,7 +127,7 @@ func TestReportFailedFiltering(t *testing.T) {
 
 func TestSurfaceToVolume(t *testing.T) {
 	t.Parallel()
-	assertReport(t, SurfaceToVolume(1), "surface")
+	assertReport(t, SurfaceToVolume(Options{Scale: 1}), "surface")
 }
 
 func TestOverlapFFT(t *testing.T) {
@@ -135,7 +135,7 @@ func TestOverlapFFT(t *testing.T) {
 		t.Skip("simulated FFT runs")
 	}
 	t.Parallel()
-	assertReport(t, OverlapFFT(), "overlap")
+	assertReport(t, OverlapFFT(Options{}), "overlap")
 }
 
 func TestPatternGaps(t *testing.T) {
@@ -143,7 +143,7 @@ func TestPatternGaps(t *testing.T) {
 		t.Skip("packet sweeps")
 	}
 	t.Parallel()
-	assertReport(t, PatternGaps(1), "patterns")
+	assertReport(t, PatternGaps(Options{Scale: 1}), "patterns")
 }
 
 func TestParameterSpace(t *testing.T) { assertReport(t, ParameterSpace(), "paramspace") }
@@ -163,12 +163,12 @@ func TestBSPComparison(t *testing.T) {
 		t.Skip("simulated FFT runs")
 	}
 	t.Parallel()
-	assertReport(t, BSPComparison(1), "bsp")
+	assertReport(t, BSPComparison(Options{Scale: 1}), "bsp")
 }
 
 func TestActiveMessages(t *testing.T) { assertReport(t, ActiveMessages(), "am") }
 
 func TestChaos(t *testing.T) {
 	t.Parallel()
-	assertReport(t, Chaos(), "chaos")
+	assertReport(t, Chaos(Options{}), "chaos")
 }

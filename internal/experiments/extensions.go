@@ -20,7 +20,7 @@ import (
 // saturates at the bandwidth bound 1/g once about RTT/g virtual processors
 // are in flight; context-switch costs (which the base model deliberately
 // does not charge) erode the technique.
-func Multithreading() Report {
+func Multithreading(opts Options) Report {
 	m := logp.Config{Params: core.Params{P: 9, L: 64, O: 1, G: 8}}
 	rtt := 2 * m.Params.PointToPoint()
 	vstar := int(rtt / m.Params.SendInterval())
@@ -32,7 +32,7 @@ func Multithreading() Report {
 		res vp.Result
 		err error
 	}
-	outs := mapIndexed(len(sweep), func(i int) vpOut {
+	outs := MapIndexed(opts.Workers, len(sweep), func(i int) vpOut {
 		c := base
 		c.VPs = sweep[i]
 		r, err := vp.Run(c)
@@ -91,8 +91,8 @@ func Multithreading() Report {
 // per-processor problem sizes; the communication share falls toward zero,
 // and the 2D matmul decomposition beats the 1D one by about sqrt(P)/2 in
 // communication volume.
-func SurfaceToVolume(scale Scale) Report {
-	s := scale.clamp()
+func SurfaceToVolume(opts Options) Report {
+	s := opts.Scale.clamp()
 	m := logp.Config{Params: core.Params{P: 4, L: 20, O: 4, G: 8}}
 	tb := stats.Table{Header: []string{"workload", "n", "comm share"}}
 	sizes := []int{8 * s, 16 * s, 48 * s}
@@ -100,7 +100,7 @@ func SurfaceToVolume(scale Scale) Report {
 		stencilFrac, matmulFrac float64
 		fail                    failure
 	}
-	points := mapIndexed(len(sizes), func(i int) point {
+	points := MapIndexed(opts.Workers, len(sizes), func(i int) point {
 		n := sizes[i]
 		rng := rand.New(rand.NewSource(int64(n)))
 		g := make([][]float64, n)
@@ -151,7 +151,7 @@ func SurfaceToVolume(scale Scale) Report {
 		return max
 	}
 	algos := []matmul.Algorithm{matmul.RowBroadcast, matmul.SUMMA}
-	recvs := mapIndexed(len(algos), func(i int) int { return maxRecv(algos[i]) })
+	recvs := MapIndexed(opts.Workers, len(algos), func(i int) int { return maxRecv(algos[i]) })
 	rows, summa := recvs[0], recvs[1]
 	text := tb.String()
 	text += fmt.Sprintf("\nmatmul communication per processor at n=%d, P=16: 1D rows %d words, 2D SUMMA %d words (%.1fx)\n",
@@ -174,7 +174,7 @@ func SurfaceToVolume(scale Scale) Report {
 // and without a network DMA coprocessor. Without one, the overhead o is
 // paid per word; with one, setup costs o once and the stream overlaps
 // computation — which "can at best double the performance of each node".
-func LongMessages() Report {
+func LongMessages(opts Options) Report {
 	params := core.Params{P: 2, L: 200, O: 66, G: 132} // the CM-5 calibration
 	const k = 64
 	tb := stats.Table{Header: []string{"mode", "k-word transfer", "sender engaged", "balanced-workload time"}}
@@ -213,7 +213,7 @@ func LongMessages() Report {
 		return total, engaged, resB.Time
 	}
 	type mOut struct{ total, engaged, balanced int64 }
-	modes := mapIndexed(2, func(i int) mOut {
+	modes := MapIndexed(opts.Workers, 2, func(i int) mOut {
 		t, e, b := measure(i == 1)
 		return mOut{t, e, b}
 	})
@@ -243,7 +243,7 @@ func LongMessages() Report {
 // g"; on such a machine the fused schedule fills the g-2o transmission
 // idle with the final stage's butterflies, while on the CM-5 (o ~ g/2)
 // there is less to reclaim.
-func OverlapFFT() Report {
+func OverlapFFT(opts Options) Report {
 	const n = 1 << 12
 	input := fftInput(n, 3)
 	run := func(o int64, overlap bool) (int64, error) {
@@ -266,7 +266,7 @@ func OverlapFFT() Report {
 		time int64
 		err  error
 	}
-	cells := mapIndexed(len(machines)*2, func(i int) cell {
+	cells := MapIndexed(opts.Workers, len(machines)*2, func(i int) cell {
 		t, err := run(machines[i/2].o, i%2 == 1)
 		return cell{time: t, err: err}
 	})

@@ -43,15 +43,15 @@ func fig6Machine(scale Scale) (p int, sizes []int) {
 // arbitration lets the flood self-stagger after a serialized start, so the
 // simulated naive penalty settles at ~3x staggered rather than the CM-5's
 // ~10x; the orderings and the staggered/compute ratio match the paper.
-func Fig6(scale Scale) Report {
-	P, sizes := fig6Machine(scale)
+func Fig6(opts Options) Report {
+	P, sizes := fig6Machine(opts.Scale)
 	// One sweep item per problem size: both schedules for that size, run
 	// concurrently with the other sizes and reassembled in size order.
 	type point struct {
 		compute, naive, staggered, stallFrac float64
 		fail                                 failure
 	}
-	points := mapIndexed(len(sizes), func(i int) point {
+	points := MapIndexed(opts.Workers, len(sizes), func(i int) point {
 		n := sizes[i]
 		cfg := fft.Config{N: n, Machine: fft.CM5Machine(P), Cost: fft.CM5Cost(), Schedule: fft.StaggeredSchedule}
 		_, phS, _, err := fft.Run(cfg, fftInput(n, int64(n)))
@@ -112,9 +112,9 @@ func Fig6(scale Scale) Report {
 // smaller machine (P=8) so the per-processor working set n/P crosses the
 // 64 KB boundary (4096 points) at simulable sizes; the rates are local
 // properties and do not depend on P.
-func Fig7(scale Scale) Report {
+func Fig7(opts Options) Report {
 	P := 8
-	s := scale.clamp()
+	s := opts.Scale.clamp()
 	sizes := []int{1 << 13, 1 << 14, 1 << 15, 1 << 16, 1 << 17}
 	for i := range sizes {
 		sizes[i] *= s
@@ -133,7 +133,7 @@ func Fig7(scale Scale) Report {
 		phase1, phase3 float64
 		fail           failure
 	}
-	points := mapIndexed(len(sizes), func(i int) point {
+	points := MapIndexed(opts.Workers, len(sizes), func(i int) point {
 		n := sizes[i]
 		cfg := fft.Config{N: n, Machine: fft.CM5Machine(P), Cost: cost, Schedule: fft.StaggeredSchedule}
 		_, ph, _, err := fft.Run(cfg, fftInput(n, int64(n)))
@@ -187,9 +187,9 @@ func Fig7(scale Scale) Report {
 // smaller, so the crossover happens inside the sweep); doubling the network
 // (halving g) lifts the deterministic rate by only ~13% — the paper's 15% —
 // because the interface overhead o and loop processing dominate.
-func Fig8(scale Scale) Report {
+func Fig8(opts Options) Report {
 	P := 128
-	s := scale.clamp()
+	s := opts.Scale.clamp()
 	sizes := []int{1 << 14, 1 << 15, 1 << 16, 1 << 17}
 	for i := range sizes {
 		sizes[i] *= s
@@ -219,7 +219,7 @@ func Fig8(scale Scale) Report {
 		rate float64
 		fail failure
 	}
-	cells := mapIndexed(len(variants)*len(sizes), func(i int) cell {
+	cells := MapIndexed(opts.Workers, len(variants)*len(sizes), func(i int) cell {
 		v := variants[i/len(sizes)]
 		n := sizes[i%len(sizes)]
 		m := fft.CM5Machine(P)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"reflect"
 	"strings"
-	"sync/atomic"
 
 	"github.com/logp-model/logp/internal/collective"
 	"github.com/logp-model/logp/internal/core"
@@ -14,27 +13,6 @@ import (
 	"github.com/logp-model/logp/internal/stats"
 	"github.com/logp-model/logp/internal/topo"
 )
-
-// tierOverride holds the -tier flag's spec when cmd/figures sets one; the
-// indirection through a struct keeps the atomic.Value type consistent.
-type tierBox struct{ spec *topo.Spec }
-
-var tierOverride atomic.Value // tierBox
-
-// SetTierSpec overrides the node tier HierTree studies (cmd/figures -tier).
-// Only the node tier of the spec is used — the experiment sweeps the cluster
-// tier itself, and a rack tier has no place in its two-tier machines. Nil
-// restores the built-in default.
-func SetTierSpec(s *topo.Spec) {
-	tierOverride.Store(tierBox{spec: s})
-}
-
-func loadTierSpec() *topo.Spec {
-	if b, ok := tierOverride.Load().(tierBox); ok {
-		return b.spec
-	}
-	return nil
-}
 
 // HierTree reruns the paper's two optimality studies — the Figure 3 optimal
 // broadcast and the Figure 4 optimal summation — on a machine the flat model
@@ -56,12 +34,12 @@ func loadTierSpec() *topo.Spec {
 // The FFT's cyclic-to-blocked remap (Section 4.1) rides along as the
 // bandwidth-bound contrast: all its traffic is fixed by the data layout, so
 // locality helps it without any rescheduling.
-func HierTree(scale Scale) Report {
+func HierTree(opts Options) Report {
 	const id = "hiertree"
 	const P = 32
 	node := topo.Link{L: 2, O: 1, G: 1}
 	ppn := 4
-	if s := loadTierSpec(); s != nil {
+	if s := opts.Tier; s != nil {
 		node, ppn = s.Node, s.ProcsPerNode
 	}
 	ratios := []int64{1, 2, 4, 8, 16, 32}
@@ -97,7 +75,7 @@ func HierTree(scale Scale) Report {
 		return fRes.Time, reflect.DeepEqual(gRes, fRes), reflect.DeepEqual(norm, sRes), nil
 	}
 
-	runs := mapIndexed(len(ratios), func(i int) outcome {
+	runs := MapIndexed(opts.Workers, len(ratios), func(i int) outcome {
 		base := core.Params{P: P, L: node.L * ratios[i], O: node.O, G: node.G}
 		model, err := topo.TwoTier(base, ppn, node)
 		if err != nil {
@@ -174,7 +152,7 @@ func HierTree(scale Scale) Report {
 	// intra-node senders inject at their fast gap and slam into it, and the
 	// stall pattern serializes the remap. The experiment reports both, and
 	// asserts only the capacity-off direction.
-	remapP, remapN := 16, 1024*scale.clamp()
+	remapP, remapN := 16, 1024*opts.Scale.clamp()
 	remapBase := core.Params{P: remapP, L: 8, O: 2, G: 3}
 	remapFlat, remapTier, remapEng, err := remapOnTiers(remapBase, node, 4, remapN, true)
 	if err != nil {

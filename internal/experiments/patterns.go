@@ -16,8 +16,8 @@ import (
 // analysis". The packet simulator drives good and bad permutations through
 // a 2D mesh and a butterfly and reports each pattern's mean latency and an
 // effective per-pattern gap (cycles per delivered packet per processor).
-func PatternGaps(scale Scale) Report {
-	s := scale.clamp()
+func PatternGaps(opts Options) Report {
+	s := opts.Scale.clamp()
 	cfg := network.LoadConfig{
 		RouterDelay: 2,
 		Load:        0.25,
@@ -61,7 +61,7 @@ func PatternGaps(scale Scale) Report {
 		lat, effg float64
 		fail      failure
 	}
-	cells := mapIndexed(len(tops)*len(patterns), func(i int) cell {
+	cells := MapIndexed(opts.Workers, len(tops)*len(patterns), func(i int) cell {
 		top := tops[i/len(patterns)]
 		pat := patterns[i%len(patterns)]
 		c := cfg

@@ -25,10 +25,10 @@ import (
 // the capacity constraint off, turning the constraint on must not move the
 // schedule's timing, and the smallest size is additionally replayed on the
 // goroutine engine, which must agree cycle-for-cycle.
-func PScaling(scale Scale) Report {
+func PScaling(opts Options) Report {
 	const id = "pscale"
 	base := core.Params{L: 8, O: 2, G: 3}
-	sizes := []int{1_000, 10_000, 100_000, 1_000_000 * scale.clamp()}
+	sizes := []int{1_000, 10_000, 100_000, 1_000_000 * opts.Scale.clamp()}
 
 	type outcome struct {
 		predicted int64
@@ -39,7 +39,7 @@ func PScaling(scale Scale) Report {
 		capOK     bool
 		failMsg   string
 	}
-	runs := mapIndexed(len(sizes), func(i int) outcome {
+	runs := MapIndexed(opts.Workers, len(sizes), func(i int) outcome {
 		params := base
 		params.P = sizes[i]
 		sched, err := core.OptimalBroadcast(params, 0)

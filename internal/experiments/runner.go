@@ -16,54 +16,10 @@ import (
 // slot is fixed by i, the assembled slice — and therefore every Report built
 // from it — is bit-identical to what the sequential loop produced.
 //
-// The worker bound is threaded as an explicit value (MapIndexed's workers
-// argument, Pool.Workers) so independent callers — concurrent jobs inside
-// the logpsimd daemon, tests — can pick their own bound without racing on
-// package state. SetParallelism remains as the process-wide default the
-// command-line binaries configure once at startup.
-
-// maxParallel holds the configured process-wide default bound; 0 means
-// GOMAXPROCS.
-var maxParallel atomic.Int64
-
-// SetParallelism sets the process-wide default worker bound used by the
-// package-level sweep entry points (RunAll and every catalog experiment).
-// n <= 0 restores the default, runtime.GOMAXPROCS(0). Parallelism only
-// changes wall-clock time, never results: sweeps assemble their outputs in
-// input order and each simulation is independently seeded. Callers that need
-// an independent bound (the simulation daemon's sweep endpoint) should pass
-// it to MapIndexed or Pool instead of mutating this global.
-func SetParallelism(n int) {
-	if n < 0 {
-		n = 0
-	}
-	maxParallel.Store(int64(n))
-}
-
-// Parallelism reports the resolved process-wide default bound.
-func Parallelism() int {
-	if n := int(maxParallel.Load()); n > 0 {
-		return n
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
-// Pool is a value-typed handle on the parallel runner: a worker bound that
-// travels with the caller instead of living in package state. The zero value
-// uses runtime.GOMAXPROCS(0). A Pool is trivially copyable and safe for
-// concurrent use; two Pools never interfere.
-type Pool struct {
-	// Workers bounds the simulations in flight; <= 0 means GOMAXPROCS.
-	Workers int
-}
-
-// bound resolves the pool's worker count.
-func (p Pool) bound() int {
-	if p.Workers > 0 {
-		return p.Workers
-	}
-	return runtime.GOMAXPROCS(0)
-}
+// The worker bound is an explicit value (Options.Workers, MapIndexed's
+// workers argument), so independent callers — concurrent jobs inside the
+// logpsimd daemon, tests — each pick their own bound; the package holds no
+// mutable state.
 
 // MapIndexed computes [f(0), f(1), ..., f(n-1)] with at most workers
 // invocations in flight (workers <= 0 means GOMAXPROCS). Workers draw
@@ -104,13 +60,6 @@ func MapIndexed[T any](workers, n int, f func(i int) T) []T {
 	}
 	wg.Wait()
 	return out
-}
-
-// mapIndexed is MapIndexed at the process-wide default bound: the form every
-// catalog experiment uses, preserved so the CLI's SetParallelism keeps
-// steering the whole figure pipeline.
-func mapIndexed[T any](n int, f func(i int) T) []T {
-	return MapIndexed(Parallelism(), n, f)
 }
 
 // failure is the per-item error slot used by converted sweeps: the item that

@@ -2,16 +2,18 @@ package experiments
 
 import (
 	"reflect"
+	"sync"
 	"sync/atomic"
 	"testing"
 )
 
+// TestMapIndexedOrderAndCoverage drives the runner at explicit worker
+// bounds, including 0 (GOMAXPROCS) and bounds above the item count: every
+// index is computed exactly once and lands in its own slot.
 func TestMapIndexedOrderAndCoverage(t *testing.T) {
-	defer SetParallelism(0)
-	for _, workers := range []int{1, 2, 8, 100} {
-		SetParallelism(workers)
+	for _, workers := range []int{0, 1, 3, 8, 64, 100} {
 		var calls atomic.Int64
-		out := mapIndexed(37, func(i int) int {
+		out := MapIndexed(workers, 37, func(i int) int {
 			calls.Add(1)
 			return i * i
 		})
@@ -23,45 +25,25 @@ func TestMapIndexedOrderAndCoverage(t *testing.T) {
 				t.Fatalf("workers=%d: out[%d] = %d", workers, i, v)
 			}
 		}
-	}
-	if mapIndexed(0, func(int) int { return 0 }) != nil {
-		t.Error("empty map should be nil")
+		if MapIndexed(workers, 0, func(int) int { return 0 }) != nil {
+			t.Errorf("workers=%d: empty map should be nil", workers)
+		}
 	}
 }
 
-// TestMapIndexedExplicitBound drives the exported runner with an explicit
-// worker bound while the package default is pinned elsewhere: the value-typed
-// path must neither read nor write the global.
-func TestMapIndexedExplicitBound(t *testing.T) {
-	defer SetParallelism(0)
-	SetParallelism(1) // the explicit bound below must win regardless
-	for _, workers := range []int{0, 1, 3, 64} {
-		var calls atomic.Int64
-		out := MapIndexed(workers, 23, func(i int) int {
-			calls.Add(1)
-			return i + 1
-		})
-		if len(out) != 23 || calls.Load() != 23 {
-			t.Fatalf("workers=%d: %d results, %d calls", workers, len(out), calls.Load())
-		}
-		for i, v := range out {
-			if v != i+1 {
-				t.Fatalf("workers=%d: out[%d] = %d", workers, i, v)
-			}
-		}
-	}
-	if Parallelism() != 1 {
-		t.Errorf("MapIndexed mutated the package default: Parallelism() = %d", Parallelism())
-	}
-}
-
-// TestPoolRunAllMatchesCatalogOrder checks the value-typed harness returns
-// reports in catalog order on a small concurrent pool.
-func TestPoolRunAllMatchesCatalogOrder(t *testing.T) {
+// TestRunAllMatchesCatalogOrder checks RunAll returns reports in catalog
+// order on a small concurrent bound, and calls the observer once per entry.
+func TestRunAllMatchesCatalogOrder(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the whole catalog")
 	}
-	reports := Pool{Workers: 4}.RunAll(1)
+	var mu sync.Mutex
+	seen := map[string]int{}
+	reports := RunAll(Options{Scale: 1, Workers: 4}, func(o Observation) {
+		mu.Lock()
+		seen[o.ID]++
+		mu.Unlock()
+	})
 	cat := Catalog()
 	if len(reports) != len(cat) {
 		t.Fatalf("%d reports for %d catalog entries", len(reports), len(cat))
@@ -70,18 +52,9 @@ func TestPoolRunAllMatchesCatalogOrder(t *testing.T) {
 		if r.ID != cat[i].ID {
 			t.Errorf("report %d: ID %q, want %q", i, r.ID, cat[i].ID)
 		}
-	}
-}
-
-func TestParallelismResolution(t *testing.T) {
-	defer SetParallelism(0)
-	SetParallelism(3)
-	if Parallelism() != 3 {
-		t.Errorf("Parallelism() = %d, want 3", Parallelism())
-	}
-	SetParallelism(-5)
-	if Parallelism() < 1 {
-		t.Errorf("default parallelism %d", Parallelism())
+		if seen[cat[i].ID] != 1 {
+			t.Errorf("%s: observed %d times, want once", cat[i].ID, seen[cat[i].ID])
+		}
 	}
 }
 
@@ -90,9 +63,8 @@ func TestParallelismResolution(t *testing.T) {
 // exercises the concurrent paths of the runner and the simulators beneath
 // it.
 func TestRunnerRaceSmoke(t *testing.T) {
-	defer SetParallelism(0)
-	SetParallelism(8)
-	for _, r := range []Report{Multithreading(), LongMessages(), SurfaceToVolume(1), TableAvgDistance()} {
+	opts := Options{Scale: 1, Workers: 8}
+	for _, r := range []Report{Multithreading(opts), LongMessages(opts), SurfaceToVolume(opts), TableAvgDistance(opts)} {
 		if r.ID == "" {
 			t.Error("empty report")
 		}
@@ -106,19 +78,17 @@ func TestRunnerRaceSmoke(t *testing.T) {
 // that break a generator's preconditions (FFT sizes must be powers of two,
 // so scale 3 does not divide) are included deliberately where cheap: the
 // first-failure precedence of the parallel path must match the sequential
-// early return too. The full matrix is a few minutes of simulation; -short
+// early return too. The worker bound travels in Options, so the subtests
+// run in parallel. The full matrix is a few minutes of simulation; -short
 // skips it (TestRunnerRaceSmoke keeps race coverage).
 func TestParallelDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full determinism matrix is expensive")
 	}
-	defer SetParallelism(0)
-	fixed := func(f func() Report) func(Scale) Report {
-		return func(Scale) Report { return f() }
-	}
+	t.Parallel()
 	cases := []struct {
 		name   string
-		run    func(Scale) Report
+		run    func(Options) Report
 		scales []Scale
 	}{
 		{"Fig6", Fig6, []Scale{1, 2, 4}},
@@ -129,19 +99,17 @@ func TestParallelDeterminism(t *testing.T) {
 		{"CapacitySaturation", CapacitySaturation, []Scale{1, 2}},
 		{"PatternGaps", PatternGaps, []Scale{1, 2, 3}},
 		{"SurfaceToVolume", SurfaceToVolume, []Scale{1, 2, 3}},
-		{"TableAvgDistance", fixed(TableAvgDistance), []Scale{1, 2, 3}},
-		{"Multithreading", fixed(Multithreading), []Scale{1, 2, 3}},
-		{"LongMessages", fixed(LongMessages), []Scale{1, 2, 3}},
-		{"OverlapFFT", fixed(OverlapFFT), []Scale{1, 2, 3}},
+		{"TableAvgDistance", TableAvgDistance, []Scale{1, 2, 3}},
+		{"Multithreading", Multithreading, []Scale{1, 2, 3}},
+		{"LongMessages", LongMessages, []Scale{1, 2, 3}},
+		{"OverlapFFT", OverlapFFT, []Scale{1, 2, 3}},
 	}
 	for _, tc := range cases {
-		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
 			for _, s := range tc.scales {
-				SetParallelism(1)
-				seq := tc.run(s)
-				SetParallelism(8)
-				par := tc.run(s)
+				seq := tc.run(Options{Scale: s, Workers: 1})
+				par := tc.run(Options{Scale: s, Workers: 8})
 				if !reflect.DeepEqual(seq, par) {
 					t.Errorf("scale %d: parallel report differs from sequential\nseq: %+v\npar: %+v", s, seq, par)
 				}

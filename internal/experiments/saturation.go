@@ -19,12 +19,12 @@ import (
 // 1/g and the excess attempts are absorbed as capacity-stall cycles at the
 // senders. The in-flight and stall telemetry comes from the internal/metrics
 // registry attached to every run.
-func CapacitySaturation(scale Scale) Report {
+func CapacitySaturation(opts Options) Report {
 	const id = "saturation"
 	params := core.Params{P: 5, L: 12, O: 1, G: 3}
 	capacity := params.Capacity() // ceil(L/g) = 4
 	senders := params.P - 1
-	msgs := 80 * scale.clamp()
+	msgs := 80 * opts.Scale.clamp()
 	// Each sender alternates Compute(spacing) with one send, so unimpeded it
 	// attempts one message every spacing+o cycles; the aggregate attempted
 	// load is senders/(spacing+o) messages per cycle. The sweep spans ~0.08
@@ -40,7 +40,7 @@ func CapacitySaturation(scale Scale) Report {
 		allOK   bool
 		failMsg string
 	}
-	flat := mapIndexed(len(spacings)*seeds, func(i int) outcome {
+	flat := MapIndexed(opts.Workers, len(spacings)*seeds, func(i int) outcome {
 		spacing := spacings[i/seeds]
 		seed := int64(i%seeds + 1)
 		reg := metrics.NewRegistry()

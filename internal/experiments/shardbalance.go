@@ -24,9 +24,9 @@ import (
 // the windowed core can extract at the host's GOMAXPROCS. The recorder must
 // be invisible in sim time: every recorded run is checked bit-identical to
 // an unrecorded run of the same configuration.
-func ShardBalance(scale Scale) Report {
+func ShardBalance(opts Options) Report {
 	const id = "shardbalance"
-	params := core.Params{P: 100_000 * scale.clamp(), L: 8, O: 2, G: 3}
+	params := core.Params{P: 100_000 * opts.Scale.clamp(), L: 8, O: 2, G: 3}
 	shardCounts := []int{1, 2, 4, 8}
 
 	sched, err := core.OptimalBroadcast(params, 0)
@@ -41,7 +41,7 @@ func ShardBalance(scale Scale) Report {
 		recordOK bool
 		failMsg  string
 	}
-	runs := mapIndexed(len(shardCounts), func(i int) outcome {
+	runs := MapIndexed(opts.Workers, len(shardCounts), func(i int) outcome {
 		shards := shardCounts[i]
 		plain, err := flat.Run(cfg, progs.NewBroadcast(sched, 1, "datum"), shards)
 		if err != nil {

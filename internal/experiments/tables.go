@@ -14,7 +14,7 @@ import (
 // measurements on constructible configurations. The point of the table: for
 // practical configurations the topologies differ by only about a factor of
 // two (excepting the primitive 2D networks).
-func TableAvgDistance() Report {
+func TableAvgDistance(opts Options) Report {
 	rows := []struct {
 		display  string
 		kind     string
@@ -38,7 +38,7 @@ func TableAvgDistance() Report {
 		at1024, at64, measured float64
 		fail                   failure
 	}
-	outs := mapIndexed(len(rows), func(i int) rowOut {
+	outs := MapIndexed(opts.Workers, len(rows), func(i int) rowOut {
 		r := rows[i]
 		at1024, err := network.AnalyticAverageDistance(r.kind, 1024)
 		if err != nil {
@@ -124,8 +124,8 @@ func Table1() Report {
 // and exploding past it; hotspot traffic saturates far earlier than uniform.
 // (The machine-level capacity knee is the separate "saturation" experiment
 // in saturation.go.)
-func NetworkSaturation(scale Scale) Report {
-	s := scale.clamp()
+func NetworkSaturation(opts Options) Report {
+	s := opts.Scale.clamp()
 	horizon := int64(3000 * s)
 	loads := []float64{0.02, 0.05, 0.1, 0.2, 0.35, 0.5, 0.7, 0.9}
 	base := network.LoadConfig{RouterDelay: 2, Pattern: network.UniformTraffic, Horizon: horizon, Warmup: horizon / 6, Seed: 42}
@@ -150,7 +150,7 @@ func NetworkSaturation(scale Scale) Report {
 		res  []network.LoadResult
 		fail failure
 	}
-	outs := mapIndexed(len(sweeps), func(i int) sweepOut {
+	outs := MapIndexed(opts.Workers, len(sweeps), func(i int) sweepOut {
 		s := sweeps[i]
 		res, err := network.SaturationSweep(s.top, s.loads, s.cfg)
 		if err != nil {

@@ -1,13 +1,6 @@
 package logp
 
-import (
-	"fmt"
-	"os"
-	"sort"
-	"sync"
-
-	"github.com/logp-model/logp/internal/core"
-)
+import "github.com/logp-model/logp/internal/core"
 
 // The engine seam. A Program is an algorithm written in reactive
 // (continuation) style: instead of a blocking body per processor, it exposes
@@ -23,7 +16,8 @@ import (
 // goroutine-free event core (internal/flat) that steps per-processor structs
 // directly — and, because both engines charge the operations through the
 // same cost rules in the same order, the two runs are cycle-identical.
-// Engines register themselves here; EngineByName is the seam callers use.
+// There is no engine registry: a caller picks an engine by calling it,
+// RunProgram here or flat.New / flat.Run in internal/flat.
 
 // Node is the per-processor handle a Program's handlers receive. Operation
 // methods record work to be charged after the handler returns; accessors
@@ -60,88 +54,6 @@ type Program interface {
 	Start(n Node)
 	Message(n Node, m Message)
 }
-
-// Engine runs Programs on some implementation of the LogP machine.
-type Engine interface {
-	// Name identifies the engine ("goroutine", "flat").
-	Name() string
-	// Run executes prog on a machine built from cfg.
-	Run(cfg Config, prog Program) (Result, error)
-}
-
-var (
-	enginesMu sync.RWMutex
-	engines   = map[string]Engine{}
-
-	defaultEngineMu sync.RWMutex
-	defaultEngine   = ""
-)
-
-// RegisterEngine makes an engine available to EngineByName. Engines register
-// themselves from an init function; a duplicate name panics.
-func RegisterEngine(e Engine) {
-	enginesMu.Lock()
-	defer enginesMu.Unlock()
-	if _, dup := engines[e.Name()]; dup {
-		panic(fmt.Sprintf("logp: duplicate engine %q", e.Name()))
-	}
-	engines[e.Name()] = e
-}
-
-// EngineByName resolves a registered engine.
-func EngineByName(name string) (Engine, error) {
-	enginesMu.RLock()
-	defer enginesMu.RUnlock()
-	if e, ok := engines[name]; ok {
-		return e, nil
-	}
-	return nil, fmt.Errorf("logp: unknown engine %q (have %v)", name, engineNamesLocked())
-}
-
-// EngineNames lists the registered engines, sorted.
-func EngineNames() []string {
-	enginesMu.RLock()
-	defer enginesMu.RUnlock()
-	return engineNamesLocked()
-}
-
-func engineNamesLocked() []string {
-	names := make([]string, 0, len(engines))
-	for n := range engines {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// DefaultEngineName is the engine used when a caller does not choose one
-// explicitly: the name set by SetDefaultEngineName, else the LOGP_ENGINE
-// environment variable, else "goroutine". This is how the CI engine matrix
-// re-runs engine-agnostic tests and commands on the flat core.
-func DefaultEngineName() string {
-	defaultEngineMu.RLock()
-	name := defaultEngine
-	defaultEngineMu.RUnlock()
-	if name != "" {
-		return name
-	}
-	if env := os.Getenv("LOGP_ENGINE"); env != "" {
-		return env
-	}
-	return "goroutine"
-}
-
-// SetDefaultEngineName overrides the default engine ("" restores the
-// environment/default resolution). Command binaries call it once at startup
-// from their -engine flag.
-func SetDefaultEngineName(name string) {
-	defaultEngineMu.Lock()
-	defaultEngine = name
-	defaultEngineMu.Unlock()
-}
-
-// DefaultEngine resolves DefaultEngineName against the registry.
-func DefaultEngine() (Engine, error) { return EngineByName(DefaultEngineName()) }
 
 // progOp is one recorded Node operation.
 type progOp struct {
@@ -219,14 +131,6 @@ func RunProgram(cfg Config, prog Program) (Result, error) {
 		}
 	})
 }
-
-// goroutineEngine is the Engine wrapper over RunProgram.
-type goroutineEngine struct{}
-
-func (goroutineEngine) Name() string                                 { return "goroutine" }
-func (goroutineEngine) Run(cfg Config, prog Program) (Result, error) { return RunProgram(cfg, prog) }
-
-func init() { RegisterEngine(goroutineEngine{}) }
 
 // AsDup returns a copy of m marked as a network-made duplicate. It exists
 // for engines implemented outside this package (internal/flat), which must

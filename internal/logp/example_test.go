@@ -75,18 +75,13 @@ func (r *relay) Message(n logp.Node, m logp.Message) {
 	n.Done() // the token passes each processor once
 }
 
-// A Program runs on whichever engine the registry resolves: engines register
-// themselves by name (the flat core registers "flat" from its init), and
-// callers pick one with EngineByName instead of hard-wiring an
-// implementation. Each hop costs 2o+L = 10; the handlers themselves are free.
-func ExampleEngineByName() {
-	eng, err := logp.EngineByName("goroutine")
-	if err != nil {
-		panic(err)
-	}
+// A Program runs on the goroutine machine through RunProgram, and on the
+// flat core through flat.Run: the caller picks the engine by calling it.
+// Each hop costs 2o+L = 10; the handlers themselves are free.
+func ExampleRunProgram() {
 	prog := &relay{}
 	cfg := logp.Config{Params: core.Params{P: 4, L: 6, O: 2, G: 4}}
-	if _, err := eng.Run(cfg, prog); err != nil {
+	if _, err := logp.RunProgram(cfg, prog); err != nil {
 		panic(err)
 	}
 	fmt.Println("token crossed 3 hops at cycle", prog.arrived)

@@ -64,10 +64,10 @@ type LinkFault struct {
 }
 
 func (lf LinkFault) validate() error {
-	if lf.Drop < 0 || lf.Drop > 1 {
+	if !(0 <= lf.Drop && lf.Drop <= 1) {
 		return fmt.Errorf("logp: drop rate %v outside [0,1]", lf.Drop)
 	}
-	if lf.Dup < 0 || lf.Dup > 1 {
+	if !(0 <= lf.Dup && lf.Dup <= 1) {
 		return fmt.Errorf("logp: duplication rate %v outside [0,1]", lf.Dup)
 	}
 	if lf.Jitter < 0 {
@@ -126,8 +126,8 @@ func (fp *FaultPlan) Validate(P int) error {
 		if s.Proc < 0 || s.Proc >= P {
 			return fmt.Errorf("logp: slowdown for proc %d outside machine of P=%d", s.Proc, P)
 		}
-		if s.Factor < 1 {
-			return fmt.Errorf("logp: slowdown factor %v below 1", s.Factor)
+		if !(1 <= s.Factor && s.Factor <= math.MaxFloat64) {
+			return fmt.Errorf("logp: slowdown factor %v not a finite value >= 1", s.Factor)
 		}
 		if s.End <= s.Start {
 			return fmt.Errorf("logp: empty slowdown window [%d,%d)", s.Start, s.End)

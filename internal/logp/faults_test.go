@@ -1,6 +1,7 @@
 package logp
 
 import (
+	"math"
 	"testing"
 )
 
@@ -329,10 +330,15 @@ func TestFaultPlanValidate(t *testing.T) {
 	}{
 		{"drop rate", FaultPlan{Default: LinkFault{Drop: 1.5}}},
 		{"dup rate", FaultPlan{Default: LinkFault{Dup: -0.1}}},
+		{"NaN drop rate", FaultPlan{Default: LinkFault{Drop: math.NaN()}}},
+		{"NaN dup rate", FaultPlan{Default: LinkFault{Dup: math.NaN()}}},
+		{"NaN link drop rate", FaultPlan{Links: map[Link]LinkFault{{From: 0, To: 1}: {Drop: math.NaN()}}}},
 		{"negative jitter", FaultPlan{Default: LinkFault{Jitter: -1}}},
 		{"link out of range", FaultPlan{Links: map[Link]LinkFault{{From: 0, To: 9}: {}}}},
 		{"slowdown proc", FaultPlan{Slowdowns: []Slowdown{{Proc: 9, Start: 0, End: 1, Factor: 2}}}},
 		{"slowdown factor", FaultPlan{Slowdowns: []Slowdown{{Proc: 0, Start: 0, End: 1, Factor: 0.5}}}},
+		{"NaN slowdown factor", FaultPlan{Slowdowns: []Slowdown{{Proc: 0, Start: 0, End: 1, Factor: math.NaN()}}}},
+		{"infinite slowdown factor", FaultPlan{Slowdowns: []Slowdown{{Proc: 0, Start: 0, End: 1, Factor: math.Inf(1)}}}},
 		{"slowdown window", FaultPlan{Slowdowns: []Slowdown{{Proc: 0, Start: 5, End: 5, Factor: 2}}}},
 		{"failstop proc", FaultPlan{FailStops: []FailStop{{Proc: -1}}}},
 		{"failstop time", FaultPlan{FailStops: []FailStop{{Proc: 0, At: -3}}}},

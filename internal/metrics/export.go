@@ -84,12 +84,14 @@ func HistSnapshot(h *Histogram) *HistogramSnapshot { return histSnapshot(h) }
 // identical runs export byte-identical snapshots (the golden-test
 // property). Reliable-layer families appear only when the protocol ran.
 func (r *Registry) Snapshot() Snapshot {
-	// Every label value is a processor index: format each one once.
-	ids := make([]string, r.p)
-	for i := range ids {
-		ids[i] = strconv.Itoa(i)
+	// Every label value is a processor index: format each one once. The
+	// per-processor families share one label slice per processor, capped so
+	// an append by a consumer copies instead of overwriting a neighbour.
+	procLabels := make([]Label, r.p)
+	for i := range procLabels {
+		procLabels[i] = Label{Name: "proc", Value: strconv.Itoa(i)}
 	}
-	procLabel := func(i int) []Label { return []Label{{Name: "proc", Value: ids[i]}} }
+	procLabel := func(i int) []Label { return procLabels[i : i+1 : i+1] }
 	var fams []Family
 	gauge := func(name, help string, v float64) {
 		fams = append(fams, Family{Name: name, Help: help, Kind: "gauge", Points: []Point{{Value: v}}})
@@ -114,13 +116,20 @@ func (r *Registry) Snapshot() Snapshot {
 	perProc("logp_capacity_stall_cycles_total", "Cycles lost to the capacity constraint.", func(pm *ProcMetrics) int64 { return pm.StallCycles.Value() })
 
 	link := Family{Name: "logp_link_messages_total", Help: "Traffic matrix: messages initiated per directed link.", Kind: "counter"}
+	// The link points' label pairs live in one backing array.
+	busy := 0
+	for i := range r.link {
+		if r.link[i].Value() != 0 {
+			busy++
+		}
+	}
+	pairs := make([]Label, 0, 2*busy)
 	for from := 0; from < r.p; from++ {
 		for to := 0; to < r.p; to++ {
 			if v := r.link[from*r.p+to].Value(); v != 0 {
-				link.Points = append(link.Points, Point{
-					Labels: []Label{{Name: "from", Value: ids[from]}, {Name: "to", Value: ids[to]}},
-					Value:  float64(v),
-				})
+				k := len(pairs)
+				pairs = append(pairs, Label{Name: "from", Value: procLabels[from].Value}, Label{Name: "to", Value: procLabels[to].Value})
+				link.Points = append(link.Points, Point{Labels: pairs[k : k+2 : k+2], Value: float64(v)})
 			}
 		}
 	}

@@ -213,3 +213,60 @@ func TestPinnedFractionEdgeCases(t *testing.T) {
 		t.Error("no samples should report 0")
 	}
 }
+
+// TestSnapshotAllocs bounds the allocations of one snapshot of a P=64
+// all-to-all (4,485 points). The per-processor families share one label
+// slice per processor and the link points one label array, so the count
+// stays far below one allocation per point.
+func TestSnapshotAllocs(t *testing.T) {
+	const p = 64
+	r := NewRegistry()
+	r.Begin(p, 2, 0)
+	for from := 0; from < p; from++ {
+		for to := 0; to < p; to++ {
+			if from != to {
+				r.OnSend(from, to)
+				r.OnDeliver(to, 10)
+				r.OnRecv(to)
+			}
+		}
+	}
+	points := 0
+	for _, f := range r.Snapshot().Families {
+		points += len(f.Points)
+	}
+	if points != 4485 {
+		t.Fatalf("snapshot has %d points, want 4485", points)
+	}
+	allocs := testing.AllocsPerRun(20, func() { r.Snapshot() })
+	t.Logf("%.0f allocations per snapshot", allocs)
+	if allocs > 200 {
+		t.Errorf("%.0f allocations per snapshot of %d points, want at most 200", allocs, points)
+	}
+}
+
+// TestSnapshotLabelsIsolated checks that appending to one point's labels
+// cannot overwrite another point's: the shared label slices are capped.
+func TestSnapshotLabelsIsolated(t *testing.T) {
+	r := NewRegistry()
+	r.Begin(3, 2, 0)
+	r.OnSend(0, 1)
+	r.OnSend(1, 2)
+	snap := r.Snapshot()
+	for _, f := range snap.Families {
+		for _, pt := range f.Points {
+			_ = append(pt.Labels, Label{Name: "x", Value: "y"})
+		}
+	}
+	var got []string
+	for _, f := range snap.Families {
+		for _, pt := range f.Points {
+			for _, l := range pt.Labels {
+				got = append(got, l.Name+"="+l.Value)
+			}
+		}
+	}
+	if s := strings.Join(got, ","); strings.Contains(s, "x=y") {
+		t.Errorf("an append to one point's labels leaked into another: %s", s)
+	}
+}

@@ -1,7 +1,7 @@
 // Package progs ports the paper's benchmark algorithms to the reactive
-// logp.Program form, so one implementation runs on every registered engine
-// (the goroutine machine and the flat core) and cross-engine equivalence
-// tests can pin the engines cycle-identical against each other.
+// logp.Program form, so one implementation runs on every engine (the
+// goroutine machine and the flat core) and cross-engine equivalence tests
+// can pin the engines cycle-identical against each other.
 //
 // Each program is handler-structured: Start seeds the computation, Message
 // reacts to one arrival. All mutable state is confined to per-processor

@@ -109,7 +109,7 @@ func Run(spec JobSpec) (*Response, error) {
 		if engine == "goroutine" {
 			return logp.RunProgram(cfg, prog) // Normalize allows it no shards
 		}
-		return flat.Run(cfg, prog, max(shards, 1)) // flat.Run reads LOGP_SHARDS for 0
+		return flat.Run(cfg, prog, shards)
 	})
 }
 

@@ -262,7 +262,7 @@ func (s *JobSpec) Normalize(lim Limits) error {
 	if s.Faults.empty() {
 		s.Faults = nil
 	} else {
-		if s.Faults.Drop < 0 || s.Faults.Drop > 1 || s.Faults.Dup < 0 || s.Faults.Dup > 1 {
+		if !(0 <= s.Faults.Drop && s.Faults.Drop <= 1) || !(0 <= s.Faults.Dup && s.Faults.Dup <= 1) {
 			return fmt.Errorf("service: fault probabilities outside [0,1]")
 		}
 		if s.Faults.Jitter < 0 {

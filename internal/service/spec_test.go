@@ -2,6 +2,8 @@ package service
 
 import (
 	"bytes"
+	"encoding/json"
+	"math"
 	"strings"
 	"testing"
 
@@ -107,6 +109,8 @@ func TestNormalizeRejects(t *testing.T) {
 		{"negative n", func(s *JobSpec) { s.Program = "sum"; s.N = -1 }, "negative problem size"},
 		{"over P limit", func(s *JobSpec) { s.Machine.P = 3_000_000 }, "exceeds the limit"},
 		{"bad drop", func(s *JobSpec) { s.Faults = &FaultSpec{Drop: 1.5} }, "outside [0,1]"},
+		{"NaN drop", func(s *JobSpec) { s.Faults = &FaultSpec{Drop: math.NaN()} }, "outside [0,1]"},
+		{"NaN dup", func(s *JobSpec) { s.Faults = &FaultSpec{Dup: math.NaN()} }, "outside [0,1]"},
 		{"fail-stop out of range", func(s *JobSpec) {
 			s.Faults = &FaultSpec{Fails: []FailStopSpec{{Proc: 99, At: 0}}}
 		}, "outside machine"},
@@ -244,4 +248,60 @@ func TestHashDistinguishes(t *testing.T) {
 			t.Errorf("engine %q hashes apart from the base:\n%s\n%s", engine, s.Canonical(), base.Canonical())
 		}
 	}
+}
+
+// FuzzJobSpec decodes the input into a JobSpec the way the daemon does
+// (unknown fields rejected) and normalizes it under small limits, so each
+// execution stays cheap. Nothing may panic. An accepted spec must be a fixed
+// point of Normalize, its canonical bytes must decode and normalize back to
+// the same bytes, and Run on it must return a body or an error. The corpus
+// is seeded with the golden-hash specs in their wire form.
+func FuzzJobSpec(f *testing.F) {
+	for _, seed := range []string{
+		`{"program":"broadcast","machine":{"p":8,"l":6,"o":2,"g":4}}`,
+		`{"program":"sum","n":79,"machine":{"p":8,"l":5,"o":2,"g":4},"engine":"flat"}`,
+		`{"program":"alltoall","n":2,"work":3,"staggered":true,"machine":{"p":64,"l":8,"o":2,"g":4,"no_capacity":true},"engine":"flat","shards":4}`,
+		`{"program":"pingpong","n":5,"machine":{"p":4,"l":6,"o":2,"g":4},"seed":7,"faults":{"seed":3,"drop":0.1,"fail_stops":[{"proc":2,"at":100}]},"metrics":{"include":true,"every":50}}`,
+		`{"program":"broadcast","machine":{"p":8,"l":6,"o":2,"g":4,"topology":{"procs_per_node":4,"node":{"l":2,"o":1,"g":1}}}}`,
+	} {
+		f.Add([]byte(seed))
+	}
+	lim := Limits{MaxP: 64, MaxN: 4096}
+	decode := func(data []byte) (JobSpec, error) {
+		var spec JobSpec
+		dec := json.NewDecoder(bytes.NewReader(data))
+		dec.DisallowUnknownFields()
+		return spec, dec.Decode(&spec)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		spec, err := decode(data)
+		if err != nil || spec.Normalize(lim) != nil {
+			return
+		}
+		canon := spec.Canonical()
+		again := spec
+		if err := again.Normalize(lim); err != nil {
+			t.Fatalf("normalized spec rejected on re-normalization: %v\n%s", err, canon)
+		}
+		if got := again.Canonical(); !bytes.Equal(got, canon) {
+			t.Fatalf("Normalize is not idempotent:\n%s\n%s", canon, got)
+		}
+		back, err := decode(canon)
+		if err != nil {
+			t.Fatalf("canonical bytes do not decode: %v\n%s", err, canon)
+		}
+		if err := back.Normalize(lim); err != nil {
+			t.Fatalf("decoded canonical spec rejected: %v\n%s", err, canon)
+		}
+		if got := back.Canonical(); !bytes.Equal(got, canon) {
+			t.Fatalf("canonical bytes do not round-trip:\n%s\n%s", canon, got)
+		}
+		resp, err := Run(spec)
+		if err != nil {
+			return
+		}
+		if body, err := resp.Encode(); err != nil || len(body) == 0 {
+			t.Fatalf("run gave no body (err %v)\n%s", err, canon)
+		}
+	})
 }
