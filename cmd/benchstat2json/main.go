@@ -30,8 +30,13 @@ import (
 // flat engine throughput targets (same machine, same workload), the sharded
 // flat core and the P=10^5 scale pin, the heap, handoff, and wait-elision
 // paths, the hook-overhead pairs (profiler recorder and metrics registry,
-// each detached vs attached), and the daemon's response encoding.
-const defaultBench = "BenchmarkKernelEventThroughput|BenchmarkMachineMessageThroughput|BenchmarkFlatMachineMessageThroughput|BenchmarkFlatShardedMessageThroughput|BenchmarkFlatBroadcastP100k|BenchmarkHeapPushPop|BenchmarkContextSwitch|BenchmarkProcessWait|BenchmarkSendRecvRecorderOff|BenchmarkSendRecvRecorderOn|BenchmarkSendRecvMetricsOff|BenchmarkSendRecvMetricsOn|BenchmarkResponseEncode"
+// each detached vs attached), the daemon's response encoding, and, from
+// internal/flat, the fresh and re-seated staggered all-to-all at P=32 and
+// P=256 (the sim-large job), with its per-message cost and storage.
+const defaultBench = "BenchmarkKernelEventThroughput|BenchmarkMachineMessageThroughput|BenchmarkFlatMachineMessageThroughput|BenchmarkFlatShardedMessageThroughput|BenchmarkFlatBroadcastP100k|BenchmarkHeapPushPop|BenchmarkContextSwitch|BenchmarkProcessWait|BenchmarkSendRecvRecorderOff|BenchmarkSendRecvRecorderOn|BenchmarkSendRecvMetricsOff|BenchmarkSendRecvMetricsOn|BenchmarkResponseEncode|BenchmarkFlatReset"
+
+// defaultPkgs are the packages holding the default benchmarks.
+const defaultPkgs = ". ./internal/flat"
 
 type benchmark struct {
 	Name    string             `json:"name"`
@@ -53,14 +58,15 @@ func main() {
 	bench := flag.String("bench", defaultBench, "benchmark filter passed to go test -bench")
 	benchtime := flag.String("benchtime", "5x", "value passed to go test -benchtime")
 	count := flag.Int("count", 1, "value passed to go test -count")
-	pkg := flag.String("pkg", ".", "package containing the benchmarks")
+	pkgs := flag.String("pkg", defaultPkgs, "space-separated packages containing the benchmarks")
 	out := flag.String("out", "BENCH_1.json", "output file")
 	flag.Parse()
 
-	cmd := exec.Command("go", "test", "-run", "^$",
+	args := append([]string{"test", "-run", "^$",
 		"-bench", *bench, "-benchmem",
 		"-benchtime", *benchtime,
-		"-count", strconv.Itoa(*count), *pkg)
+		"-count", strconv.Itoa(*count)}, strings.Fields(*pkgs)...)
+	cmd := exec.Command("go", args...)
 	cmd.Stderr = os.Stderr
 	raw, err := cmd.Output()
 	if err != nil {

@@ -5,7 +5,9 @@ import (
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -156,4 +158,78 @@ func receiverExported(d *ast.FuncDecl) bool {
 			return true
 		}
 	}
+}
+
+// TestDocsCiteDefinedNames keeps the docs' test and benchmark citations
+// from rotting: every Test…, Benchmark… and Fuzz… name cited in README.md,
+// DESIGN.md or EXPERIMENTS.md must be the name, or a prefix of the name, of
+// a function some Go file in the repository defines (a prefix cites a
+// family, as TestReset does). ROADMAP.md and CHANGES.md are left out: they
+// cite planned and deleted names on purpose. CI runs this test by name in
+// its doc-lint step.
+func TestDocsCiteDefinedNames(t *testing.T) {
+	defined, err := definedFuncs(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cited := regexp.MustCompile(`\b(?:Test|Benchmark|Fuzz)[A-Z0-9_]\w*`)
+	checked := 0
+	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"} {
+		text, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range cited.FindAllString(string(text), -1) {
+			checked++
+			if !citesDefined(name, defined) {
+				t.Errorf("%s cites %s, which no Go file defines", doc, name)
+			}
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no cited names found: doc lint read the wrong files")
+	}
+}
+
+// definedFuncs returns the names of the top-level functions every Go file
+// under root defines, nested modules included.
+func definedFuncs(root string) ([]string, error) {
+	fset := token.NewFileSet()
+	var names []string
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, walkErr error) error {
+		if walkErr != nil {
+			return walkErr
+		}
+		if d.IsDir() {
+			if name := d.Name(); name != "." && (strings.HasPrefix(name, ".") || name == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		for _, decl := range f.Decls {
+			if fn, ok := decl.(*ast.FuncDecl); ok && fn.Recv == nil {
+				names = append(names, fn.Name.Name)
+			}
+		}
+		return nil
+	})
+	return names, err
+}
+
+// citesDefined reports whether name is a defined function's name or a
+// prefix of one.
+func citesDefined(name string, defined []string) bool {
+	for _, d := range defined {
+		if strings.HasPrefix(d, name) {
+			return true
+		}
+	}
+	return false
 }

@@ -344,24 +344,33 @@ func capacityStalls() []capCase {
 // acquire to 2 while arrivals from 0 pile up in its inbox; killing 1 at
 // various times lands the kill mid-stall, mid-burst and after the drain.
 // Every kill time deadlocks: 2 finishes on the burst's last message, which
-// the killed 1 never sends, and 0 stalls for good once two of its messages
-// sit unreceived in the dead 1's inbox, holding its units.
+// the killed 1 never sends. The kill gives back the units of 0's messages
+// queued in the dead 1's inbox, so 0 itself completes its burst.
 //
-// With release set the chain completes with 1 failed. 0 sends 1 a single
+// With release set the chain completes with 1 failed: 0 sends 1 a single
 // message (dropped if it arrives after the kill, else left in the dead 1's
-// inbox holding one of 0's two units) and then sends 2 one message of its
-// own; 2 finishes on that message instead of the burst's last, and leaves
-// the rest of what 1 sent before its kill unreceived.
+// inbox), or with flood set the whole burst, and then sends 2 one message
+// of its own; 2 finishes on that message instead of the burst's last, and
+// leaves the rest of what 1 sent before its kill unreceived. The flood form
+// completes only because the kill releases the units of the messages queued
+// at 1: otherwise 0 stalls for good on its burst and never reaches 2.
 type holdKillChain struct {
 	burst   int
 	release bool
+	flood   bool
 }
 
 func (c *holdKillChain) Start(n logp.Node) {
 	switch n.ID() {
 	case 0:
 		if c.release {
-			n.Send(1, 9, 0)
+			sends := 1
+			if c.flood {
+				sends = c.burst
+			}
+			for i := 0; i < sends; i++ {
+				n.Send(1, 9, i)
+			}
 			n.Send(2, 10, 0)
 			n.Done()
 			return
@@ -413,20 +422,24 @@ func capacityFailStops() []capCase {
 }
 
 // holdKillCases kills the middle of holdKillChain at ten times, in the
-// deadlocking form or the released one.
+// deadlocking form or, with release, in both released ones.
 func holdKillCases(release bool) []capCase {
-	name := "hold-kill-at-%d"
+	chains := []holdKillChain{{burst: 8}}
+	names := []string{"hold-kill-at-%d"}
 	if release {
-		name = "hold-kill-released-at-%d"
+		chains = []holdKillChain{{burst: 8, release: true}, {burst: 8, release: true, flood: true}}
+		names = []string{"hold-kill-released-at-%d", "hold-kill-flood-released-at-%d"}
 	}
 	var cases []capCase
-	for _, at := range []int64{5, 9, 12, 15, 20, 25, 30, 40, 60, 100} {
-		cases = append(cases, capCase{
-			fmt.Sprintf(name, at),
-			logp.Config{Params: core.Params{P: 6, L: 4, O: 1, G: 2}, HoldCapacityUntilReceive: true,
-				Faults: &logp.FaultPlan{FailStops: []logp.FailStop{{Proc: 1, At: at}}}},
-			func() logp.Program { return &holdKillChain{burst: 8, release: release} },
-		})
+	for i, chain := range chains {
+		for _, at := range []int64{5, 9, 12, 15, 20, 25, 30, 40, 60, 100} {
+			cases = append(cases, capCase{
+				fmt.Sprintf(names[i], at),
+				logp.Config{Params: core.Params{P: 6, L: 4, O: 1, G: 2}, HoldCapacityUntilReceive: true,
+					Faults: &logp.FaultPlan{FailStops: []logp.FailStop{{Proc: 1, At: at}}}},
+				func() logp.Program { c := chain; return &c },
+			})
+		}
 	}
 	return cases
 }

@@ -80,11 +80,38 @@ const (
 )
 
 // op is one recorded Node operation (the flat twin of the goroutine
-// driver's record-then-replay buffer entry).
+// driver's record-then-replay buffer entry): 24 pointer-free bytes, against
+// 40 for a record that boxes the payload. A send's non-nil payload waits in
+// the processor's opData table.
 type op struct {
-	kind uint8
 	a, b int64
-	data any
+	kind uint8
+	data int32 // oSend: 1 + the payload's index in proc.opData; 0 for nil
+}
+
+// arrival is one queued message: the compact twin of logp.Message, 32
+// pointer-free bytes against the Message's 72. To is the inbox owner and
+// Size is always 1 on this engine (a Node sends one word), so neither is
+// stored; a non-nil Data waits in the owner's inData queue, in arrival
+// order, and the entry only flags it. The logp.Message a handler receives
+// is rebuilt from it (message) when the handler runs.
+type arrival struct {
+	Tag       int
+	SentAt    int64
+	ArrivedAt int64
+	From      int32
+	dup       bool
+	hasData   bool
+}
+
+// message rebuilds the logp.Message an arrival at processor to stands for.
+func (a *arrival) message(to int32, data any) logp.Message {
+	msg := logp.Message{From: int(a.From), To: int(to), Tag: a.Tag, Data: data, Size: 1,
+		SentAt: a.SentAt, ArrivedAt: a.ArrivedAt}
+	if a.dup {
+		return msg.AsDup()
+	}
+	return msg
 }
 
 // proc is one processor/memory module: the flat-array counterpart of
@@ -109,13 +136,19 @@ type proc struct {
 	stats logp.ProcStats
 
 	// inbox is head-indexed exactly like logp.Proc's: arrivals append,
-	// receptions advance inboxHead, storage is reused once drained.
-	inbox     []logp.Message
-	inboxHead int
+	// receptions advance inboxHead, storage is reused once drained. inData
+	// is the same kind of queue for the payloads of the arrivals that carry
+	// one.
+	inbox      []arrival
+	inboxHead  int
+	inData     []any
+	inDataHead int
 
-	// ops is the recorded-operation buffer, reused across handlers.
+	// ops is the recorded-operation buffer, reused across handlers; opData
+	// holds the payloads of its sends that carry one.
 	ops    []op
 	opHead int
+	opData []any
 
 	// Continuation context for the operation in flight.
 	sendStart  int64 // Send: time the op began (idle-trace bound)
@@ -126,24 +159,36 @@ type proc struct {
 	recvArrive int64 // Recv: message arrival / reception begin
 	recvFrom   int64 // Recv: gap-respecting reception start
 	recvPay    int64 // Recv: overhead cycles being charged
-	cur        logp.Message
+	cur        arrival
+	curData    any
 
-	// The run's high-water lengths of inbox and ops, which seat compares
-	// with their capacities to drop storage an earlier, larger run grew.
-	inboxPeak, opsPeak int
+	// The run's high-water lengths of the four buffers above, which seat
+	// compares with their capacities to drop storage an earlier, larger run
+	// grew.
+	inboxPeak, inDataPeak, opsPeak, opDataPeak int
 }
 
 func (p *proc) pending() int { return len(p.inbox) - p.inboxHead }
 
-func (p *proc) popInbox() logp.Message {
-	msg := p.inbox[p.inboxHead]
-	p.inbox[p.inboxHead].Data = nil
+// popInbox moves the earliest arrival into cur, and its payload, if it
+// carries one, into curData. It returns the arrival.
+func (p *proc) popInbox() arrival {
+	p.cur = p.inbox[p.inboxHead]
 	p.inboxHead++
 	if p.inboxHead == len(p.inbox) {
 		p.inbox = p.inbox[:0]
 		p.inboxHead = 0
 	}
-	return msg
+	if p.cur.hasData {
+		p.curData = p.inData[p.inDataHead]
+		p.inData[p.inDataHead] = nil
+		p.inDataHead++
+		if p.inDataHead == len(p.inData) {
+			p.inData = p.inData[:0]
+			p.inDataHead = 0
+		}
+	}
+	return p.cur
 }
 
 // inboxShrinkCap bounds the backing array a compaction keeps: above it, a
@@ -159,40 +204,60 @@ const inboxShrinkCap = 4096
 // long streaming phase) are released at compaction (inboxShrinkCap).
 func (p *proc) pushInbox(msg *logp.Message) {
 	if p.inboxHead > 16 && p.inboxHead*2 >= len(p.inbox) {
-		live := len(p.inbox) - p.inboxHead
-		if c := cap(p.inbox); c > inboxShrinkCap && live*4 < c {
-			newCap := live * 2
-			if newCap < 64 {
-				newCap = 64
-			}
-			nb := make([]logp.Message, live, newCap)
-			copy(nb, p.inbox[p.inboxHead:])
-			p.inbox = nb // old array released wholesale, dead Data and all
-			p.inboxHead = 0
-		} else {
-			n := copy(p.inbox, p.inbox[p.inboxHead:])
-			for i := n; i < len(p.inbox); i++ {
-				p.inbox[i].Data = nil
-			}
-			p.inbox = p.inbox[:n]
-			p.inboxHead = 0
+		p.inbox = compacted(p.inbox, p.inboxHead)
+		p.inboxHead = 0
+	}
+	a := arrival{Tag: msg.Tag, SentAt: msg.SentAt, ArrivedAt: msg.ArrivedAt, From: int32(msg.From), dup: msg.Dup()}
+	if msg.Data != nil {
+		if p.inDataHead > 16 && p.inDataHead*2 >= len(p.inData) {
+			p.inData = compacted(p.inData, p.inDataHead)
+			p.inDataHead = 0
 		}
+		p.inData = append(p.inData, msg.Data)
+		p.inDataPeak = max(p.inDataPeak, len(p.inData))
+		a.hasData = true
 	}
-	p.inbox = append(p.inbox, *msg)
-	if len(p.inbox) > p.inboxPeak {
-		p.inboxPeak = len(p.inbox)
+	p.inbox = append(p.inbox, a)
+	p.inboxPeak = max(p.inboxPeak, len(p.inbox))
+}
+
+// compacted moves the live tail buf[head:] of a head-indexed queue to the
+// front and returns it, clearing the vacated slots so no consumed payload
+// stays reachable. Above inboxShrinkCap a backlog that fits in a quarter of
+// the capacity moves to a right-sized array instead, and the old one is
+// released wholesale.
+func compacted[T any](buf []T, head int) []T {
+	live := len(buf) - head
+	if c := cap(buf); c > inboxShrinkCap && live*4 < c {
+		nb := make([]T, live, max(2*live, 64))
+		copy(nb, buf[head:])
+		return nb
 	}
+	n := copy(buf, buf[head:])
+	clear(buf[n:])
+	return buf[:n]
 }
 
 func (p *proc) resetOps() {
-	if len(p.ops) > p.opsPeak {
-		p.opsPeak = len(p.ops)
-	}
-	for i := range p.ops {
-		p.ops[i].data = nil
-	}
+	p.opsPeak = max(p.opsPeak, len(p.ops))
 	p.ops = p.ops[:0]
 	p.opHead = 0
+	if len(p.opData) > 0 {
+		p.opDataPeak = max(p.opDataPeak, len(p.opData))
+		clear(p.opData)
+		p.opData = p.opData[:0]
+	}
+}
+
+// takeData returns the payload of the send o and drops the op's reference
+// to it, so the op table does not pin it once the message carries it.
+func (p *proc) takeData(o *op) any {
+	if o.data == 0 {
+		return nil
+	}
+	d := p.opData[o.data-1]
+	p.opData[o.data-1] = nil
+	return d
 }
 
 // trimSlack and trimFloor decide which per-processor buffers seat keeps: one
@@ -231,7 +296,12 @@ func (p *proc) Now() int64 { return p.m.sh[p.shard].now }
 
 // Send records a one-word message send.
 func (p *proc) Send(to, tag int, data any) {
-	p.ops = append(p.ops, op{kind: oSend, a: int64(to), b: int64(tag), data: data})
+	o := op{kind: oSend, a: int64(to), b: int64(tag)}
+	if data != nil {
+		p.opData = append(p.opData, data)
+		o.data = int32(len(p.opData))
+	}
+	p.ops = append(p.ops, o)
 }
 
 // Compute records cycles of local work.
@@ -268,6 +338,7 @@ type shard struct {
 	out     [][]event          // cross-shard deliveries, one buffer per destination shard
 	flight  *metrics.Histogram // shard-local flight-cycle observations, merged at the end
 	dropped int                // deliveries lost to fail-stopped destinations
+	err     error              // the shard's first logp.StretchOverflowError
 }
 
 // Machine is a flat LogP machine ready to run one Program; Reset seats
@@ -419,11 +490,11 @@ func validate(cfg logp.Config, shards int) error {
 			return fmt.Errorf("logp: latency jitter %d exceeds the minimum link L=%d", cfg.LatencyJitter, minL)
 		}
 	}
-	if cfg.ComputeJitter < 0 {
-		return fmt.Errorf("logp: negative compute jitter %v", cfg.ComputeJitter)
+	if !(cfg.ComputeJitter >= 0 && cfg.ComputeJitter <= math.MaxFloat64) {
+		return fmt.Errorf("logp: compute jitter %v not a finite value >= 0", cfg.ComputeJitter)
 	}
-	if cfg.ProcSkew < 0 {
-		return fmt.Errorf("logp: negative processor skew %v", cfg.ProcSkew)
+	if !(cfg.ProcSkew >= 0 && cfg.ProcSkew <= math.MaxFloat64) {
+		return fmt.Errorf("logp: processor skew %v not a finite value >= 0", cfg.ProcSkew)
 	}
 	if cfg.Faults != nil {
 		if err := cfg.Faults.Validate(cfg.P); err != nil {
@@ -546,17 +617,20 @@ func (m *Machine) seat(cfg logp.Config, prog logp.Program) {
 			sh.flight = metrics.NewHistogram(m.met.FlightCycles.Bounds()...)
 		}
 		sh.dropped = 0
+		sh.err = nil
 	}
 	for i := range m.procs {
 		p := &m.procs[i]
-		clear(p.inbox)
+		clear(p.inData)
 		p.resetOps()
 		*p = proc{
-			id:    p.id,
-			shard: p.shard,
-			m:     m,
-			inbox: trimmed(p.inbox, p.inboxPeak),
-			ops:   trimmed(p.ops, p.opsPeak),
+			id:     p.id,
+			shard:  p.shard,
+			m:      m,
+			inbox:  trimmed(p.inbox, p.inboxPeak),
+			inData: trimmed(p.inData, p.inDataPeak),
+			ops:    trimmed(p.ops, p.opsPeak),
+			opData: trimmed(p.opData, p.opDataPeak),
 		}
 	}
 	m.ran = false
@@ -613,8 +687,9 @@ func (m *Machine) StorageBytes() int64 {
 		int64(cap(m.skew)+cap(m.lastBusy))*8
 	for i := range m.procs {
 		p := &m.procs[i]
-		n += int64(cap(p.inbox))*int64(unsafe.Sizeof(logp.Message{})) +
-			int64(cap(p.ops))*int64(unsafe.Sizeof(op{}))
+		n += int64(cap(p.inbox))*int64(unsafe.Sizeof(arrival{})) +
+			int64(cap(p.ops))*int64(unsafe.Sizeof(op{})) +
+			int64(cap(p.inData)+cap(p.opData))*int64(unsafe.Sizeof(any(nil)))
 	}
 	for i := range m.outCap {
 		n += int64(cap(m.outCap[i].waiters)+cap(m.inCap[i].waiters)) * 4
@@ -640,7 +715,9 @@ func (m *Machine) StorageBytes() int64 {
 // produces an identical Result, reusing the machine's internal storage so
 // steady-state benchmarking pays no per-run construction cost. A re-run
 // resets the configured metrics registry and profiler and replaces the trace,
-// so retain (or copy) a previous run's observations before re-running.
+// so retain (or copy) a previous run's observations before re-running. A
+// compute stretched past the int64 cycle count fails the run with a
+// *logp.StretchOverflowError, as on the goroutine machine.
 func (m *Machine) Run() (logp.Result, error) {
 	if m.ran {
 		m.seat(m.cfg, m.prog)
@@ -676,6 +753,12 @@ func (m *Machine) Run() (logp.Result, error) {
 		err = m.runSingle()
 	} else {
 		err = m.runSharded()
+	}
+	for s := range m.sh {
+		if m.sh[s].err != nil {
+			err = m.sh[s].err // outranks the deadlock the halt may cause
+			break
+		}
 	}
 	if err != nil {
 		return logp.Result{}, err
@@ -877,9 +960,7 @@ func (m *Machine) step(sh *shard, p *proc) {
 			return
 		}
 		m.finishRecvBook(sh, p)
-		msg := p.cur
-		p.cur.Data = nil
-		m.prog.Message(p, msg)
+		m.runMessage(p)
 	}
 }
 
@@ -913,20 +994,30 @@ func (m *Machine) execOp(sh *shard, p *proc) bool {
 		if cycles == 0 {
 			return true
 		}
+		// Every stretch goes through logp.Stretched, as in logp.Proc.Compute.
+		var ok bool
 		if m.topol != nil {
 			if r := m.topol.Rate(int(p.id)); r != 1 {
-				cycles = int64(float64(cycles) * r)
+				if cycles, ok = logp.Stretched(0, float64(cycles)*r, sh.now); !ok {
+					return m.overflow(sh, p)
+				}
 			}
 		}
 		if m.skew != nil {
-			cycles = int64(float64(cycles) * m.skew[p.id])
+			if cycles, ok = logp.Stretched(0, float64(cycles)*m.skew[p.id], sh.now); !ok {
+				return m.overflow(sh, p)
+			}
 		}
 		if j := m.cfg.ComputeJitter; j > 0 {
-			cycles += int64(float64(cycles) * j * m.rng.Float64())
+			if cycles, ok = logp.Stretched(cycles, float64(cycles)*j*m.rng.Float64(), sh.now); !ok {
+				return m.overflow(sh, p)
+			}
 		}
 		if m.faults != nil {
 			if f := m.faults.SlowFactor(int(p.id), sh.now); f > 1 {
-				cycles = int64(float64(cycles) * f)
+				if cycles, ok = logp.Stretched(0, float64(cycles)*f, sh.now); !ok {
+					return m.overflow(sh, p)
+				}
 			}
 		}
 		p.pend = cycles
@@ -979,6 +1070,19 @@ func (m *Machine) execOp(sh *shard, p *proc) bool {
 	default: // oSend
 		return m.execSend(sh, p, o)
 	}
+}
+
+// overflow ends p's part in the run on a compute that stretched past the
+// int64 cycle count: p halts as a fail-stopped processor does, the rest of
+// the run drains, and Run returns the shard's first such error. It returns
+// false, execOp's halt.
+func (m *Machine) overflow(sh *shard, p *proc) bool {
+	if sh.err == nil {
+		sh.err = &logp.StretchOverflowError{Proc: int(p.id), At: sh.now}
+	}
+	m.kill(p)
+	m.failProc(sh, p)
+	return false
 }
 
 // execSend begins a send: the gap wait and the o-cycle overhead share one
@@ -1041,9 +1145,8 @@ func (m *Machine) bufferParkedSend(sh *shard, p *proc, o *op) {
 		proc:   to,
 		t:      t,
 		flight: lkL,
-		msg:    logp.Message{From: int(p.id), To: int(to), Tag: int(o.b), Data: o.data, Size: 1, SentAt: p.initiation},
+		msg:    logp.Message{From: int(p.id), To: int(to), Tag: int(o.b), Data: p.takeData(o), Size: 1, SentAt: p.initiation},
 	})
-	o.data = nil
 	p.sentEarly = true
 }
 
@@ -1151,8 +1254,7 @@ func (m *Machine) sendInject(sh *shard, p *proc) {
 			m.rec.DropLast(int(p.id))
 		}
 	}
-	msg := logp.Message{From: int(p.id), To: to, Tag: tag, Data: o.data, Size: 1, SentAt: p.initiation}
-	o.data = nil
+	msg := logp.Message{From: int(p.id), To: to, Tag: tag, Data: p.takeData(o), Size: 1, SentAt: p.initiation}
 	m.scheduleDeliver(sh, injection+lat, &msg, lat, drop)
 	if dup {
 		if m.rec != nil {
@@ -1189,7 +1291,7 @@ func (m *Machine) deliver(sh *shard, e *ent) {
 			m.met.OnDrop(msg.To)
 		}
 		if !msg.Dup() {
-			m.settle(msg)
+			m.settle(msg.From, msg.To)
 		}
 		sh.freePayload(e.idx)
 		return
@@ -1213,7 +1315,7 @@ func (m *Machine) deliver(sh *shard, e *ent) {
 			}
 		}
 		if !m.cfg.HoldCapacityUntilReceive {
-			m.settle(msg)
+			m.settle(msg.From, msg.To)
 		}
 	}
 	sh.freePayload(e.idx)
@@ -1223,16 +1325,16 @@ func (m *Machine) deliver(sh *shard, e *ent) {
 	}
 }
 
-// settle ends a message's in-transit accounting and frees its capacity
-// slots (both exist only in single-shard runs).
-func (m *Machine) settle(msg *logp.Message) {
+// settle ends the in-transit accounting of a message from from to to and
+// frees its capacity slots (both exist only in single-shard runs).
+func (m *Machine) settle(from, to int) {
 	if m.inTransitFrom != nil {
-		m.inTransitFrom[msg.From]--
-		m.inTransitTo[msg.To]--
+		m.inTransitFrom[from]--
+		m.inTransitTo[to]--
 	}
 	if m.outCap != nil {
-		m.semRelease(&m.outCap[msg.From])
-		m.semRelease(&m.inCap[msg.To])
+		m.semRelease(&m.outCap[from])
+		m.semRelease(&m.inCap[to])
 	}
 }
 
@@ -1269,7 +1371,7 @@ func (m *Machine) semRelease(s *semaphore) {
 // costs (gap wait + overhead in one park). True means the cost completed
 // inline; false means the processor parked with resume = rRecvPaid.
 func (m *Machine) beginRecvPay(sh *shard, p *proc) bool {
-	p.cur = p.popInbox()
+	p.popInbox()
 	arrived := sh.now
 	p.recvArrive = arrived
 	start := arrived
@@ -1277,8 +1379,10 @@ func (m *Machine) beginRecvPay(sh *shard, p *proc) bool {
 		start = p.nextRecv
 	}
 	p.recvFrom = start
-	_, lkO, _ := m.link(p.cur.From, p.cur.To)
-	cost := m.recvCost(&p.cur, lkO)
+	// The reception costs the arriving link's o: logp.Proc.recvCost charges
+	// o per word, or once with a coprocessor, and every message here is one
+	// word.
+	_, cost, _ := m.link(int(p.cur.From), int(p.id))
 	p.recvPay = cost
 	if t := start + cost; t > sh.now {
 		if !m.parkUntil(sh, p, t, rRecvPaid) {
@@ -1286,19 +1390,6 @@ func (m *Machine) beginRecvPay(sh *shard, p *proc) bool {
 		}
 	}
 	return true
-}
-
-// recvCost mirrors logp.Proc.recvCost: o per word of the arriving link
-// without a coprocessor, that link's o once with one.
-func (m *Machine) recvCost(msg *logp.Message, lkO int64) int64 {
-	words := msg.Size
-	if words < 1 {
-		words = 1
-	}
-	if m.cfg.Coprocessor {
-		return lkO
-	}
-	return int64(words) * lkO
 }
 
 // finishRecvBook completes the reception bookkeeping (the tail of
@@ -1313,7 +1404,7 @@ func (m *Machine) finishRecvBook(sh *shard, p *proc) {
 		m.record(p, trace.Idle, arrived, start)
 	}
 	m.record(p, trace.RecvOverhead, start, sh.now)
-	_, lkO, lkG := m.link(p.cur.From, p.cur.To)
+	_, lkO, lkG := m.link(int(p.cur.From), int(p.id))
 	iv := lkO
 	if lkG > iv {
 		iv = lkG
@@ -1322,8 +1413,8 @@ func (m *Machine) finishRecvBook(sh *shard, p *proc) {
 	if t := start + cost; t > p.nextRecv {
 		p.nextRecv = t
 	}
-	if m.cfg.HoldCapacityUntilReceive && !p.cur.Dup() {
-		m.settle(&p.cur)
+	if m.cfg.HoldCapacityUntilReceive && !p.cur.dup {
+		m.settle(int(p.cur.From), int(p.id))
 	}
 	if m.rec != nil {
 		m.rec.RecvDone(int(p.id))
@@ -1337,10 +1428,16 @@ func (m *Machine) finishRecvBook(sh *shard, p *proc) {
 // handler, then onward stepping.
 func (m *Machine) recvComplete(sh *shard, p *proc) {
 	m.finishRecvBook(sh, p)
-	msg := p.cur
-	p.cur.Data = nil
-	m.prog.Message(p, msg)
+	m.runMessage(p)
 	m.step(sh, p)
+}
+
+// runMessage runs the Message handler on the received message, built from
+// cur; the processor keeps no reference to its payload.
+func (m *Machine) runMessage(p *proc) {
+	msg := p.cur.message(p.id, p.curData)
+	p.curData = nil
+	m.prog.Message(p, msg)
 }
 
 // finish retires a processor that recorded Done.
@@ -1370,10 +1467,23 @@ func (m *Machine) kill(p *proc) {
 		return
 	}
 	p.failed = true
+	sh := &m.sh[p.shard]
+	if m.rec != nil {
+		m.rec.Kill(int(p.id), sh.now)
+	}
 	if p.waiting {
 		p.waiting, p.blocked = false, false
-		sh := &m.sh[p.shard]
 		sh.scheduleAt(sh.now, evWake, p.id)
+	}
+	if m.cfg.HoldCapacityUntilReceive {
+		// The dead processor will never receive what is queued for it, so
+		// those messages give back the units they hold, in inbox order; they
+		// stay queued, and count as undelivered.
+		for i := p.inboxHead; i < len(p.inbox); i++ {
+			if a := &p.inbox[i]; !a.dup {
+				m.settle(int(a.From), int(p.id))
+			}
+		}
 	}
 }
 

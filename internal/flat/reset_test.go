@@ -2,6 +2,7 @@ package flat_test
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -279,48 +280,61 @@ func TestResetKeepsAndTrimsStorage(t *testing.T) {
 	}
 }
 
-// BenchmarkFlatReset compares the two ways the daemon can run a P=256
-// staggered all-to-all with compute (its sim-large job): a fresh machine
-// per run, and Reset of one machine, which reuses the buffers the previous
-// run grew. Both build a fresh program instance per run, as the daemon does.
+// BenchmarkFlatReset compares the two ways the daemon can run a staggered
+// all-to-all with compute: a fresh machine per run, and Reset of one
+// machine, which reuses the buffers the previous run grew. Both build a
+// fresh program instance per run, as the daemon does. The P=256 reset row
+// is the daemon's sim-large job. Each row reports the cost per message and
+// the machine's StorageBytes in MB; the P=32 and P=256 rows together show
+// whether a message costs more once the machine's storage outgrows the
+// cache.
 func BenchmarkFlatReset(b *testing.B) {
-	const p = 256
-	cfg := func(seed int64) logp.Config {
-		return logp.Config{Params: core.Params{P: p, L: 12, O: 2, G: 4}, LatencyJitter: 4, Seed: seed}
-	}
-	prog := func() logp.Program { return newAllToAll(p, 1, 8, 1, true) }
-	run := func(b *testing.B, m *flat.Machine) {
-		res, err := m.Run()
-		if err != nil {
-			b.Fatal(err)
+	for _, p := range []int{32, 256} {
+		cfg := func(seed int64) logp.Config {
+			return logp.Config{Params: core.Params{P: p, L: 12, O: 2, G: 4}, LatencyJitter: 4, Seed: seed}
 		}
-		if res.Messages != p*(p-1) {
-			b.Fatalf("delivered %d messages, want %d", res.Messages, p*(p-1))
+		prog := func() logp.Program { return newAllToAll(p, 1, 8, 1, true) }
+		msgs := p * (p - 1)
+		run := func(b *testing.B, m *flat.Machine) {
+			res, err := m.Run()
+			if err != nil {
+				b.Fatal(err)
+			}
+			if res.Messages != msgs {
+				b.Fatalf("delivered %d messages, want %d", res.Messages, msgs)
+			}
 		}
-	}
-	b.Run("new", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			m, err := flat.New(cfg(int64(i)), prog(), 1)
+		report := func(b *testing.B, m *flat.Machine) {
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*msgs), "ns/msg")
+			b.ReportMetric(float64(m.StorageBytes())/1e6, "storage_MB")
+		}
+		b.Run(fmt.Sprintf("P=%d/new", p), func(b *testing.B) {
+			b.ReportAllocs()
+			var m *flat.Machine
+			for i := 0; i < b.N; i++ {
+				var err error
+				if m, err = flat.New(cfg(int64(i)), prog(), 1); err != nil {
+					b.Fatal(err)
+				}
+				run(b, m)
+			}
+			report(b, m)
+		})
+		b.Run(fmt.Sprintf("P=%d/reset", p), func(b *testing.B) {
+			m, err := flat.New(cfg(0), prog(), 1)
 			if err != nil {
 				b.Fatal(err)
 			}
 			run(b, m)
-		}
-	})
-	b.Run("reset", func(b *testing.B) {
-		m, err := flat.New(cfg(0), prog(), 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		run(b, m)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := m.Reset(cfg(int64(i)), prog()); err != nil {
-				b.Fatal(err)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := m.Reset(cfg(int64(i)), prog()); err != nil {
+					b.Fatal(err)
+				}
+				run(b, m)
 			}
-			run(b, m)
-		}
-	})
+			report(b, m)
+		})
+	}
 }

@@ -1,6 +1,11 @@
 package logp
 
-import "github.com/logp-model/logp/internal/core"
+import (
+	"fmt"
+	"math"
+
+	"github.com/logp-model/logp/internal/core"
+)
 
 // The engine seam. A Program is an algorithm written in reactive
 // (continuation) style: instead of a blocking body per processor, it exposes
@@ -137,6 +142,38 @@ func RunProgram(cfg Config, prog Program) (Result, error) {
 // reproduce the machine's duplicate-delivery bookkeeping; algorithm code has
 // no use for it.
 func (m Message) AsDup() Message { m.dup = true; return m }
+
+// Stretched returns base + x in whole cycles, truncating x as int64(x)
+// does: the length of a compute interval after a stretch added x >= 0 to
+// base (base 0 when the stretch scales the whole interval — a topology
+// rate, processor skew or slowdown factor — and the unjittered length for
+// compute jitter). ok is false when that length does not fit in an int64 or
+// a compute of it begun at cycle now would end past the int64 cycle count.
+// Both engines stretch through it and fail the run with a
+// StretchOverflowError when it refuses, so they fail on the same compute.
+func Stretched(base int64, x float64, now int64) (cycles int64, ok bool) {
+	if !(x < 1<<63) {
+		return 0, false
+	}
+	c := int64(x)
+	if c > math.MaxInt64-now-base {
+		return 0, false
+	}
+	return base + c, true
+}
+
+// StretchOverflowError is the error of a run in which a stretched compute
+// interval would end past the int64 cycle count (see Stretched). The
+// processor halts there as a fail-stopped one does, the rest of the run
+// drains, and Run returns this error in place of a Result.
+type StretchOverflowError struct {
+	Proc int   // the processor whose compute overflowed
+	At   int64 // the cycle at which that compute began
+}
+
+func (e *StretchOverflowError) Error() string {
+	return fmt.Sprintf("logp: proc %d: compute at cycle %d stretches past the int64 cycle count", e.Proc, e.At)
+}
 
 // FaultRuntime exposes the per-run fault machinery to engines implemented
 // outside this package. It wraps the same seeded state the goroutine machine

@@ -13,6 +13,7 @@ package logp
 
 import (
 	"fmt"
+	"math"
 
 	"github.com/logp-model/logp/internal/core"
 	"github.com/logp-model/logp/internal/metrics"
@@ -217,6 +218,9 @@ type Machine struct {
 	// fault counters (see Result)
 	dropped    int
 	duplicated int
+	// err is the run's first StretchOverflowError, which Run returns in
+	// place of a Result.
+	err error
 	// in-transit tracking (kept even when enforcement is disabled, so the
 	// ablation can show the flood)
 	inTransitFrom []int
@@ -372,11 +376,11 @@ func New(cfg Config) (*Machine, error) {
 			return nil, fmt.Errorf("logp: latency jitter %d exceeds the minimum link L=%d", cfg.LatencyJitter, minL)
 		}
 	}
-	if cfg.ComputeJitter < 0 {
-		return nil, fmt.Errorf("logp: negative compute jitter %v", cfg.ComputeJitter)
+	if !(cfg.ComputeJitter >= 0 && cfg.ComputeJitter <= math.MaxFloat64) {
+		return nil, fmt.Errorf("logp: compute jitter %v not a finite value >= 0", cfg.ComputeJitter)
 	}
-	if cfg.ProcSkew < 0 {
-		return nil, fmt.Errorf("logp: negative processor skew %v", cfg.ProcSkew)
+	if !(cfg.ProcSkew >= 0 && cfg.ProcSkew <= math.MaxFloat64) {
+		return nil, fmt.Errorf("logp: processor skew %v not a finite value >= 0", cfg.ProcSkew)
 	}
 	if cfg.Faults != nil {
 		if err := cfg.Faults.Validate(cfg.P); err != nil {
@@ -468,7 +472,8 @@ func (m *Machine) Params() core.Params { return m.cfg.Params }
 
 // Run executes body on every processor (as processor p.ID) until all return,
 // and reports the run. A Machine runs one program; build a fresh Machine per
-// run.
+// run. A compute stretched past the int64 cycle count fails the run with a
+// *StretchOverflowError.
 func (m *Machine) Run(body func(p *Proc)) (Result, error) {
 	if m.procs != nil {
 		return Result{}, fmt.Errorf("logp: machine already ran")
@@ -508,7 +513,11 @@ func (m *Machine) Run(body func(p *Proc)) (Result, error) {
 			body(pr)
 		})
 	}
-	if err := m.kernel.Run(); err != nil {
+	err := m.kernel.Run()
+	if m.err != nil {
+		return Result{}, m.err // outranks the deadlock the halt may cause
+	}
+	if err != nil {
 		return Result{}, err
 	}
 	res := Result{
@@ -560,7 +569,20 @@ func (m *Machine) kill(proc int) {
 		return
 	}
 	pr.failed = true
+	if m.rec != nil {
+		m.rec.Kill(proc, int64(m.kernel.Now()))
+	}
 	pr.inboxSig.Broadcast()
+	if m.cfg.HoldCapacityUntilReceive {
+		// The dead processor will never receive what is queued for it, so
+		// those messages give back the units they hold, in inbox order; they
+		// stay queued, and count as undelivered.
+		for _, msg := range pr.inbox[pr.inboxHead:] {
+			if !msg.dup {
+				m.settle(msg)
+			}
+		}
+	}
 }
 
 // Run is a convenience wrapper: build a machine from cfg and run body.

@@ -127,18 +127,18 @@ func (p *Proc) Compute(cycles int64) {
 	}
 	if p.m.topol != nil {
 		if r := p.m.topol.Rate(p.id); r != 1 {
-			cycles = int64(float64(cycles) * r)
+			cycles = p.stretched(0, float64(cycles)*r)
 		}
 	}
 	if p.m.skew != nil {
-		cycles = int64(float64(cycles) * p.m.skew[p.id])
+		cycles = p.stretched(0, float64(cycles)*p.m.skew[p.id])
 	}
 	if j := p.m.cfg.ComputeJitter; j > 0 {
-		cycles += int64(float64(cycles) * j * p.m.kernel.Rand().Float64())
+		cycles = p.stretched(cycles, float64(cycles)*j*p.m.kernel.Rand().Float64())
 	}
 	if p.m.faults != nil {
 		if f := p.m.faults.slowFactor(p.id, p.Now()); f > 1 {
-			cycles = int64(float64(cycles) * f)
+			cycles = p.stretched(0, float64(cycles)*f)
 		}
 	}
 	start := p.Now()
@@ -148,6 +148,21 @@ func (p *Proc) Compute(cycles int64) {
 	if p.m.rec != nil {
 		p.m.rec.Compute(p.id, cycles)
 	}
+}
+
+// stretched is Stretched for a compute this processor begins now. On
+// overflow it records the run's StretchOverflowError and halts the
+// processor as a fail-stop would.
+func (p *Proc) stretched(base int64, x float64) int64 {
+	c, ok := Stretched(base, x, p.Now())
+	if !ok {
+		if p.m.err == nil {
+			p.m.err = &StretchOverflowError{Proc: p.id, At: p.Now()}
+		}
+		p.m.kill(p.id)
+		p.checkFail()
+	}
+	return c
 }
 
 // idleUntil waits until absolute time t, recording the wait as idle.

@@ -124,3 +124,43 @@ func TestReplayExactUnderFailStop(t *testing.T) {
 	}
 	assertExactReplay(t, rec, res)
 }
+
+func TestReplayExactUnderHoldKill(t *testing.T) {
+	// Hold-until-receive keeps proc 0's two capacity units reserved by the
+	// messages waiting in proc 1's inbox. Proc 1 is killed mid-compute at
+	// t=20 and halts only at t=100; the kill gives the units back, so proc
+	// 0's stalled burst resumes at 20, and its later messages reach a corpse
+	// and are dropped. Replay needs the recorded kill time to land on the
+	// machine's timing.
+	rec := prof.NewRecorder()
+	cfg := logp.Config{
+		Params:                   core.Params{P: 2, L: 4, O: 1, G: 2},
+		HoldCapacityUntilReceive: true,
+		Profiler:                 rec,
+		Faults: &logp.FaultPlan{
+			FailStops: []logp.FailStop{{Proc: 1, At: 20}},
+		},
+	}
+	res, err := logp.Run(cfg, func(p *logp.Proc) {
+		switch p.ID() {
+		case 0:
+			for i := 0; i < 4; i++ {
+				p.Send(1, 0, i)
+			}
+		case 1:
+			p.Compute(100)
+			p.Recv()
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Procs[0].Stall == 0 || res.Procs[0].Finish >= res.Procs[1].Finish {
+		t.Fatalf("proc 0 stalled %d cycles and finished at %d, proc 1 at %d: the kill did not release proc 0 early",
+			res.Procs[0].Stall, res.Procs[0].Finish, res.Procs[1].Finish)
+	}
+	if res.Undelivered != 2 || res.Dropped != 2 {
+		t.Errorf("undelivered %d, dropped %d; want 2 queued at the kill and 2 dropped after it", res.Undelivered, res.Dropped)
+	}
+	assertExactReplay(t, rec, res)
+}

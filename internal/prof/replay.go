@@ -109,6 +109,7 @@ const (
 	evAcquire                // a send reaches its capacity-acquire point
 	evDelivery               // a message arrives at its destination module
 	evSettle                 // a held capacity slot is freed at reception
+	evKill                   // a recorded kill under hold-until-receive
 )
 
 type event struct {
@@ -205,6 +206,7 @@ type rproc struct {
 	waitStart int64
 	lastMsg   int32 // message index of this processor's latest send, for OpDup
 	failed    bool  // fail-stopped in the recording: late arrivals are discarded
+	killed    bool  // hold mode: past its recorded kill, arrivals are discarded
 	// pending send context while acquiring capacity
 	sendInit int64 // initiation time
 	sendEng  int64 // end of the engaged (overhead) stretch
@@ -248,6 +250,15 @@ func newReplayer(r *Recorder, cfg Config) *replayer {
 		if r.failed != nil {
 			rp.procs[i].failed = r.failed[i]
 		}
+	}
+	if cfg.HoldCapacityUntilReceive {
+		// Queued first, as the machine schedules its fail-stops: at equal
+		// times a kill precedes everything else.
+		for _, k := range r.kills {
+			rp.q.push(k.t, evKill, int32(k.proc), 0)
+		}
+	}
+	for i := 0; i < P; i++ {
 		rp.q.push(0, evStep, int32(i), 0)
 	}
 	if !cfg.DisableCapacity {
@@ -284,6 +295,8 @@ func (rp *replayer) run() error {
 			rp.deliver(int(e.msg), e.t)
 		case evSettle:
 			rp.settle(int(e.msg), e.t)
+		case evKill:
+			rp.kill(rp.procs[e.proc], e.t)
 		}
 	}
 	for _, p := range rp.procs {
@@ -523,8 +536,15 @@ func (rp *replayer) deliver(mi int, now int64) {
 	dst := rp.procs[m.to]
 	// A fail-stopped destination discards arrivals once past its last
 	// recorded op (its death point); earlier arrivals must still queue so
-	// the receives it did complete before dying find their messages.
-	if m.dropped || (dst.failed && dst.pc >= len(dst.ops) && dst.waiting == wNone) {
+	// the receives it did complete before dying find their messages. Under
+	// hold-until-receive the recorded kill time decides instead, as on the
+	// machine (see kill): there the moment a message is settled moves the
+	// timing.
+	dead := dst.failed && dst.pc >= len(dst.ops) && dst.waiting == wNone
+	if rp.cfg.HoldCapacityUntilReceive {
+		dead = dst.killed
+	}
+	if m.dropped || dead {
 		rp.settle(mi, now)
 		return
 	}
@@ -546,6 +566,17 @@ func (rp *replayer) deliver(mi int, now int64) {
 		}
 	}
 	dst.inbox = append(dst.inbox, int32(mi))
+}
+
+// kill applies a recorded kill under hold-until-receive, as the machine
+// does: the victim will never receive what is queued for it, so those
+// messages give back their capacity at the kill, in inbox order (a
+// duplicate copy holds none), and its later arrivals are discarded.
+func (rp *replayer) kill(p *rproc, now int64) {
+	p.killed = true
+	for _, mi := range p.inbox {
+		rp.settle(int(mi), now)
+	}
 }
 
 // settle frees a message's capacity slots, waking stalled senders.

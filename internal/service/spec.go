@@ -167,6 +167,12 @@ type Limits struct {
 // DefaultLimits are the caps applied when a Limits field is zero.
 var DefaultLimits = Limits{MaxP: 1 << 20, MaxN: 1 << 20}
 
+// maxStretch bounds compute_jitter and proc_skew: beyond it a compute
+// interval stretches more than a thousandfold, which models no machine. A
+// run whose stretched compute still passes the int64 cycle count fails
+// with logp.StretchOverflowError.
+const maxStretch = 1000
+
 func (l Limits) maxP() int {
 	if l.MaxP > 0 {
 		return l.MaxP
@@ -208,8 +214,10 @@ func (s *JobSpec) Normalize(lim Limits) error {
 	if s.Machine.LatencyJitter < 0 || s.Machine.LatencyJitter > s.Machine.L {
 		return fmt.Errorf("service: latency jitter %d outside [0, L=%d]", s.Machine.LatencyJitter, s.Machine.L)
 	}
-	if s.Machine.ComputeJitter < 0 || s.Machine.ProcSkew < 0 {
-		return fmt.Errorf("service: negative compute jitter or skew")
+	if !(0 <= s.Machine.ComputeJitter && s.Machine.ComputeJitter <= maxStretch) ||
+		!(0 <= s.Machine.ProcSkew && s.Machine.ProcSkew <= maxStretch) {
+		return fmt.Errorf("service: compute jitter %v or processor skew %v outside [0, %d]",
+			s.Machine.ComputeJitter, s.Machine.ProcSkew, maxStretch)
 	}
 	if t := s.Machine.Topology; t != nil {
 		// Build the model once here so a bad topology fails at validation,

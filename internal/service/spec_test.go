@@ -121,6 +121,10 @@ func TestNormalizeRejects(t *testing.T) {
 			s.Faults = &FaultSpec{Drop: 0.1}
 		}, "fail-stop faults only"},
 		{"bad jitter", func(s *JobSpec) { s.Machine.LatencyJitter = 99 }, "latency jitter"},
+		{"overflowing compute jitter", func(s *JobSpec) { s.Machine.ComputeJitter = 1e300 }, "outside [0, 1000]"},
+		{"overflowing skew", func(s *JobSpec) { s.Machine.ProcSkew = 1e300 }, "outside [0, 1000]"},
+		{"NaN skew", func(s *JobSpec) { s.Machine.ProcSkew = math.NaN() }, "outside [0, 1000]"},
+		{"negative compute jitter", func(s *JobSpec) { s.Machine.ComputeJitter = -0.5 }, "outside [0, 1000]"},
 		{"bad topology", func(s *JobSpec) {
 			s.Machine.Topology = &topo.Spec{ProcsPerNode: 99, Node: topo.Link{L: 2, O: 1, G: 1}}
 		}, "procs_per_node"},
@@ -263,6 +267,7 @@ func FuzzJobSpec(f *testing.F) {
 		`{"program":"alltoall","n":2,"work":3,"staggered":true,"machine":{"p":64,"l":8,"o":2,"g":4,"no_capacity":true},"engine":"flat","shards":4}`,
 		`{"program":"pingpong","n":5,"machine":{"p":4,"l":6,"o":2,"g":4},"seed":7,"faults":{"seed":3,"drop":0.1,"fail_stops":[{"proc":2,"at":100}]},"metrics":{"include":true,"every":50}}`,
 		`{"program":"broadcast","machine":{"p":8,"l":6,"o":2,"g":4,"topology":{"procs_per_node":4,"node":{"l":2,"o":1,"g":1}}}}`,
+		`{"program":"alltoall","work":3,"machine":{"p":4,"l":6,"o":2,"g":4,"compute_jitter":1e300}}`,
 	} {
 		f.Add([]byte(seed))
 	}
