@@ -479,3 +479,31 @@ func TestEquivHoldKillCompletes(t *testing.T) {
 		})
 	}
 }
+
+// TestReplayExactOnHoldKill: the profiler's replay of both released
+// hold-kill chains lands on the machine's finish time for every processor
+// at every kill time. On the flood chain a sender woken from its out-queue
+// re-checks the in-capacity as the machine does, so it cannot take an
+// in-unit ahead of the in-queue's head.
+func TestReplayExactOnHoldKill(t *testing.T) {
+	for _, tc := range holdKillCases(true) {
+		t.Run(tc.name, func(t *testing.T) {
+			rec := prof.NewRecorder()
+			cfg := tc.cfg
+			cfg.Profiler = rec
+			res, err := flat.Run(cfg, tc.mk(), 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			run, err := rec.Analyze()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, f := range run.Finish {
+				if f != res.Procs[i].Finish {
+					t.Errorf("replay finishes proc %d at %d, machine at %d", i, f, res.Procs[i].Finish)
+				}
+			}
+		})
+	}
+}

@@ -9,16 +9,58 @@ import (
 	"github.com/logp-model/logp/internal/progs"
 )
 
-// TestRecordSizes pins the compact per-processor records: every Start of a
-// P-way exchange records about 2P ops and every inbox can queue P-1
-// arrivals, so at P=256 these two sizes set most of a machine's
-// StorageBytes. A field added to either record must pay for itself there.
+// TestRecordSizes pins the compact message and operation records: every
+// Start of a P-way exchange records about 2P ops, and the arena holds a
+// record for every message queued at a receiver, so at P=256 these sizes set
+// most of a machine's StorageBytes. A field added to any of them must pay
+// for itself there.
 func TestRecordSizes(t *testing.T) {
-	if n := unsafe.Sizeof(op{}); n > 24 {
-		t.Errorf("op record is %d bytes, want at most 24", n)
+	if n := unsafe.Sizeof(op{}); n > 16 {
+		t.Errorf("op record is %d bytes, want at most 16", n)
 	}
-	if n := unsafe.Sizeof(arrival{}); n > 32 {
-		t.Errorf("inbox entry is %d bytes, want at most 32", n)
+	if n := unsafe.Sizeof(record{}); n > 32 {
+		t.Errorf("arena record is %d bytes, want at most 32", n)
+	}
+	if n := unsafe.Sizeof(proc{}.inbox[0]); n != 4 {
+		t.Errorf("inbox entry is %d bytes, want 4", n)
+	}
+}
+
+// TestSimLargeStorage pins the storage of the machine the daemon pools for
+// its sim-large job, the staggered all-to-all with work 8 and latency jitter
+// 4 at P=256, against what it kept with per-processor inboxes of 32-byte
+// entries and a payload arena of in-flight messages only: 6606504 bytes
+// after a run at seed 1 and 6629032 after a Reset and a run at seed 2. The
+// arena now holds every queued message, and must not cost more than the
+// inboxes it replaced.
+func TestSimLargeStorage(t *testing.T) {
+	params := core.Params{P: 256, L: 12, O: 2, G: 4}
+	cfg := func(seed int64) logp.Config { return logp.Config{Params: params, LatencyJitter: 4, Seed: seed} }
+	build := func() logp.Program {
+		inst, err := progs.Build("alltoall", params, progs.Args{N: 1, Work: 8, Staggered: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return inst.Prog
+	}
+	m, err := New(cfg(1), build(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if got, limit := m.StorageBytes(), int64(6606504); got > limit {
+		t.Errorf("after a run the machine keeps %d bytes, want at most %d", got, limit)
+	}
+	if err := m.Reset(cfg(2), build()); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if got, limit := m.StorageBytes(), int64(6629032); got > limit {
+		t.Errorf("after a Reset and a second run the machine keeps %d bytes, want at most %d", got, limit)
 	}
 }
 

@@ -71,47 +71,24 @@ const (
 	rRecvPaid                   // Recv's gap wait + o overhead elapsed
 )
 
-// Recorded Node operation kinds.
+// Recorded Node operation kinds, stored in op.k. A send stores there its
+// payload's index in proc.opData plus one, or 0 for a nil payload, so every
+// other kind is negative.
 const (
-	oSend uint8 = iota
-	oCompute
+	oCompute int32 = -1 - iota
 	oWait
 	oWaitUntil
+	oBadSend // a send to a destination outside [0, P), which panics when executed
 )
 
 // op is one recorded Node operation (the flat twin of the goroutine
-// driver's record-then-replay buffer entry): 24 pointer-free bytes, against
+// driver's record-then-replay buffer entry): 16 pointer-free bytes, against
 // 40 for a record that boxes the payload. A send's non-nil payload waits in
 // the processor's opData table.
 type op struct {
-	a, b int64
-	kind uint8
-	data int32 // oSend: 1 + the payload's index in proc.opData; 0 for nil
-}
-
-// arrival is one queued message: the compact twin of logp.Message, 32
-// pointer-free bytes against the Message's 72. To is the inbox owner and
-// Size is always 1 on this engine (a Node sends one word), so neither is
-// stored; a non-nil Data waits in the owner's inData queue, in arrival
-// order, and the entry only flags it. The logp.Message a handler receives
-// is rebuilt from it (message) when the handler runs.
-type arrival struct {
-	Tag       int
-	SentAt    int64
-	ArrivedAt int64
-	From      int32
-	dup       bool
-	hasData   bool
-}
-
-// message rebuilds the logp.Message an arrival at processor to stands for.
-func (a *arrival) message(to int32, data any) logp.Message {
-	msg := logp.Message{From: int(a.From), To: int(to), Tag: a.Tag, Data: data, Size: 1,
-		SentAt: a.SentAt, ArrivedAt: a.ArrivedAt}
-	if a.dup {
-		return msg.AsDup()
-	}
-	return msg
+	a  int64 // send: the tag; compute, wait: cycles; wait-until: the time; oBadSend: the destination
+	to int32 // send: the destination
+	k  int32 // the kind; a send's payload reference
 }
 
 // proc is one processor/memory module: the flat-array counterpart of
@@ -135,11 +112,12 @@ type proc struct {
 
 	stats logp.ProcStats
 
-	// inbox is head-indexed exactly like logp.Proc's: arrivals append,
-	// receptions advance inboxHead, storage is reused once drained. inData
-	// is the same kind of queue for the payloads of the arrivals that carry
-	// one.
-	inbox      []arrival
+	// inbox is a head-indexed queue, like logp.Proc's, of the arena slots
+	// (in the processor's shard) of the messages delivered and not yet
+	// received, in arrival order: deliveries append, receptions advance
+	// inboxHead, storage is reused once drained. inData is the same kind of
+	// queue for the payloads of the messages that carry one.
+	inbox      []int32
 	inboxHead  int
 	inData     []any
 	inDataHead int
@@ -159,8 +137,7 @@ type proc struct {
 	recvArrive int64 // Recv: message arrival / reception begin
 	recvFrom   int64 // Recv: gap-respecting reception start
 	recvPay    int64 // Recv: overhead cycles being charged
-	cur        arrival
-	curData    any
+	cur        int32 // Recv: the arena slot of the message being received
 
 	// The run's high-water lengths of the four buffers above, which seat
 	// compares with their capacities to drop storage an earlier, larger run
@@ -170,25 +147,27 @@ type proc struct {
 
 func (p *proc) pending() int { return len(p.inbox) - p.inboxHead }
 
-// popInbox moves the earliest arrival into cur, and its payload, if it
-// carries one, into curData. It returns the arrival.
-func (p *proc) popInbox() arrival {
-	p.cur = p.inbox[p.inboxHead]
+// popInbox removes the earliest arrival and returns its arena slot.
+func (p *proc) popInbox() int32 {
+	i := p.inbox[p.inboxHead]
 	p.inboxHead++
 	if p.inboxHead == len(p.inbox) {
 		p.inbox = p.inbox[:0]
 		p.inboxHead = 0
 	}
-	if p.cur.hasData {
-		p.curData = p.inData[p.inDataHead]
-		p.inData[p.inDataHead] = nil
-		p.inDataHead++
-		if p.inDataHead == len(p.inData) {
-			p.inData = p.inData[:0]
-			p.inDataHead = 0
-		}
+	return i
+}
+
+// popData removes the earliest queued payload.
+func (p *proc) popData() any {
+	d := p.inData[p.inDataHead]
+	p.inData[p.inDataHead] = nil
+	p.inDataHead++
+	if p.inDataHead == len(p.inData) {
+		p.inData = p.inData[:0]
+		p.inDataHead = 0
 	}
-	return p.cur
+	return d
 }
 
 // inboxShrinkCap bounds the backing array a compaction keeps: above it, a
@@ -197,28 +176,29 @@ func (p *proc) popInbox() arrival {
 // its steady-state backlog rather than its historical burst peak.
 const inboxShrinkCap = 4096
 
-// pushInbox appends an arrival, compacting consumed slots once they dominate
-// the backlog so a streaming receiver reuses storage instead of growing the
-// slice for the whole run. Invisible to programs: only the live tail moves.
-// Pathologically over-grown backing arrays (a one-off burst followed by a
-// long streaming phase) are released at compaction (inboxShrinkCap).
-func (p *proc) pushInbox(msg *logp.Message) {
+// pushInbox appends an arrival's arena slot, compacting consumed entries
+// once they dominate the backlog so a streaming receiver reuses storage
+// instead of growing the slice for the whole run. Invisible to programs:
+// only the live tail moves. Pathologically over-grown backing arrays (a
+// one-off burst followed by a long streaming phase) are released at
+// compaction (inboxShrinkCap).
+func (p *proc) pushInbox(i int32) {
 	if p.inboxHead > 16 && p.inboxHead*2 >= len(p.inbox) {
 		p.inbox = compacted(p.inbox, p.inboxHead)
 		p.inboxHead = 0
 	}
-	a := arrival{Tag: msg.Tag, SentAt: msg.SentAt, ArrivedAt: msg.ArrivedAt, From: int32(msg.From), dup: msg.Dup()}
-	if msg.Data != nil {
-		if p.inDataHead > 16 && p.inDataHead*2 >= len(p.inData) {
-			p.inData = compacted(p.inData, p.inDataHead)
-			p.inDataHead = 0
-		}
-		p.inData = append(p.inData, msg.Data)
-		p.inDataPeak = max(p.inDataPeak, len(p.inData))
-		a.hasData = true
-	}
-	p.inbox = append(p.inbox, a)
+	p.inbox = append(p.inbox, i)
 	p.inboxPeak = max(p.inboxPeak, len(p.inbox))
+}
+
+// pushData queues the payload of an arrival, compacting like pushInbox.
+func (p *proc) pushData(d any) {
+	if p.inDataHead > 16 && p.inDataHead*2 >= len(p.inData) {
+		p.inData = compacted(p.inData, p.inDataHead)
+		p.inDataHead = 0
+	}
+	p.inData = append(p.inData, d)
+	p.inDataPeak = max(p.inDataPeak, len(p.inData))
 }
 
 // compacted moves the live tail buf[head:] of a head-indexed queue to the
@@ -252,20 +232,22 @@ func (p *proc) resetOps() {
 // takeData returns the payload of the send o and drops the op's reference
 // to it, so the op table does not pin it once the message carries it.
 func (p *proc) takeData(o *op) any {
-	if o.data == 0 {
+	if o.k == 0 {
 		return nil
 	}
-	d := p.opData[o.data-1]
-	p.opData[o.data-1] = nil
+	d := p.opData[o.k-1]
+	p.opData[o.k-1] = nil
 	return d
 }
 
-// trimSlack and trimFloor decide which per-processor buffers seat keeps: one
-// holding more than trimFloor entries and over trimSlack times what the last
-// run used was grown by an earlier, larger run, so it is dropped and regrown
-// on demand. Repeating a job keeps every buffer (append at most doubles a
-// slice past its length), while a pooled machine that once ran a large
-// program does not hold that program's storage through every later job.
+// trimSlack and trimFloor decide which per-processor buffers, and which of a
+// shard's message arena and payload table, seat keeps: one holding more
+// than trimFloor entries and over trimSlack times what the last run used was
+// grown by an earlier, larger run, so it is dropped and regrown on demand.
+// Repeating a job keeps every buffer (append and the arena's growth at most
+// double a slice past its length), while a pooled machine that once ran a
+// large program does not hold that program's storage through every later
+// job.
 const (
 	trimSlack = 4
 	trimFloor = 64
@@ -296,22 +278,26 @@ func (p *proc) Now() int64 { return p.m.sh[p.shard].now }
 
 // Send records a one-word message send.
 func (p *proc) Send(to, tag int, data any) {
-	o := op{kind: oSend, a: int64(to), b: int64(tag)}
+	if to < 0 || to >= p.m.cfg.P {
+		p.ops = append(p.ops, op{a: int64(to), k: oBadSend})
+		return
+	}
+	o := op{a: int64(tag), to: int32(to)}
 	if data != nil {
 		p.opData = append(p.opData, data)
-		o.data = int32(len(p.opData))
+		o.k = int32(len(p.opData))
 	}
 	p.ops = append(p.ops, o)
 }
 
 // Compute records cycles of local work.
-func (p *proc) Compute(cycles int64) { p.ops = append(p.ops, op{kind: oCompute, a: cycles}) }
+func (p *proc) Compute(cycles int64) { p.ops = append(p.ops, op{a: cycles, k: oCompute}) }
 
 // Wait records an idle wait.
-func (p *proc) Wait(cycles int64) { p.ops = append(p.ops, op{kind: oWait, a: cycles}) }
+func (p *proc) Wait(cycles int64) { p.ops = append(p.ops, op{a: cycles, k: oWait}) }
 
 // WaitUntil records an idle wait until an absolute time.
-func (p *proc) WaitUntil(t int64) { p.ops = append(p.ops, op{kind: oWaitUntil, a: t}) }
+func (p *proc) WaitUntil(t int64) { p.ops = append(p.ops, op{a: t, k: oWaitUntil}) }
 
 // Done marks the processor finished once its recorded operations complete.
 func (p *proc) Done() { p.done = true }
@@ -335,10 +321,10 @@ type shard struct {
 	idx     int32
 	lo, hi  int // procs [lo, hi)
 	live    int
-	out     [][]event          // cross-shard deliveries, one buffer per destination shard
+	out     [][]post           // cross-shard deliveries, one buffer per destination shard
 	flight  *metrics.Histogram // shard-local flight-cycle observations, merged at the end
 	dropped int                // deliveries lost to fail-stopped destinations
-	err     error              // the shard's first logp.StretchOverflowError
+	err     error              // the shard's first clock overflow (logp.StretchOverflowError or ClockOverflowError)
 }
 
 // Machine is a flat LogP machine ready to run one Program; Reset seats
@@ -445,7 +431,7 @@ func ShardCount(cfg logp.Config, shards int) int {
 
 // Reset re-seats the machine with a new config and program, reusing its
 // storage: each processor's inbox and operation buffers, and each shard's
-// wheel buckets, overflow heap, payload arena, free list and outboxes.
+// wheel buckets, overflow heap, message arena, payload table and outboxes.
 // Everything else is re-seated from cfg —
 // topology, capacity mode, parameters, seed, jitter, faults and observers —
 // and every message payload the last run left behind is cleared, so the
@@ -687,7 +673,7 @@ func (m *Machine) StorageBytes() int64 {
 		int64(cap(m.skew)+cap(m.lastBusy))*8
 	for i := range m.procs {
 		p := &m.procs[i]
-		n += int64(cap(p.inbox))*int64(unsafe.Sizeof(arrival{})) +
+		n += int64(cap(p.inbox))*4 +
 			int64(cap(p.ops))*int64(unsafe.Sizeof(op{})) +
 			int64(cap(p.inData)+cap(p.opData))*int64(unsafe.Sizeof(any(nil)))
 	}
@@ -700,11 +686,12 @@ func (m *Machine) StorageBytes() int64 {
 			n += int64(cap(sh.wheel[b])) * int64(unsafe.Sizeof(ent{}))
 		}
 		n += int64(cap(sh.heap))*int64(unsafe.Sizeof(ent{})) +
-			int64(cap(sh.arena))*int64(unsafe.Sizeof(payload{})) +
-			int64(cap(sh.free))*4 +
-			int64(cap(sh.out))*int64(unsafe.Sizeof([]event(nil)))
+			int64(cap(sh.arena))*int64(unsafe.Sizeof(record{})) +
+			int64(cap(sh.dataFree))*4 +
+			int64(cap(sh.data))*int64(unsafe.Sizeof(any(nil))) +
+			int64(cap(sh.out))*int64(unsafe.Sizeof([]post(nil)))
 		for d := range sh.out {
-			n += int64(cap(sh.out[d])) * int64(unsafe.Sizeof(event{}))
+			n += int64(cap(sh.out[d])) * int64(unsafe.Sizeof(post{}))
 		}
 	}
 	return n
@@ -717,7 +704,8 @@ func (m *Machine) StorageBytes() int64 {
 // resets the configured metrics registry and profiler and replaces the trace,
 // so retain (or copy) a previous run's observations before re-running. A
 // compute stretched past the int64 cycle count fails the run with a
-// *logp.StretchOverflowError, as on the goroutine machine.
+// *logp.StretchOverflowError, and a compute or wait that passes it
+// unstretched with a *logp.ClockOverflowError, as on the goroutine machine.
 func (m *Machine) Run() (logp.Result, error) {
 	if m.ran {
 		m.seat(m.cfg, m.prog)
@@ -960,7 +948,7 @@ func (m *Machine) step(sh *shard, p *proc) {
 			return
 		}
 		m.finishRecvBook(sh, p)
-		m.runMessage(p)
+		m.runMessage(sh, p)
 	}
 }
 
@@ -981,7 +969,7 @@ func (m *Machine) parkUntil(sh *shard, p *proc, t int64, cont uint8) bool {
 // processor parked (or halted); the caller advances the cursor on true.
 func (m *Machine) execOp(sh *shard, p *proc) bool {
 	o := &p.ops[p.opHead]
-	switch o.kind {
+	switch o.k {
 	case oCompute:
 		cycles := o.a
 		if cycles < 0 {
@@ -999,26 +987,29 @@ func (m *Machine) execOp(sh *shard, p *proc) bool {
 		if m.topol != nil {
 			if r := m.topol.Rate(int(p.id)); r != 1 {
 				if cycles, ok = logp.Stretched(0, float64(cycles)*r, sh.now); !ok {
-					return m.overflow(sh, p)
+					return m.overflow(sh, p, &logp.StretchOverflowError{Proc: int(p.id), At: sh.now})
 				}
 			}
 		}
 		if m.skew != nil {
 			if cycles, ok = logp.Stretched(0, float64(cycles)*m.skew[p.id], sh.now); !ok {
-				return m.overflow(sh, p)
+				return m.overflow(sh, p, &logp.StretchOverflowError{Proc: int(p.id), At: sh.now})
 			}
 		}
 		if j := m.cfg.ComputeJitter; j > 0 {
 			if cycles, ok = logp.Stretched(cycles, float64(cycles)*j*m.rng.Float64(), sh.now); !ok {
-				return m.overflow(sh, p)
+				return m.overflow(sh, p, &logp.StretchOverflowError{Proc: int(p.id), At: sh.now})
 			}
 		}
 		if m.faults != nil {
 			if f := m.faults.SlowFactor(int(p.id), sh.now); f > 1 {
 				if cycles, ok = logp.Stretched(0, float64(cycles)*f, sh.now); !ok {
-					return m.overflow(sh, p)
+					return m.overflow(sh, p, &logp.StretchOverflowError{Proc: int(p.id), At: sh.now})
 				}
 			}
+		}
+		if cycles > math.MaxInt64-sh.now {
+			return m.overflow(sh, p, &logp.ClockOverflowError{Proc: int(p.id), Op: "compute", Cycles: cycles, At: sh.now})
 		}
 		p.pend = cycles
 		p.waitStart = sh.now
@@ -1040,6 +1031,9 @@ func (m *Machine) execOp(sh *shard, p *proc) bool {
 		}
 		if o.a <= 0 {
 			return true
+		}
+		if o.a > math.MaxInt64-sh.now {
+			return m.overflow(sh, p, &logp.ClockOverflowError{Proc: int(p.id), Op: "wait", Cycles: o.a, At: sh.now})
 		}
 		if m.rec != nil {
 			m.rec.Wait(int(p.id), o.a)
@@ -1067,18 +1061,20 @@ func (m *Machine) execOp(sh *shard, p *proc) bool {
 		}
 		m.record(p, trace.Idle, p.waitStart, sh.now)
 		return true
-	default: // oSend
+	case oBadSend:
+		panic(fmt.Sprintf("logp: proc %d sending to %d out of range", p.id, o.a))
+	default:
 		return m.execSend(sh, p, o)
 	}
 }
 
-// overflow ends p's part in the run on a compute that stretched past the
-// int64 cycle count: p halts as a fail-stopped processor does, the rest of
-// the run drains, and Run returns the shard's first such error. It returns
-// false, execOp's halt.
-func (m *Machine) overflow(sh *shard, p *proc) bool {
+// overflow ends p's part in the run on a compute or wait that would end
+// past the int64 cycle count: p halts as a fail-stopped processor does, the
+// rest of the run drains, and Run returns the shard's first such error. It
+// returns false, execOp's halt.
+func (m *Machine) overflow(sh *shard, p *proc, err error) bool {
 	if sh.err == nil {
-		sh.err = &logp.StretchOverflowError{Proc: int(p.id), At: sh.now}
+		sh.err = err
 	}
 	m.kill(p)
 	m.failProc(sh, p)
@@ -1088,12 +1084,9 @@ func (m *Machine) overflow(sh *shard, p *proc) bool {
 // execSend begins a send: the gap wait and the o-cycle overhead share one
 // park, exactly as in logp.Proc.Send.
 func (m *Machine) execSend(sh *shard, p *proc, o *op) bool {
-	to := int(o.a)
+	to := int(o.to)
 	if to == int(p.id) {
 		panic(fmt.Sprintf("logp: proc %d sending to itself", p.id))
-	}
-	if to < 0 || to >= m.cfg.P {
-		panic(fmt.Sprintf("logp: proc %d sending to %d out of range", p.id, to))
 	}
 	if p.failed {
 		m.failProc(sh, p)
@@ -1130,7 +1123,7 @@ func (m *Machine) bufferParkedSend(sh *shard, p *proc, o *op) {
 	if sh.out == nil {
 		return
 	}
-	to := int32(o.a)
+	to := o.to
 	ds := m.shardOf(int(to))
 	if ds == sh.idx {
 		return
@@ -1139,14 +1132,7 @@ func (m *Machine) bufferParkedSend(sh *shard, p *proc, o *op) {
 	// minOL the window spans — so the buffered delivery still lands at or
 	// after the window end.
 	lkL, lkO, _ := m.link(int(p.id), int(to))
-	t := p.initiation + lkO + lkL
-	sh.out[ds] = append(sh.out[ds], event{
-		kind:   evDeliver,
-		proc:   to,
-		t:      t,
-		flight: lkL,
-		msg:    logp.Message{From: int(p.id), To: int(to), Tag: int(o.b), Data: p.takeData(o), Size: 1, SentAt: p.initiation},
-	})
+	sh.outbox(ds, p.initiation+lkO+lkL, to, p.takeData(o), false).set(p.id, int(o.a), p.initiation, lkL, false)
 	p.sentEarly = true
 }
 
@@ -1154,7 +1140,7 @@ func (m *Machine) bufferParkedSend(sh *shard, p *proc, o *op) {
 // hooks, then the capacity acquires (or straight to injection).
 func (m *Machine) sendAfterOverhead(sh *shard, p *proc) bool {
 	o := &p.ops[p.opHead]
-	to := int(o.a)
+	to := int(o.to)
 	_, lkO, _ := m.link(int(p.id), to)
 	p.stats.SendOverhead += lkO
 	p.stats.MsgsSent++
@@ -1188,8 +1174,7 @@ func (m *Machine) sendAcquireOut(sh *shard, p *proc) bool {
 // sendAcquireIn waits for the destination's in-capacity unit, then settles
 // the stall accounting and injects.
 func (m *Machine) sendAcquireIn(sh *shard, p *proc) bool {
-	o := &p.ops[p.opHead]
-	to := int(o.a)
+	to := int(p.ops[p.opHead].to)
 	s := &m.inCap[to]
 	if s.used >= s.capacity {
 		m.semWait(s, p, rCapIn)
@@ -1211,8 +1196,8 @@ func (m *Machine) sendAcquireIn(sh *shard, p *proc) bool {
 // gap bookkeeping, the latency draw, the fault fate, and the delivery event.
 func (m *Machine) sendInject(sh *shard, p *proc) {
 	o := &p.ops[p.opHead]
-	to := int(o.a)
-	tag := int(o.b)
+	to := int(o.to)
+	tag := int(o.a)
 	if m.inTransitFrom != nil {
 		m.inTransitFrom[p.id]++
 		m.inTransitTo[to]++
@@ -1254,53 +1239,68 @@ func (m *Machine) sendInject(sh *shard, p *proc) {
 			m.rec.DropLast(int(p.id))
 		}
 	}
-	msg := logp.Message{From: int(p.id), To: to, Tag: tag, Data: p.takeData(o), Size: 1, SentAt: p.initiation}
-	m.scheduleDeliver(sh, injection+lat, &msg, lat, drop)
+	data := p.takeData(o)
+	m.route(sh, injection+lat, int32(to), data, drop).set(p.id, tag, p.initiation, lat, false)
 	if dup {
 		if m.rec != nil {
 			m.rec.Dup(int(p.id), to, tag, 1, dupLat)
 		}
-		dupMsg := msg.AsDup()
-		m.scheduleDeliver(sh, injection+dupLat, &dupMsg, dupLat, false)
+		m.route(sh, injection+dupLat, int32(to), data, false).set(p.id, tag, p.initiation, dupLat, true)
 	}
 }
 
-// scheduleDeliver routes a delivery event to the destination's shard: the
-// local queue when the destination is shard-local, else the per-destination
-// outbox merged at the next window barrier.
-func (m *Machine) scheduleDeliver(sh *shard, t int64, msg *logp.Message, flight int64, drop bool) {
-	ds := m.shardOf(msg.To)
-	if ds == sh.idx {
-		sh.queue.scheduleDeliver(t, int32(msg.To), msg, flight, drop)
-		return
+// route queues the delivery of a message to to at time t and returns the
+// record the caller writes the message into: a fresh arena record of the
+// local queue when the destination is shard-local, else the record of a new
+// entry in the outbox to its shard, merged at the next window barrier.
+func (m *Machine) route(sh *shard, t int64, to int32, data any, drop bool) *record {
+	if ds := m.shardOf(int(to)); ds != sh.idx {
+		return sh.outbox(ds, t, to, data, drop)
 	}
-	sh.out[ds] = append(sh.out[ds], event{kind: evDeliver, proc: int32(msg.To), msg: *msg, flight: flight, drop: drop, t: t})
+	return sh.deliverAt(t, to, data, drop)
+}
+
+// outbox appends a delivery to the outbox for shard ds and returns its
+// record for the caller to fill.
+func (sh *shard) outbox(ds int32, t int64, to int32, data any, drop bool) *record {
+	b := append(sh.out[ds], post{t: t, to: to, data: data, drop: drop})
+	sh.out[ds] = b
+	return &b[len(b)-1].rec
 }
 
 // deliver completes a message flight: the mirror of logp's delivery event.
-// The payload is read in place from the queue arena and its slot freed once
-// the message has been copied onward (or dropped).
+// The record stays in its arena slot, which the receiver's inbox now names,
+// until reception; a payload moves to the receiver's inData queue. A
+// dropped message's slot is freed here.
 func (m *Machine) deliver(sh *shard, e *ent) {
-	pay := &sh.arena[e.idx]
-	pay.msg.ArrivedAt = sh.now
-	msg := &pay.msg
+	r := &sh.arena[e.idx]
+	from, to := int(r.from), int(e.proc)
 	dst := &m.procs[e.proc]
 	if e.drop || dst.failed {
 		sh.dropped++
 		if m.met != nil {
-			m.met.OnDrop(msg.To)
+			m.met.OnDrop(to)
 		}
-		if !msg.Dup() {
-			m.settle(msg.From, msg.To)
+		if !r.dup {
+			m.settle(from, to)
 		}
-		sh.freePayload(e.idx)
+		if e.data != 0 {
+			sh.takeData(e.data)
+		}
+		sh.freeRecord(e.idx)
 		return
 	}
-	dst.pushInbox(msg)
-	if msg.Dup() {
+	flight := r.t
+	r.t = sh.now
+	if e.data != 0 {
+		dst.pushData(sh.takeData(e.data))
+		r.hasData = true
+	}
+	dst.pushInbox(e.idx)
+	if r.dup {
 		m.duplicated++
 		if m.met != nil {
-			m.met.OnDup(msg.To)
+			m.met.OnDup(to)
 		}
 	} else {
 		if m.met != nil {
@@ -1308,17 +1308,16 @@ func (m *Machine) deliver(sh *shard, e *ent) {
 			// owned by the destination shard, but the flight histogram is
 			// shared, so sharded runs observe into shard scratch instead.
 			if sh.flight != nil {
-				m.met.Procs[msg.To].Delivered.Inc()
-				sh.flight.Observe(pay.flight)
+				m.met.Procs[to].Delivered.Inc()
+				sh.flight.Observe(flight)
 			} else {
-				m.met.OnDeliver(msg.To, pay.flight)
+				m.met.OnDeliver(to, flight)
 			}
 		}
 		if !m.cfg.HoldCapacityUntilReceive {
-			m.settle(msg.From, msg.To)
+			m.settle(from, to)
 		}
 	}
-	sh.freePayload(e.idx)
 	if dst.waiting {
 		dst.waiting, dst.blocked = false, false
 		sh.scheduleAt(sh.now, evWake, dst.id)
@@ -1371,7 +1370,7 @@ func (m *Machine) semRelease(s *semaphore) {
 // costs (gap wait + overhead in one park). True means the cost completed
 // inline; false means the processor parked with resume = rRecvPaid.
 func (m *Machine) beginRecvPay(sh *shard, p *proc) bool {
-	p.popInbox()
+	p.cur = p.popInbox()
 	arrived := sh.now
 	p.recvArrive = arrived
 	start := arrived
@@ -1382,7 +1381,7 @@ func (m *Machine) beginRecvPay(sh *shard, p *proc) bool {
 	// The reception costs the arriving link's o: logp.Proc.recvCost charges
 	// o per word, or once with a coprocessor, and every message here is one
 	// word.
-	_, cost, _ := m.link(int(p.cur.From), int(p.id))
+	_, cost, _ := m.link(int(sh.arena[p.cur].from), int(p.id))
 	p.recvPay = cost
 	if t := start + cost; t > sh.now {
 		if !m.parkUntil(sh, p, t, rRecvPaid) {
@@ -1404,7 +1403,8 @@ func (m *Machine) finishRecvBook(sh *shard, p *proc) {
 		m.record(p, trace.Idle, arrived, start)
 	}
 	m.record(p, trace.RecvOverhead, start, sh.now)
-	_, lkO, lkG := m.link(int(p.cur.From), int(p.id))
+	r := &sh.arena[p.cur]
+	_, lkO, lkG := m.link(int(r.from), int(p.id))
 	iv := lkO
 	if lkG > iv {
 		iv = lkG
@@ -1413,8 +1413,8 @@ func (m *Machine) finishRecvBook(sh *shard, p *proc) {
 	if t := start + cost; t > p.nextRecv {
 		p.nextRecv = t
 	}
-	if m.cfg.HoldCapacityUntilReceive && !p.cur.dup {
-		m.settle(int(p.cur.From), int(p.id))
+	if m.cfg.HoldCapacityUntilReceive && !r.dup {
+		m.settle(int(r.from), int(p.id))
 	}
 	if m.rec != nil {
 		m.rec.RecvDone(int(p.id))
@@ -1428,15 +1428,21 @@ func (m *Machine) finishRecvBook(sh *shard, p *proc) {
 // handler, then onward stepping.
 func (m *Machine) recvComplete(sh *shard, p *proc) {
 	m.finishRecvBook(sh, p)
-	m.runMessage(p)
+	m.runMessage(sh, p)
 	m.step(sh, p)
 }
 
-// runMessage runs the Message handler on the received message, built from
-// cur; the processor keeps no reference to its payload.
-func (m *Machine) runMessage(p *proc) {
-	msg := p.cur.message(p.id, p.curData)
-	p.curData = nil
+// runMessage runs the Message handler on the message being received, built
+// from its record, which it frees, and its payload, which the processor
+// keeps no reference to.
+func (m *Machine) runMessage(sh *shard, p *proc) {
+	r := &sh.arena[p.cur]
+	var data any
+	if r.hasData {
+		data = p.popData()
+	}
+	msg := r.message(p.id, data)
+	sh.freeRecord(p.cur)
 	m.prog.Message(p, msg)
 }
 
@@ -1479,9 +1485,9 @@ func (m *Machine) kill(p *proc) {
 		// The dead processor will never receive what is queued for it, so
 		// those messages give back the units they hold, in inbox order; they
 		// stay queued, and count as undelivered.
-		for i := p.inboxHead; i < len(p.inbox); i++ {
-			if a := &p.inbox[i]; !a.dup {
-				m.settle(int(a.From), int(p.id))
+		for _, i := range p.inbox[p.inboxHead:] {
+			if r := &sh.arena[i]; !r.dup {
+				m.settle(int(r.from), int(p.id))
 			}
 		}
 	}

@@ -16,38 +16,67 @@ const (
 	evSample
 )
 
-// event is one scheduled occurrence in full: the form cross-shard outboxes
-// carry. Inside a queue, events are stored as pointer-free ents with deliver
-// payloads parked in the arena.
-type event struct {
-	t    int64
-	seq  uint64
-	kind uint8
-	drop bool  // evDeliver: the fault layer loses the message at arrival
-	proc int32 // target processor (wake/fail) or destination (deliver)
-	// evDeliver payload.
-	flight int64 // network latency drawn for this copy (metrics)
-	msg    logp.Message
+// record is one message from injection to reception: 32 pointer-free
+// bytes, written once into its shard's arena when the message enters the
+// network and read in place at delivery and at reception, which frees it
+// (delivery frees a dropped one). A logp.Message is built from it only when
+// a handler receives it. The receiver is the delivery's proc and a Node
+// message is always one word, so neither is stored; a non-nil payload
+// travels beside the record (see queue.data and proc.inData).
+type record struct {
+	t       int64 // until delivery: the drawn flight; from delivery on: the arrival time
+	sentAt  int64
+	tag     int
+	from    int32 // in a free record: 1 + the next free slot, 0 at the end of the list
+	dup     bool
+	hasData bool // delivered with a payload, which waits in the receiver's inData queue
+}
+
+// set overwrites every field of r for a message entering the network with
+// flight t.
+func (r *record) set(from int32, tag int, sentAt, t int64, dup bool) {
+	r.t = t
+	r.sentAt = sentAt
+	r.tag = tag
+	r.from = from
+	r.dup = dup
+	r.hasData = false
+}
+
+// message rebuilds the logp.Message a delivered record at processor to
+// stands for.
+func (r *record) message(to int32, data any) logp.Message {
+	msg := logp.Message{From: int(r.from), To: int(to), Tag: r.tag, Data: data, Size: 1,
+		SentAt: r.sentAt, ArrivedAt: r.t}
+	if r.dup {
+		return msg.AsDup()
+	}
+	return msg
+}
+
+// post is a cross-shard delivery waiting in an outbox for the window
+// barrier: the only place a message's record travels by value.
+type post struct {
+	t    int64 // delivery time
+	rec  record
+	data any
+	to   int32
+	drop bool
 }
 
 // ent is the in-queue representation: 32 pointer-free bytes, so queue
-// operations move quarter-size entries with no write barriers and the
-// garbage collector never scans the queue. Deliver payloads (the only part
-// of an event with pointers) live out-of-line in the queue's arena,
+// operations move small entries with no write barriers and the garbage
+// collector never scans the queue. A delivery's record lives in the
+// queue's arena and its payload, if any, in the queue's data table, both
 // referenced by index.
 type ent struct {
 	t    int64
 	seq  uint64
 	proc int32
-	idx  int32 // arena slot of the deliver payload; -1 for payload-free kinds
+	idx  int32 // evDeliver: the message's arena slot
+	data int32 // evDeliver: 1 + the payload's slot in queue.data; 0 for none
 	kind uint8
 	drop bool
-}
-
-// payload is the out-of-line part of an evDeliver event.
-type payload struct {
-	flight int64
-	msg    logp.Message
 }
 
 // entLess orders entries by (time, sequence), exactly as the sim kernel
@@ -89,28 +118,64 @@ type queue struct {
 	count    int // unconsumed wheel entries across all buckets
 	heads    [wheelSize]int32
 	wheel    [wheelSize][]ent
-	heap     []ent // overflow: events past the wheel horizon
-	arena    []payload
-	free     []int32
+	heap     []ent      // overflow: events past the wheel horizon
+	arena    []record   // every queued message, from injection to reception
+	free     int32      // 1 + the first free arena slot; 0 when none is free
+	data     []any      // payloads of messages in flight, moved to inData at delivery
+	dataFree []int32    // free slots of data
 	rec      *ShardStat // flight-recorder hook; nil when the recorder is off
 }
 
-// allocPayload reserves an arena slot, recycling freed ones.
-func (q *queue) allocPayload() int32 {
-	if n := len(q.free); n > 0 {
-		i := q.free[n-1]
-		q.free = q.free[:n-1]
+// newRecord reserves an arena slot, recycling freed ones. The arena grows
+// by doubling: past 256 entries append grows a slice by about a quarter per
+// step, so regrowing a trimmed arena of thousands of records would allocate
+// several times its final size.
+func (q *queue) newRecord() int32 {
+	if q.free != 0 {
+		i := q.free - 1
+		q.free = q.arena[i].from
 		return i
 	}
-	q.arena = append(q.arena, payload{})
-	return int32(len(q.arena) - 1)
+	n := len(q.arena)
+	if n == cap(q.arena) {
+		a := make([]record, n, max(2*n, 64))
+		copy(a, q.arena)
+		q.arena = a
+	}
+	q.arena = q.arena[:n+1]
+	return int32(n)
 }
 
-// freePayload recycles a delivery's arena slot once its message has been
-// consumed, dropping the payload reference so the GC does not retain it.
-func (q *queue) freePayload(i int32) {
-	q.arena[i].msg.Data = nil
-	q.free = append(q.free, i)
+// freeRecord recycles a message's arena slot, chaining it into the free
+// list through its own from field.
+func (q *queue) freeRecord(i int32) {
+	q.arena[i].from = q.free
+	q.free = i + 1
+}
+
+// putData parks a payload in flight and returns its data reference for the
+// delivery's entry: 0 for nil, else 1 + its slot.
+func (q *queue) putData(d any) int32 {
+	if d == nil {
+		return 0
+	}
+	if n := len(q.dataFree); n > 0 {
+		i := q.dataFree[n-1]
+		q.dataFree = q.dataFree[:n-1]
+		q.data[i] = d
+		return i + 1
+	}
+	q.data = append(q.data, d)
+	return int32(len(q.data))
+}
+
+// takeData returns the payload a delivery's data reference (non-zero)
+// names and frees its slot.
+func (q *queue) takeData(ref int32) any {
+	d := q.data[ref-1]
+	q.data[ref-1] = nil
+	q.dataFree = append(q.dataFree, ref-1)
+	return d
 }
 
 // insert places an entry in the wheel or, past the horizon, the heap.
@@ -168,26 +233,9 @@ func (q *queue) migrate(e ent) {
 	q.count++
 }
 
-// schedule queues e at absolute time t, assigning the next sequence number.
-func (q *queue) schedule(t int64, e *event) {
-	if t < q.now {
-		panic(fmt.Sprintf("flat: scheduling event at %d before current time %d", t, q.now))
-	}
-	q.seq++
-	en := ent{t: t, seq: q.seq, proc: e.proc, idx: -1, kind: e.kind, drop: e.drop}
-	if e.kind == evDeliver {
-		i := q.allocPayload()
-		p := &q.arena[i]
-		p.flight = e.flight
-		p.msg = e.msg
-		en.idx = i
-	}
-	q.insert(en)
-}
-
 // scheduleAt queues a payload-free event (wake, fail, sample) at time t.
 // This is the hot scheduling path — parks and wakes — and never touches the
-// full event struct or the arena.
+// arena.
 func (q *queue) scheduleAt(t int64, kind uint8, proc int32) {
 	if t < q.now {
 		panic(fmt.Sprintf("flat: scheduling event at %d before current time %d", t, q.now))
@@ -196,18 +244,17 @@ func (q *queue) scheduleAt(t int64, kind uint8, proc int32) {
 	q.insert(ent{t: t, seq: q.seq, proc: proc, idx: -1, kind: kind})
 }
 
-// scheduleDeliver queues a shard-local delivery from its pieces, writing the
-// payload straight into the arena with no intermediate event value.
-func (q *queue) scheduleDeliver(t int64, proc int32, msg *logp.Message, flight int64, drop bool) {
+// deliverAt queues the delivery of a message to proc at time t, parks its
+// payload, and returns the message's fresh arena record, which the caller
+// fills in place.
+func (q *queue) deliverAt(t int64, proc int32, data any, drop bool) *record {
 	if t < q.now {
 		panic(fmt.Sprintf("flat: scheduling event at %d before current time %d", t, q.now))
 	}
 	q.seq++
-	i := q.allocPayload()
-	p := &q.arena[i]
-	p.flight = flight
-	p.msg = *msg
-	q.insert(ent{t: t, seq: q.seq, proc: proc, idx: i, kind: evDeliver, drop: drop})
+	i := q.newRecord()
+	q.insert(ent{t: t, seq: q.seq, proc: proc, idx: i, data: q.putData(data), kind: evDeliver, drop: drop})
+	return &q.arena[i]
 }
 
 // pushHeap inserts e into the 4-ary overflow heap (sift-up with a hole).
@@ -294,8 +341,8 @@ func (q *queue) nextAfterNow() (int64, bool) {
 // popNext fills out with the next event in (time, seq) order, advancing the
 // clock, as long as its time is strictly below limit. Events at the current
 // instant always run (the window barrier only bounds clock advances).
-// Deliver payloads stay in the arena; the dispatcher reads them via out.idx
-// and frees the slot when done.
+// A delivery's record stays in the arena, where the dispatcher reads it via
+// out.idx.
 func (q *queue) popNext(limit int64, out *ent) bool {
 	if s := int(q.now) & wheelMask; q.heads[s] < int32(len(q.wheel[s])) {
 		q.popBucket(s, out)
@@ -314,7 +361,9 @@ func (q *queue) popNext(limit int64, out *ent) bool {
 }
 
 // reset empties the queue and rewinds its clock and sequence counter,
-// keeping the capacity of every bucket, the heap and the arena for reuse.
+// keeping the capacity of every bucket and the heap for reuse. The arena and
+// the payload table keep theirs unless the run just ended used under a
+// quarter of it (trimmed): their high-water lengths are that run's peak use.
 func (q *queue) reset() {
 	q.now, q.deadline, q.seq = 0, 0, 0
 	for s := range q.wheel {
@@ -323,11 +372,11 @@ func (q *queue) reset() {
 	}
 	q.count = 0
 	q.heap = q.heap[:0]
-	for i := range q.arena {
-		q.arena[i].msg = logp.Message{}
-	}
-	q.arena = q.arena[:0]
-	q.free = q.free[:0]
+	q.arena = trimmed(q.arena, len(q.arena))
+	q.free = 0
+	clear(q.data)
+	q.dataFree = trimmed(q.dataFree, len(q.data))
+	q.data = trimmed(q.data, len(q.data))
 }
 
 // pending reports the number of queued events (the kernel's pendingEvents).

@@ -88,35 +88,37 @@ func TestQueueOrderAndElision(t *testing.T) {
 	}
 }
 
-// TestQueueDeliverArenaRecycles pins the arena round-trip: deliver payloads
-// survive the heap, and their slots recycle instead of growing.
+// TestQueueDeliverArenaRecycles pins the arena round-trip: delivery records
+// and their payloads survive the heap, and their slots recycle instead of
+// growing.
 func TestQueueDeliverArenaRecycles(t *testing.T) {
 	var q queue
 	var e ent
 	for round := 0; round < 8; round++ {
 		base := q.now
 		for i := 0; i < 4; i++ {
-			ev := event{kind: evDeliver, proc: int32(i), flight: int64(10 + i)}
-			ev.msg.From = i
-			ev.msg.Data = round
-			q.schedule(base+int64(1+i), &ev)
+			q.deliverAt(base+int64(1+i), int32(i), round, false).set(int32(i), 7, base, int64(10+i), false)
 		}
 		for i := 0; i < 4; i++ {
 			if !q.popNext(math.MaxInt64, &e) {
 				t.Fatal("queue drained early")
 			}
-			pay := &q.arena[e.idx]
-			if e.kind != evDeliver || pay.msg.From != int(e.proc) || pay.flight != int64(10+e.proc) {
-				t.Fatalf("payload scrambled: %+v (payload %+v)", e, *pay)
+			rec := &q.arena[e.idx]
+			if e.kind != evDeliver || rec.from != e.proc || rec.t != int64(10+e.proc) || rec.tag != 7 {
+				t.Fatalf("record scrambled: %+v (record %+v)", e, *rec)
 			}
-			if pay.msg.Data != round {
-				t.Fatalf("payload data %v, want %v", pay.msg.Data, round)
+			if e.data == 0 {
+				t.Fatal("payload lost")
 			}
-			q.freePayload(e.idx)
+			if d := q.takeData(e.data); d != round {
+				t.Fatalf("payload data %v, want %v", d, round)
+			}
+			q.freeRecord(e.idx)
 		}
 	}
-	if len(q.arena) > 4 {
-		t.Errorf("arena grew to %d slots for 4 concurrent deliveries", len(q.arena))
+	if len(q.arena) > 4 || len(q.data) > 4 {
+		t.Errorf("arena grew to %d records and the payload table to %d slots for 4 concurrent deliveries",
+			len(q.arena), len(q.data))
 	}
 }
 

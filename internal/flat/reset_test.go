@@ -287,8 +287,13 @@ func TestResetKeepsAndTrimsStorage(t *testing.T) {
 // is the daemon's sim-large job. Each row reports the cost per message and
 // the machine's StorageBytes in MB; the P=32 and P=256 rows together show
 // whether a message costs more once the machine's storage outgrows the
-// cache.
+// cache. The P=64 mix row re-seats one machine for the all-to-all, the FFT
+// remap and the broadcast in turn, the shapes the daemon's pool cycles
+// through on varied jobs: seat trims what the larger programs grew, so its
+// bytes per run include regrowing it, and its storage_MB is the most the
+// machine kept after any run.
 func BenchmarkFlatReset(b *testing.B) {
+	b.Run("P=64/mix", benchResetMix)
 	for _, p := range []int{32, 256} {
 		cfg := func(seed int64) logp.Config {
 			return logp.Config{Params: core.Params{P: p, L: 12, O: 2, G: 4}, LatencyJitter: 4, Seed: seed}
@@ -337,4 +342,44 @@ func BenchmarkFlatReset(b *testing.B) {
 			report(b, m)
 		})
 	}
+}
+
+func benchResetMix(b *testing.B) {
+	params := core.Params{P: 64, L: 12, O: 2, G: 4}
+	cfg := func(seed int64) logp.Config { return logp.Config{Params: params, LatencyJitter: 2, Seed: seed} }
+	names := []string{"alltoall", "fftremap", "broadcast"}
+	run := func(m *flat.Machine, i int) int {
+		inst, err := progs.Build(names[i%len(names)], params, progs.Args{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := m.Reset(cfg(int64(i)), inst.Prog); err != nil {
+			b.Fatal(err)
+		}
+		res, err := m.Run()
+		if err != nil {
+			b.Fatal(err)
+		}
+		return res.Messages
+	}
+	inst, err := progs.Build(names[0], params, progs.Args{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	m, err := flat.New(cfg(0), inst.Prog, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i := range names {
+		run(m, i)
+	}
+	msgs, peak := 0, int64(0)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		msgs += run(m, i)
+		peak = max(peak, m.StorageBytes())
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(msgs), "ns/msg")
+	b.ReportMetric(float64(peak)/1e6, "storage_MB")
 }

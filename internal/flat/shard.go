@@ -102,8 +102,9 @@ func (m *Machine) runSharded() error {
 					dst.rec.MergedIn += int64(len(buf))
 				}
 				for i := range buf {
-					dst.schedule(buf[i].t, &buf[i])
-					buf[i].msg.Data = nil
+					b := &buf[i]
+					*dst.deliverAt(b.t, b.to, b.data, b.drop) = b.rec
+					b.data = nil
 				}
 				m.sh[s].out[d] = buf[:0]
 			}

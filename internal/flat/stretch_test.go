@@ -27,11 +27,25 @@ func stretchProg(t *testing.T, work int64) logp.Program {
 	return inst.Prog
 }
 
+// longWaits idles each processor for three waits of 2^62 cycles, the last
+// of which ends past the int64 cycle count.
+type longWaits struct{}
+
+func (longWaits) Start(n logp.Node) {
+	for i := 0; i < 3; i++ {
+		n.Wait(1 << 62)
+	}
+	n.Done()
+}
+
+func (longWaits) Message(logp.Node, logp.Message) {}
+
 // TestStretchOverflowFailsBothEngines: a compute that a stretch factor —
 // compute jitter, processor skew, a slowdown window or a topology rate —
 // pushes past the int64 cycle count fails the run on both engines with the
 // same StretchOverflowError, and a moderate stretch still finishes no
-// earlier than the unstretched run.
+// earlier than the unstretched run. A compute or wait that passes the int64
+// cycle count unstretched fails it with the same ClockOverflowError.
 func TestStretchOverflowFailsBothEngines(t *testing.T) {
 	plain, err := flat.Run(logp.Config{Params: stretchParams}, stretchProg(t, 3), 1)
 	if err != nil || plain.Time != 131 {
@@ -46,33 +60,58 @@ func TestStretchOverflowFailsBothEngines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	alltoall := func(work int64) func(*testing.T) logp.Program {
+		return func(t *testing.T) logp.Program { return stretchProg(t, work) }
+	}
 	cases := []struct {
-		name string
-		cfg  logp.Config
-		work int64
+		name  string
+		cfg   logp.Config
+		prog  func(*testing.T) logp.Program
+		clock bool // unstretched: a ClockOverflowError
 	}{
-		{"compute-jitter", logp.Config{Params: stretchParams, ComputeJitter: 1e300}, 3},
-		{"proc-skew", logp.Config{Params: stretchParams, ProcSkew: 1e300}, 3},
+		{"compute-jitter", logp.Config{Params: stretchParams, ComputeJitter: 1e300}, alltoall(3), false},
+		{"proc-skew", logp.Config{Params: stretchParams, ProcSkew: 1e300}, alltoall(3), false},
 		{"slowdown", logp.Config{Params: stretchParams, Faults: &logp.FaultPlan{
 			Slowdowns: []logp.Slowdown{{Proc: 2, Start: 0, End: 1000, Factor: 1e300}},
-		}}, 3},
-		{"topology-rate", logp.Config{Params: stretchParams, Topology: rated}, 3},
+		}}, alltoall(3), false},
+		{"topology-rate", logp.Config{Params: stretchParams, Topology: rated}, alltoall(3), false},
 		// Every jittered length fits in an int64, but a processor's second
 		// compute would end past the int64 cycle count.
-		{"jitter-past-the-clock", logp.Config{Params: stretchParams, ComputeJitter: 1}, 1 << 62},
+		{"jitter-past-the-clock", logp.Config{Params: stretchParams, ComputeJitter: 1}, alltoall(1 << 62), false},
+		// The daemon spec {"program":"alltoall","work":4611686018427387904,
+		// "machine":{"p":4,"l":6,"o":2,"g":4}} once finished at about 2^62
+		// on the flat engine, where a processor's second compute wrapped,
+		// and crashed the goroutine engine.
+		{"compute-past-the-clock", logp.Config{Params: stretchParams}, alltoall(1 << 62), true},
+		{"wait-past-the-clock", logp.Config{Params: stretchParams},
+			func(*testing.T) logp.Program { return longWaits{} }, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, gErr := logp.RunProgram(tc.cfg, stretchProg(t, tc.work))
-			_, fErr := flat.Run(tc.cfg, stretchProg(t, tc.work), 1)
-			var g, f *logp.StretchOverflowError
-			if !errors.As(gErr, &g) || !errors.As(fErr, &f) {
-				t.Fatalf("want a StretchOverflowError on both engines: goroutine=%v flat=%v", gErr, fErr)
-			}
-			if *g != *f {
-				t.Errorf("engines disagree: goroutine=%v flat=%v", gErr, fErr)
+			_, gErr := logp.RunProgram(tc.cfg, tc.prog(t))
+			_, fErr := flat.Run(tc.cfg, tc.prog(t), 1)
+			if tc.clock {
+				sameError[logp.ClockOverflowError](t, gErr, fErr)
+			} else {
+				sameError[logp.StretchOverflowError](t, gErr, fErr)
 			}
 		})
+	}
+}
+
+// sameError fails t unless both engines' errors are an E, equal as values
+// and in their text.
+func sameError[E comparable, PE interface {
+	*E
+	error
+}](t *testing.T, gErr, fErr error) {
+	t.Helper()
+	var g, f PE
+	if !errors.As(gErr, &g) || !errors.As(fErr, &f) {
+		t.Fatalf("want a %T on both engines: goroutine=%v flat=%v", g, gErr, fErr)
+	}
+	if *g != *f || gErr.Error() != fErr.Error() {
+		t.Errorf("engines disagree: goroutine=%v flat=%v", gErr, fErr)
 	}
 }
 

@@ -175,6 +175,21 @@ func (e *StretchOverflowError) Error() string {
 	return fmt.Sprintf("logp: proc %d: compute at cycle %d stretches past the int64 cycle count", e.Proc, e.At)
 }
 
+// ClockOverflowError is the error of a run in which a compute or wait of the
+// length the program asked for, unstretched, would end past the int64 cycle
+// count. It fails the run as a StretchOverflowError does.
+type ClockOverflowError struct {
+	Proc   int    // the processor whose operation overflowed
+	Op     string // "compute" or "wait"
+	Cycles int64  // the operation's length
+	At     int64  // the cycle at which it began
+}
+
+func (e *ClockOverflowError) Error() string {
+	return fmt.Sprintf("logp: proc %d: %s of %d cycles at cycle %d ends past the int64 cycle count",
+		e.Proc, e.Op, e.Cycles, e.At)
+}
+
 // FaultRuntime exposes the per-run fault machinery to engines implemented
 // outside this package. It wraps the same seeded state the goroutine machine
 // uses, so an external engine making the identical sequence of calls draws

@@ -218,8 +218,8 @@ type Machine struct {
 	// fault counters (see Result)
 	dropped    int
 	duplicated int
-	// err is the run's first StretchOverflowError, which Run returns in
-	// place of a Result.
+	// err is the run's first StretchOverflowError or ClockOverflowError,
+	// which Run returns in place of a Result.
 	err error
 	// in-transit tracking (kept even when enforcement is disabled, so the
 	// ablation can show the flood)
@@ -473,7 +473,8 @@ func (m *Machine) Params() core.Params { return m.cfg.Params }
 // Run executes body on every processor (as processor p.ID) until all return,
 // and reports the run. A Machine runs one program; build a fresh Machine per
 // run. A compute stretched past the int64 cycle count fails the run with a
-// *StretchOverflowError.
+// *StretchOverflowError, and a compute or wait that passes it unstretched
+// with a *ClockOverflowError.
 func (m *Machine) Run(body func(p *Proc)) (Result, error) {
 	if m.procs != nil {
 		return Result{}, fmt.Errorf("logp: machine already ran")

@@ -2,6 +2,7 @@ package logp
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"github.com/logp-model/logp/internal/core"
@@ -141,6 +142,9 @@ func (p *Proc) Compute(cycles int64) {
 			cycles = p.stretched(0, float64(cycles)*f)
 		}
 	}
+	if cycles > math.MaxInt64-p.Now() {
+		p.overflow(&ClockOverflowError{Proc: p.id, Op: "compute", Cycles: cycles, At: p.Now()})
+	}
 	start := p.Now()
 	p.ps.Wait(sim.Time(cycles))
 	p.stats.Compute += p.Now() - start
@@ -151,18 +155,23 @@ func (p *Proc) Compute(cycles int64) {
 }
 
 // stretched is Stretched for a compute this processor begins now. On
-// overflow it records the run's StretchOverflowError and halts the
-// processor as a fail-stop would.
+// overflow it fails the run with a StretchOverflowError.
 func (p *Proc) stretched(base int64, x float64) int64 {
 	c, ok := Stretched(base, x, p.Now())
 	if !ok {
-		if p.m.err == nil {
-			p.m.err = &StretchOverflowError{Proc: p.id, At: p.Now()}
-		}
-		p.m.kill(p.id)
-		p.checkFail()
+		p.overflow(&StretchOverflowError{Proc: p.id, At: p.Now()})
 	}
 	return c
+}
+
+// overflow records err as the run's error, unless an earlier overflow did,
+// and halts the processor as a fail-stop would.
+func (p *Proc) overflow(err error) {
+	if p.m.err == nil {
+		p.m.err = err
+	}
+	p.m.kill(p.id)
+	p.checkFail()
 }
 
 // idleUntil waits until absolute time t, recording the wait as idle.
@@ -467,6 +476,9 @@ func (p *Proc) Wait(cycles int64) {
 	p.checkFail()
 	if cycles <= 0 {
 		return
+	}
+	if cycles > math.MaxInt64-p.Now() {
+		p.overflow(&ClockOverflowError{Proc: p.id, Op: "wait", Cycles: cycles, At: p.Now()})
 	}
 	if p.m.rec != nil {
 		p.m.rec.Wait(p.id, cycles)

@@ -399,13 +399,18 @@ func (rp *replayer) startSend(p *rproc, op *Op) {
 
 // acquire is the capacity-acquire point of a pending send: take the
 // sender-side then receiver-side slot, queueing FIFO on whichever is full.
+// A sender woken from a queue re-enters here and re-checks, as on the
+// machine: from the out-queue it tries both slots again, from the in-queue
+// (holding its out slot) only the in slot.
 func (rp *replayer) acquire(p *rproc, now int64) {
 	op := &p.ops[p.pc]
-	out := rp.outCap[p.id]
-	if !out.tryAcquire() {
-		p.waiting = wCapOut
-		out.queue = append(out.queue, p)
-		return
+	if p.waiting != wCapIn {
+		out := rp.outCap[p.id]
+		if !out.tryAcquire() {
+			p.waiting = wCapOut
+			out.queue = append(out.queue, p)
+			return
+		}
 	}
 	in := rp.inCap[op.To]
 	if !in.tryAcquire() {
@@ -416,30 +421,21 @@ func (rp *replayer) acquire(p *rproc, now int64) {
 	rp.finishSend(p, now)
 }
 
-// release frees one slot and grants it to the longest-queued sender, if any.
+// release frees one slot and wakes the longest-queued sender, if any, to
+// re-check at the current time: the machine's semaphores grant nothing on
+// release, so another sender acting at the same instant can take the slot
+// first, and the woken one then queues again at the back.
 func (rp *replayer) release(s *rsem, tr int64) {
 	if s.used == 0 {
 		panic("prof: replay capacity release without acquire")
 	}
 	s.used--
-	if len(s.queue) == 0 || s.used >= s.capacity {
+	if len(s.queue) == 0 {
 		return
 	}
 	p := s.queue[0]
-	copy(s.queue, s.queue[1:])
-	s.queue = s.queue[:len(s.queue)-1]
-	s.used++
-	if p.waiting == wCapOut {
-		// Holds the out slot now; the in slot may still be contended.
-		op := &p.ops[p.pc]
-		in := rp.inCap[op.To]
-		if !in.tryAcquire() {
-			p.waiting = wCapIn
-			in.queue = append(in.queue, p)
-			return
-		}
-	}
-	rp.finishSend(p, tr)
+	s.queue = s.queue[1:]
+	rp.q.push(tr, evAcquire, int32(p.id), 0)
 }
 
 // finishSend completes a send whose capacity slots are held at time tInj:

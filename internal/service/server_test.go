@@ -357,6 +357,10 @@ func TestAPIErrorsAndAux(t *testing.T) {
 	if code != 400 || !strings.Contains(string(body), "unknown program") {
 		t.Errorf("unknown program: status %d body %s", code, body)
 	}
+	code, body, _ = submit(t, ts.URL, JobSpec{Program: "alltoall", Work: 1 << 62, Machine: MachineSpec{P: 4, L: 6, O: 2, G: 4}}, "")
+	if code != 400 || !strings.Contains(string(body), "past the int64 cycle count") {
+		t.Errorf("compute past the clock: status %d body %s", code, body)
+	}
 
 	// Missing hash is a JSON 404.
 	resp, err = http.Get(ts.URL + "/v1/jobs/deadbeef")

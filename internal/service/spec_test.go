@@ -268,6 +268,7 @@ func FuzzJobSpec(f *testing.F) {
 		`{"program":"pingpong","n":5,"machine":{"p":4,"l":6,"o":2,"g":4},"seed":7,"faults":{"seed":3,"drop":0.1,"fail_stops":[{"proc":2,"at":100}]},"metrics":{"include":true,"every":50}}`,
 		`{"program":"broadcast","machine":{"p":8,"l":6,"o":2,"g":4,"topology":{"procs_per_node":4,"node":{"l":2,"o":1,"g":1}}}}`,
 		`{"program":"alltoall","work":3,"machine":{"p":4,"l":6,"o":2,"g":4,"compute_jitter":1e300}}`,
+		`{"program":"alltoall","work":4611686018427387904,"machine":{"p":4,"l":6,"o":2,"g":4}}`,
 	} {
 		f.Add([]byte(seed))
 	}
