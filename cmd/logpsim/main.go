@@ -31,7 +31,6 @@ import (
 	"github.com/logp-model/logp/internal/algo/matmul"
 	parsort "github.com/logp-model/logp/internal/algo/sort"
 	"github.com/logp-model/logp/internal/algo/stencil"
-	"github.com/logp-model/logp/internal/collective"
 	"github.com/logp-model/logp/internal/core"
 	"github.com/logp-model/logp/internal/flat"
 	"github.com/logp-model/logp/internal/logp"
@@ -220,7 +219,7 @@ func main() {
 			values[i] = 1
 		}
 		var dist [][]float64
-		dist, err = collective.DistributeInputs(s, values)
+		dist, err = s.Distribute(values)
 		if err != nil {
 			fatal(err)
 		}

@@ -160,20 +160,24 @@ func receiverExported(d *ast.FuncDecl) bool {
 	}
 }
 
-// TestDocsCiteDefinedNames keeps the docs' test and benchmark citations
-// from rotting: every Test…, Benchmark… and Fuzz… name cited in README.md,
-// DESIGN.md or EXPERIMENTS.md must be the name, or a prefix of the name, of
-// a function some Go file in the repository defines (a prefix cites a
-// family, as TestReset does). ROADMAP.md and CHANGES.md are left out: they
-// cite planned and deleted names on purpose. CI runs this test by name in
-// its doc-lint step.
+// TestDocsCiteDefinedNames keeps the docs' citations from rotting. Every
+// Test…, Benchmark… and Fuzz… name cited in README.md, DESIGN.md or
+// EXPERIMENTS.md must be the name, or a prefix of the name, of a function
+// some Go file in the repository defines (a prefix cites a family, as
+// TestReset does). Every exported pkg.Name citation of one of this module's
+// packages, such as core.Params, must name a top-level declaration of that
+// package's non-test files (a function, method, type, variable or
+// constant), so a deleted name cannot linger in the docs. ROADMAP.md and
+// CHANGES.md are left out: they cite planned and deleted names on purpose.
+// CI runs this test by name in its doc-lint step.
 func TestDocsCiteDefinedNames(t *testing.T) {
-	defined, err := definedFuncs(".")
+	defined, pkgs, err := declarations(".")
 	if err != nil {
 		t.Fatal(err)
 	}
 	cited := regexp.MustCompile(`\b(?:Test|Benchmark|Fuzz)[A-Z0-9_]\w*`)
-	checked := 0
+	qualified := regexp.MustCompile(`(?:^|[^\w.])([a-z][a-z0-9]*)\.([A-Z]\w*)`)
+	checked, checkedQualified := 0, 0
 	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"} {
 		text, err := os.ReadFile(doc)
 		if err != nil {
@@ -185,17 +189,30 @@ func TestDocsCiteDefinedNames(t *testing.T) {
 				t.Errorf("%s cites %s, which no Go file defines", doc, name)
 			}
 		}
+		for _, m := range qualified.FindAllStringSubmatch(string(text), -1) {
+			decls, ok := pkgs[m[1]]
+			if !ok {
+				continue
+			}
+			checkedQualified++
+			if !decls[m[2]] {
+				t.Errorf("%s cites %s.%s, which package %s does not declare", doc, m[1], m[2], m[1])
+			}
+		}
 	}
-	if checked == 0 {
+	if checked == 0 || checkedQualified == 0 {
 		t.Fatal("no cited names found: doc lint read the wrong files")
 	}
 }
 
-// definedFuncs returns the names of the top-level functions every Go file
-// under root defines, nested modules included.
-func definedFuncs(root string) ([]string, error) {
+// declarations walks every Go file under root, nested modules included. It
+// returns the names of the top-level functions any file defines, and maps
+// the name of every non-main package to the names its non-test files
+// declare at top level: functions, methods, types, variables and constants.
+func declarations(root string) ([]string, map[string]map[string]bool, error) {
 	fset := token.NewFileSet()
-	var names []string
+	var funcs []string
+	pkgs := map[string]map[string]bool{}
 	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, walkErr error) error {
 		if walkErr != nil {
 			return walkErr
@@ -213,14 +230,41 @@ func definedFuncs(root string) ([]string, error) {
 		if err != nil {
 			return err
 		}
+		var decls map[string]bool
+		if pkg := f.Name.Name; pkg != "main" && !strings.HasSuffix(path, "_test.go") {
+			if decls = pkgs[pkg]; decls == nil {
+				decls = map[string]bool{}
+				pkgs[pkg] = decls
+			}
+		}
 		for _, decl := range f.Decls {
-			if fn, ok := decl.(*ast.FuncDecl); ok && fn.Recv == nil {
-				names = append(names, fn.Name.Name)
+			switch d := decl.(type) {
+			case *ast.FuncDecl:
+				if d.Recv == nil {
+					funcs = append(funcs, d.Name.Name)
+				}
+				if decls != nil {
+					decls[d.Name.Name] = true
+				}
+			case *ast.GenDecl:
+				if decls == nil {
+					continue
+				}
+				for _, spec := range d.Specs {
+					switch s := spec.(type) {
+					case *ast.TypeSpec:
+						decls[s.Name.Name] = true
+					case *ast.ValueSpec:
+						for _, name := range s.Names {
+							decls[name.Name] = true
+						}
+					}
+				}
 			}
 		}
 		return nil
 	})
-	return names, err
+	return funcs, pkgs, err
 }
 
 // citesDefined reports whether name is a defined function's name or a

@@ -8,9 +8,9 @@ import (
 	"fmt"
 	"log"
 
-	"github.com/logp-model/logp/internal/collective"
 	"github.com/logp-model/logp/internal/core"
 	"github.com/logp-model/logp/internal/logp"
+	"github.com/logp-model/logp/internal/progs"
 )
 
 func main() {
@@ -29,16 +29,16 @@ func main() {
 	fmt.Printf("\noptimal broadcast finishes at %d (binomial tree: %d, root-sends-all: %d)\n",
 		bs.Finish, core.BinomialBroadcastTime(params), core.LinearBroadcastTime(params))
 
-	// Execute it: every processor runs the same function against its ID.
-	res, err := logp.Run(logp.Config{Params: params}, func(p *logp.Proc) {
-		got := collective.Broadcast(p, bs, 1, "hello")
-		if p.ID() == params.P-1 {
-			fmt.Printf("processor %d received %q at cycle %d\n", p.ID(), got, p.Now())
-		}
-	})
+	// Execute it: the broadcast is a Program, whose Start handler runs on
+	// every processor and whose Message handler runs on every reception.
+	b := progs.NewBroadcast(bs, 1, "hello")
+	res, err := logp.RunProgram(logp.Config{Params: params}, b)
 	if err != nil {
 		log.Fatal(err)
 	}
+	// The last processor is a leaf of the tree: it finishes on receiving.
+	last := params.P - 1
+	fmt.Printf("processor %d received %q at cycle %d\n", last, b.Got[last], res.Procs[last].Finish)
 	fmt.Println("simulated broadcast time:", res.Time, "cycles (matches the schedule)")
 
 	// --- Summation: how many values fit in a deadline, and the uneven
@@ -53,7 +53,7 @@ func main() {
 	for i := range values {
 		values[i] = float64(i)
 	}
-	dist, err := collective.DistributeInputs(ss, values)
+	dist, err := ss.Distribute(values)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -62,14 +62,10 @@ func main() {
 			fmt.Printf("  processor %d sums %d inputs\n", i, len(chunk))
 		}
 	}
-	var total float64
-	res, err = logp.Run(logp.Config{Params: sumParams}, func(p *logp.Proc) {
-		if sum, ok := collective.SumOptimal(p, ss, 1, dist[p.ID()]); ok {
-			total = sum
-		}
-	})
+	sum := progs.NewSum(ss, 1, dist)
+	res, err = logp.RunProgram(logp.Config{Params: sumParams}, sum)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("simulated summation: total %.0f in %d cycles\n", total, res.Time)
+	fmt.Printf("simulated summation: total %.0f in %d cycles\n", sum.Root, res.Time)
 }

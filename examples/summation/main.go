@@ -8,9 +8,9 @@ import (
 	"fmt"
 	"log"
 
-	"github.com/logp-model/logp/internal/collective"
 	"github.com/logp-model/logp/internal/core"
 	"github.com/logp-model/logp/internal/logp"
+	"github.com/logp-model/logp/internal/progs"
 	"github.com/logp-model/logp/internal/stats"
 )
 
@@ -32,13 +32,11 @@ func main() {
 		for i := range values {
 			values[i] = 1
 		}
-		dist, err := collective.DistributeInputs(schedule, values)
+		dist, err := schedule.Distribute(values)
 		if err != nil {
 			log.Fatal(err)
 		}
-		res, err := logp.Run(logp.Config{Params: params}, func(p *logp.Proc) {
-			collective.SumOptimal(p, schedule, 1, dist[p.ID()])
-		})
+		res, err := logp.RunProgram(logp.Config{Params: params}, progs.NewSum(schedule, 1, dist))
 		if err != nil {
 			log.Fatal(err)
 		}

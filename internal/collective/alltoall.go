@@ -19,9 +19,6 @@ const (
 	// at every moment each destination has exactly one sender: the
 	// contention-free schedule.
 	Staggered
-	// RandomOrder permutes destinations independently per processor: a
-	// middle ground, with birthday-collision contention.
-	RandomOrder
 )
 
 // String names the schedule.
@@ -31,8 +28,6 @@ func (s Schedule) String() string {
 		return "naive"
 	case Staggered:
 		return "staggered"
-	case RandomOrder:
-		return "random"
 	}
 	return fmt.Sprintf("schedule(%d)", int(s))
 }
@@ -53,7 +48,7 @@ func AllToAll(p *logp.Proc, sched Schedule, tag int, counts []int, payload func(
 	if counts[me] != 0 {
 		panic("collective: nonzero self count in all-to-all")
 	}
-	order := destinationOrder(sched, P, me, p)
+	order := destinationOrder(sched, P, me)
 	recvd := make([]logp.Message, 0, expect)
 
 	k := make([]int, P) // next message index per destination
@@ -90,7 +85,7 @@ func AllToAll(p *logp.Proc, sched Schedule, tag int, counts []int, payload func(
 }
 
 // destinationOrder produces the destination sequence for a schedule.
-func destinationOrder(sched Schedule, P, me int, p *logp.Proc) []int {
+func destinationOrder(sched Schedule, P, me int) []int {
 	order := make([]int, 0, P-1)
 	switch sched {
 	case Naive:
@@ -103,48 +98,8 @@ func destinationOrder(sched Schedule, P, me int, p *logp.Proc) []int {
 		for i := 1; i < P; i++ {
 			order = append(order, (me+i)%P)
 		}
-	case RandomOrder:
-		for i := 1; i < P; i++ {
-			order = append(order, (me+i)%P)
-		}
-		rng := p.Rand()
-		for i := len(order) - 1; i > 0; i-- {
-			j := rng.Intn(i + 1)
-			order[i], order[j] = order[j], order[i]
-		}
 	default:
 		panic(fmt.Sprintf("collective: unknown schedule %d", sched))
 	}
 	return order
-}
-
-// Gather collects one message from every other processor at root, returning
-// them in arrival order (root's own value is not included). Non-roots send
-// and return nil.
-func Gather(p *logp.Proc, root, tag int, value any) []logp.Message {
-	if p.ID() != root {
-		p.Send(root, tag, value)
-		return nil
-	}
-	out := make([]logp.Message, 0, p.P()-1)
-	for len(out) < p.P()-1 {
-		out = append(out, p.RecvTag(tag))
-	}
-	return out
-}
-
-// Scatter sends values[i] from root to processor i and returns the local
-// value on every processor. values[root] is returned directly at the root.
-func Scatter(p *logp.Proc, root, tag int, values []any) any {
-	if p.ID() == root {
-		if len(values) != p.P() {
-			panic(fmt.Sprintf("collective: scatter of %d values on P=%d", len(values), p.P()))
-		}
-		for i := 1; i < p.P(); i++ {
-			dst := (root + i) % p.P()
-			p.Send(dst, tag, values[dst])
-		}
-		return values[root]
-	}
-	return p.RecvTag(tag).Data
 }

@@ -1,69 +1,20 @@
-// Package collective provides reusable communication operations on the LogP
-// machine: broadcasts (optimal, binomial, linear), reductions (the optimal
-// summation schedule of Section 3.3 and baselines), all-to-all exchanges with
-// the naive and staggered schedules of Section 4.1.2, scatter/gather, scans,
-// and a message-based dissemination barrier.
+// Package collective provides the blocking communication operations that
+// imperative algorithms call from inside their processor bodies on the
+// goroutine machine: the binomial and pipelined broadcasts, the binomial
+// reduction, the all-to-all exchange with the naive and staggered schedules
+// of Section 4.1.2, an inclusive scan, and a message-based dissemination
+// barrier. The paper's optimal broadcast and summation schedules (Figures 3
+// and 4) are logp.Programs in internal/progs, which every engine runs.
 //
 // All operations are SPMD: every processor of the machine calls the same
 // function, and the simulator charges the model costs.
 package collective
 
-import (
-	"fmt"
-
-	"github.com/logp-model/logp/internal/core"
-	"github.com/logp-model/logp/internal/logp"
-)
-
-// Broadcast delivers data from the schedule's root to every processor by
-// executing the optimal broadcast schedule (Figure 3). Every processor must
-// call it; it returns the datum. The run completes at exactly the schedule's
-// Finish time on an otherwise idle machine.
-func Broadcast(p *logp.Proc, s *core.BroadcastSchedule, tag int, data any) any {
-	if p.P() != s.Params.P {
-		panic(fmt.Sprintf("collective: schedule for P=%d on machine with P=%d", s.Params.P, p.P()))
-	}
-	me := p.ID()
-	if me != s.Root {
-		data = p.RecvTag(tag).Data
-	}
-	for _, ev := range s.Sends[me] {
-		p.Send(ev.Child, tag, data)
-	}
-	return data
-}
+import "github.com/logp-model/logp/internal/logp"
 
 // BinomialBroadcast is the classic binomial-tree broadcast, the baseline
-// schedule natural under models that lack the gap parameter. Returns the
-// datum on every processor.
+// schedule natural under models that lack the gap parameter: the one-value
+// case of PipelinedBinomialBroadcast. Returns the datum on every processor.
 func BinomialBroadcast(p *logp.Proc, root, tag int, data any) any {
-	P := p.P()
-	r := (p.ID() - root + P) % P // rank relative to the root
-	mask := 1
-	for mask < P {
-		if r&mask != 0 {
-			data = p.RecvTag(tag).Data // from r - mask
-			break
-		}
-		mask <<= 1
-	}
-	// Forward to the subtree below the bit we joined on, largest first.
-	for mask >>= 1; mask > 0; mask >>= 1 {
-		if dst := r + mask; dst < P {
-			p.Send((dst+root)%P, tag, data)
-		}
-	}
-	return data
-}
-
-// LinearBroadcast has the root send to every other processor directly: the
-// worst reasonable schedule, P-1 consecutive sends at the root.
-func LinearBroadcast(p *logp.Proc, root, tag int, data any) any {
-	if p.ID() == root {
-		for i := 1; i < p.P(); i++ {
-			p.Send((root+i)%p.P(), tag, data)
-		}
-		return data
-	}
-	return p.RecvTag(tag).Data
+	return PipelinedBinomialBroadcast(p, root, tag, 1, func(int) any { return data })[0]
 }

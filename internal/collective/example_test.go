@@ -8,24 +8,6 @@ import (
 	"github.com/logp-model/logp/internal/logp"
 )
 
-// Executing the optimal broadcast schedule reproduces its analytic time.
-func ExampleBroadcast() {
-	params := core.Params{P: 8, L: 6, O: 2, G: 4}
-	s, err := core.OptimalBroadcast(params, 0)
-	if err != nil {
-		panic(err)
-	}
-	res, err := logp.Run(logp.Config{Params: params}, func(p *logp.Proc) {
-		collective.Broadcast(p, s, 1, 42)
-	})
-	if err != nil {
-		panic(err)
-	}
-	fmt.Println("analytic:", s.Finish, "simulated:", res.Time)
-	// Output:
-	// analytic: 24 simulated: 24
-}
-
 // A reduction to processor 0 over a binomial tree.
 func ExampleBinomialReduce() {
 	params := core.Params{P: 8, L: 6, O: 2, G: 4}

@@ -3,6 +3,7 @@ package collective
 import (
 	"fmt"
 
+	"github.com/logp-model/logp/internal/core"
 	"github.com/logp-model/logp/internal/logp"
 )
 
@@ -17,26 +18,11 @@ import (
 // Every processor calls it; values(i) supplies the i-th value at the root;
 // the function returns all m values everywhere.
 func PipelinedChainBroadcast(p *logp.Proc, root, tag, m int, values func(i int) any) []any {
-	P := p.P()
-	pos := (p.ID() - root + P) % P // position in the chain
-	next := -1
-	if pos < P-1 {
-		next = (p.ID() + 1) % P
+	members := make([]int, p.P())
+	for i := range members {
+		members[i] = (root + i) % p.P()
 	}
-	out := make([]any, m)
-	for i := 0; i < m; i++ {
-		var v any
-		if pos == 0 {
-			v = values(i)
-		} else {
-			v = p.RecvTag(tag).Data
-		}
-		out[i] = v
-		if next >= 0 {
-			p.Send(next, tag, v)
-		}
-	}
-	return out
+	return PipelinedChainBroadcastGroup(p, members, tag, m, values)
 }
 
 // PipelinedChainBroadcastGroup streams m values through an explicit chain of
@@ -75,24 +61,6 @@ func PipelinedChainBroadcastGroup(p *logp.Proc, members []int, tag, m int, value
 	return out
 }
 
-// binomialChildren returns the binomial-tree children of the processor with
-// relative rank r (root-relative), as absolute processor IDs.
-func binomialChildren(r, root, P int) []int {
-	// A node's children sit below the bit it joined on (or below the top
-	// bit for the root).
-	joinMask := 1
-	for joinMask < P && r&joinMask == 0 {
-		joinMask <<= 1
-	}
-	var children []int
-	for mask := joinMask >> 1; mask > 0; mask >>= 1 {
-		if dst := r + mask; dst < P {
-			children = append(children, (dst+root)%P)
-		}
-	}
-	return children
-}
-
 // PipelinedBinomialBroadcast streams m values down the binomial broadcast
 // tree, forwarding each value independently. The root pays ceil(log2 P)
 // sends per value, so the chain broadcast wins for long streams while this
@@ -100,7 +68,7 @@ func binomialChildren(r, root, P int) []int {
 func PipelinedBinomialBroadcast(p *logp.Proc, root, tag, m int, values func(i int) any) []any {
 	P := p.P()
 	r := (p.ID() - root + P) % P
-	children := binomialChildren(r, root, P)
+	children := core.AppendBinomialChildren(nil, r, root, P)
 	out := make([]any, m)
 	for i := 0; i < m; i++ {
 		var v any

@@ -1,91 +1,6 @@
 package collective
 
-import (
-	"fmt"
-
-	"github.com/logp-model/logp/internal/core"
-	"github.com/logp-model/logp/internal/logp"
-)
-
-// DistributeInputs splits values across processors according to the optimal
-// summation schedule's (uneven) input distribution: processor i receives the
-// next InputCounts slice in processor order. Unused processors get nil. The
-// schedule sums exactly s.TotalValues inputs; len(values) must match.
-func DistributeInputs(s *core.SumSchedule, values []float64) ([][]float64, error) {
-	if int64(len(values)) != s.TotalValues {
-		return nil, fmt.Errorf("collective: %d values for a schedule of %d", len(values), s.TotalValues)
-	}
-	out := make([][]float64, s.Params.P)
-	next := 0
-	for id, node := range s.ByProc {
-		if node == nil {
-			continue
-		}
-		out[id] = values[next : next+node.LocalInputs]
-		next += node.LocalInputs
-	}
-	return out, nil
-}
-
-// SumOptimal executes the optimal summation schedule (Figure 4) on the
-// machine. Every processor calls it with its local input slice (from
-// DistributeInputs). The global sum is returned on the schedule's root
-// processor with ok=true; other processors return ok=false.
-//
-// The execution interleaves local additions with receptions exactly as the
-// schedule prescribes — an initial chain, then per reception period: o cycles
-// receiving, one cycle adding the received partial sum, and g-o-1 local
-// additions — so the root finishes at precisely the schedule deadline on an
-// otherwise idle machine.
-func SumOptimal(p *logp.Proc, s *core.SumSchedule, tag int, local []float64) (float64, bool) {
-	node := s.ByProc[p.ID()]
-	if node == nil {
-		return 0, false // pruned processor: not part of the schedule
-	}
-	if len(local) != node.LocalInputs {
-		panic(fmt.Sprintf("collective: proc %d given %d inputs, schedule says %d", p.ID(), len(local), node.LocalInputs))
-	}
-	params := s.Params
-	period := params.G
-	if period < params.O+1 {
-		period = params.O + 1
-	}
-	betweens := period - params.O - 1 // local additions between receptions
-
-	sum := local[0]
-	remaining := local[1:]
-	chain := func(n int64) {
-		for i := int64(0); i < n; i++ {
-			sum += remaining[0]
-			remaining = remaining[1:]
-		}
-		p.Compute(n)
-	}
-
-	k := int64(len(node.Children))
-	if k == 0 {
-		chain(int64(len(remaining)))
-	} else {
-		initial := int64(len(remaining)) - (k-1)*betweens
-		if initial < 0 {
-			panic(fmt.Sprintf("collective: proc %d schedule underflow (initial=%d)", p.ID(), initial))
-		}
-		chain(initial)
-		for i := k - 1; i >= 0; i-- { // receptions in arrival order (earliest first)
-			m := p.RecvTag(tag)
-			sum += m.Data.(float64)
-			p.Compute(1)
-			if i > 0 {
-				chain(betweens)
-			}
-		}
-	}
-	if node.Parent != nil {
-		p.Send(node.Parent.Proc, tag, sum)
-		return sum, false
-	}
-	return sum, true
-}
+import "github.com/logp-model/logp/internal/logp"
 
 // BinomialReduce folds values with op up a binomial tree to the root: the
 // natural baseline reduction. Each combining step charges one cycle of
@@ -106,21 +21,4 @@ func BinomialReduce(p *logp.Proc, root, tag int, value any, op func(a, b any) an
 		}
 	}
 	return value, true
-}
-
-// LocalThenReduce is the even-distribution baseline of BinaryTreeSumTime:
-// each processor chains through its local slice (one cycle per addition),
-// then the partials fold up a binomial tree.
-func LocalThenReduce(p *logp.Proc, root, tag int, local []float64) (float64, bool) {
-	sum := 0.0
-	for _, v := range local {
-		sum += v
-	}
-	if n := int64(len(local)) - 1; n > 0 {
-		p.Compute(n)
-	}
-	v, ok := BinomialReduce(p, root, tag, sum, func(a, b any) any {
-		return a.(float64) + b.(float64)
-	})
-	return v.(float64), ok
 }

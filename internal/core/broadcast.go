@@ -209,6 +209,24 @@ func BinomialBroadcastTime(p Params) int64 {
 	return rounds * round
 }
 
+// AppendBinomialChildren appends to dst the children of the processor with
+// root-relative rank r in the binomial broadcast tree over P processors
+// rooted at root, as absolute processor IDs in send order. A rank's children
+// sit below the bit it joined the tree on (below the top bit for the root),
+// largest first.
+func AppendBinomialChildren(dst []int, r, root, P int) []int {
+	joinMask := 1
+	for joinMask < P && r&joinMask == 0 {
+		joinMask <<= 1
+	}
+	for mask := joinMask >> 1; mask > 0; mask >>= 1 {
+		if d := r + mask; d < P {
+			dst = append(dst, (d+root)%P)
+		}
+	}
+	return dst
+}
+
 // LinearBroadcastTime is the naive source-sends-to-everyone schedule: the
 // root initiates P-1 sends back to back.
 func LinearBroadcastTime(p Params) int64 {

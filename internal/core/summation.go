@@ -339,6 +339,26 @@ func BinaryTreeSumTime(p Params, n int64) int64 {
 	return t
 }
 
+// Distribute splits values across processors according to the schedule's
+// (uneven) input distribution: processor i receives the next LocalInputs
+// values in processor order, and unused processors get nil. The schedule
+// sums exactly TotalValues inputs; len(values) must match.
+func (s *SumSchedule) Distribute(values []float64) ([][]float64, error) {
+	if int64(len(values)) != s.TotalValues {
+		return nil, fmt.Errorf("core: %d values for a schedule of %d", len(values), s.TotalValues)
+	}
+	out := make([][]float64, s.Params.P)
+	next := 0
+	for id, node := range s.ByProc {
+		if node == nil {
+			continue
+		}
+		out[id] = values[next : next+node.LocalInputs]
+		next += node.LocalInputs
+	}
+	return out, nil
+}
+
 // Validate checks that the schedule is executable under the model: receptions
 // at each node fit the period and start at or after the child's send
 // completes, local additions fit the remaining cycles, and every transmitted

@@ -276,6 +276,39 @@ func TestSummationInputDistributionUneven(t *testing.T) {
 	}
 }
 
+// TestDistributeRejectsWrongCount: Distribute hands each used processor its
+// LocalInputs values in processor order and refuses any count but
+// TotalValues.
+func TestDistributeRejectsWrongCount(t *testing.T) {
+	s, err := OptimalSummation(fig4, 28)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Distribute(make([]float64, 3)); err == nil {
+		t.Error("wrong input count accepted")
+	}
+	values := make([]float64, s.TotalValues)
+	for i := range values {
+		values[i] = float64(i)
+	}
+	dist, err := s.Distribute(values)
+	if err != nil {
+		t.Fatal(err)
+	}
+	next := 0.0
+	for id, chunk := range dist {
+		if n := s.ByProc[id]; (n == nil) != (chunk == nil) || n != nil && len(chunk) != n.LocalInputs {
+			t.Fatalf("proc %d given %d values, node %+v", id, len(chunk), n)
+		}
+		for _, v := range chunk {
+			if v != next {
+				t.Fatalf("proc %d given value %v, want %v in processor order", id, v, next)
+			}
+			next++
+		}
+	}
+}
+
 func TestByProcIndexConsistent(t *testing.T) {
 	s, err := OptimalSummation(fig4, 28)
 	if err != nil {

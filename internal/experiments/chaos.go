@@ -4,9 +4,9 @@ import (
 	"fmt"
 	"strings"
 
-	"github.com/logp-model/logp/internal/collective"
 	"github.com/logp-model/logp/internal/core"
 	"github.com/logp-model/logp/internal/logp"
+	"github.com/logp-model/logp/internal/progs"
 	"github.com/logp-model/logp/internal/reliable"
 	"github.com/logp-model/logp/internal/stats"
 )
@@ -31,9 +31,8 @@ func Chaos(opts Options) Report {
 	if err != nil {
 		return Report{ID: id, Checks: []Check{check("fig3 schedule built", false, "%v", err)}}
 	}
-	res3, err := logp.Run(logp.Config{Params: params, Faults: &logp.FaultPlan{Seed: 9}}, func(p *logp.Proc) {
-		collective.Broadcast(p, s3, 1, "datum")
-	})
+	res3, err := logp.RunProgram(logp.Config{Params: params, Faults: &logp.FaultPlan{Seed: 9}},
+		progs.NewBroadcast(s3, 1, "datum"))
 	if err != nil {
 		return Report{ID: id, Checks: []Check{check("fig3 executed", false, "%v", err)}}
 	}
@@ -52,19 +51,16 @@ func Chaos(opts Options) Report {
 		values[i] = float64(i + 1)
 		want4 += values[i]
 	}
-	dist, err := collective.DistributeInputs(s4, values)
+	dist, err := s4.Distribute(values)
 	if err != nil {
 		return Report{ID: id, Checks: []Check{check("fig4 inputs distributed", false, "%v", err)}}
 	}
-	var got4 float64
-	res4, err := logp.Run(logp.Config{Params: params4, Faults: &logp.FaultPlan{Seed: 9}}, func(p *logp.Proc) {
-		if sum, ok := collective.SumOptimal(p, s4, 1, dist[p.ID()]); ok {
-			got4 = sum
-		}
-	})
+	sum4 := progs.NewSum(s4, 1, dist)
+	res4, err := logp.RunProgram(logp.Config{Params: params4, Faults: &logp.FaultPlan{Seed: 9}}, sum4)
 	if err != nil {
 		return Report{ID: id, Checks: []Check{check("fig4 executed", false, "%v", err)}}
 	}
+	got4 := sum4.Root
 
 	// The sweep: for each drop rate, the same fixed seed set, reliable
 	// broadcast on P=8, metric = the time the value reached its last

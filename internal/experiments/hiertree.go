@@ -5,7 +5,6 @@ import (
 	"reflect"
 	"strings"
 
-	"github.com/logp-model/logp/internal/collective"
 	"github.com/logp-model/logp/internal/core"
 	"github.com/logp-model/logp/internal/flat"
 	"github.com/logp-model/logp/internal/logp"
@@ -215,18 +214,14 @@ func fig4OnTiers(params core.Params, node topo.Link, ppn int) (flatTime, tierTim
 		values[i] = float64(i + 1)
 		want += values[i]
 	}
-	dist, err := collective.DistributeInputs(s, values)
+	dist, err := s.Distribute(values)
 	if err != nil {
 		return 0, 0, false, err
 	}
 	run := func(cfg logp.Config) (int64, float64, error) {
-		var got float64
-		res, err := logp.Run(cfg, func(p *logp.Proc) {
-			if sum, ok := collective.SumOptimal(p, s, 1, dist[p.ID()]); ok {
-				got = sum
-			}
-		})
-		return res.Time, got, err
+		sum := progs.NewSum(s, 1, dist)
+		res, err := logp.RunProgram(cfg, sum)
+		return res.Time, sum.Root, err
 	}
 	flatTime, gotFlat, err := run(logp.Config{Params: params})
 	if err != nil {

@@ -5,10 +5,10 @@ import (
 	"strings"
 
 	"github.com/logp-model/logp/internal/algo/fft"
-	"github.com/logp-model/logp/internal/collective"
 	"github.com/logp-model/logp/internal/core"
 	"github.com/logp-model/logp/internal/logp"
 	"github.com/logp-model/logp/internal/machine"
+	"github.com/logp-model/logp/internal/progs"
 	"github.com/logp-model/logp/internal/stats"
 )
 
@@ -50,9 +50,7 @@ func Fig3() Report {
 		return Report{ID: "fig3", Checks: []Check{check("schedule built", false, "%v", err)}}
 	}
 	cfg := logp.Config{Params: params, CollectTrace: true}
-	res, err := logp.Run(cfg, func(p *logp.Proc) {
-		collective.Broadcast(p, s, 1, "datum")
-	})
+	res, err := logp.RunProgram(cfg, progs.NewBroadcast(s, 1, "datum"))
 	if err != nil {
 		return Report{ID: "fig3", Checks: []Check{check("executed", false, "%v", err)}}
 	}
@@ -107,20 +105,17 @@ func Fig4() Report {
 		values[i] = float64(i + 1)
 		want += values[i]
 	}
-	dist, err := collective.DistributeInputs(s, values)
+	dist, err := s.Distribute(values)
 	if err != nil {
 		return Report{ID: "fig4", Checks: []Check{check("inputs distributed", false, "%v", err)}}
 	}
-	var got float64
+	sum := progs.NewSum(s, 1, dist)
 	cfg := logp.Config{Params: params, CollectTrace: true}
-	res, err := logp.Run(cfg, func(p *logp.Proc) {
-		if sum, ok := collective.SumOptimal(p, s, 1, dist[p.ID()]); ok {
-			got = sum
-		}
-	})
+	res, err := logp.RunProgram(cfg, sum)
 	if err != nil {
 		return Report{ID: "fig4", Checks: []Check{check("executed", false, "%v", err)}}
 	}
+	got := sum.Root
 	var b strings.Builder
 	fmt.Fprintf(&b, "%v  optimal summation, deadline T=28\n", params)
 	fmt.Fprintf(&b, "values summed: %d  (binary-tree baseline needs %d cycles)\n", s.TotalValues, core.BinaryTreeSumTime(params, s.TotalValues))

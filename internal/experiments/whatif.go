@@ -11,6 +11,7 @@ import (
 	"github.com/logp-model/logp/internal/core"
 	"github.com/logp-model/logp/internal/logp"
 	"github.com/logp-model/logp/internal/prof"
+	"github.com/logp-model/logp/internal/progs"
 )
 
 // WhatIf validates the causal profiler's what-if re-costing against direct
@@ -53,7 +54,7 @@ func WhatIf() Report {
 	type program struct {
 		name  string
 		exact bool
-		body  func(params core.Params) func(p *logp.Proc)
+		run   func(cfg logp.Config) (logp.Result, error)
 	}
 	bcast, err := core.OptimalBroadcast(base, 0)
 	if err != nil {
@@ -67,20 +68,20 @@ func WhatIf() Report {
 	for i := range values {
 		values[i] = 1
 	}
-	dist, err := collective.DistributeInputs(sum, values)
+	dist, err := sum.Distribute(values)
 	if err != nil {
 		return Report{ID: "whatif", Checks: []Check{check("inputs distributed", false, "%v", err)}}
 	}
 	const perPair = 4
 	programs := []program{
-		{"broadcast", true, func(core.Params) func(p *logp.Proc) {
-			return func(p *logp.Proc) { collective.Broadcast(p, bcast, 1, nil) }
+		{"broadcast", true, func(cfg logp.Config) (logp.Result, error) {
+			return logp.RunProgram(cfg, progs.NewBroadcast(bcast, 1, nil))
 		}},
-		{"tree-sum", true, func(core.Params) func(p *logp.Proc) {
-			return func(p *logp.Proc) { collective.SumOptimal(p, sum, 1, dist[p.ID()]) }
+		{"tree-sum", true, func(cfg logp.Config) (logp.Result, error) {
+			return logp.RunProgram(cfg, progs.NewSum(sum, 1, dist))
 		}},
-		{"all-to-all", false, func(core.Params) func(p *logp.Proc) {
-			return func(p *logp.Proc) {
+		{"all-to-all", false, func(cfg logp.Config) (logp.Result, error) {
+			return logp.Run(cfg, func(p *logp.Proc) {
 				c := make([]int, p.P())
 				for d := range c {
 					if d != p.ID() {
@@ -89,7 +90,7 @@ func WhatIf() Report {
 				}
 				collective.AllToAll(p, collective.Staggered, 1, c,
 					func(dst, k int) any { return nil }, perPair*(p.P()-1), 2)
-			}
+			})
 		}},
 	}
 
@@ -97,8 +98,7 @@ func WhatIf() Report {
 	b.WriteString("and compare with fresh simulations of the same program:\n\n")
 	for _, prog := range programs {
 		rec := prof.NewRecorder()
-		body := prog.body(base)
-		res, err := logp.Run(logp.Config{Params: base, Profiler: rec}, body)
+		res, err := prog.run(logp.Config{Params: base, Profiler: rec})
 		if err != nil {
 			return Report{ID: "whatif", Checks: []Check{check(prog.name+" recorded", false, "%v", err)}}
 		}
@@ -118,7 +118,7 @@ func WhatIf() Report {
 			if err != nil {
 				return Report{ID: "whatif", Checks: []Check{check(prog.name+" replayed", false, "%v", err)}}
 			}
-			fresh, err := logp.Run(logp.Config{Params: alt}, prog.body(alt))
+			fresh, err := prog.run(logp.Config{Params: alt})
 			if err != nil {
 				return Report{ID: "whatif", Checks: []Check{check(prog.name+" simulated", false, "%v", err)}}
 			}
@@ -147,7 +147,7 @@ func WhatIf() Report {
 
 	// The base broadcast's critical path, the Figure 3 accounting.
 	rec := prof.NewRecorder()
-	if _, err := logp.Run(logp.Config{Params: base, Profiler: rec}, programs[0].body(base)); err != nil {
+	if _, err := programs[0].run(logp.Config{Params: base, Profiler: rec}); err != nil {
 		return Report{ID: "whatif", Checks: []Check{check("broadcast recorded", false, "%v", err)}}
 	}
 	run, err := rec.Analyze()
@@ -178,9 +178,9 @@ func WhatIf() Report {
 // causal profiler and writes their Chrome trace_event JSON exports to
 // <dir>/fig3.trace.json and <dir>/fig4.trace.json (cmd/figures -prof).
 func WriteProfTraces(dir string) error {
-	write := func(name string, params core.Params, body func(p *logp.Proc)) error {
+	write := func(name string, params core.Params, prog logp.Program) error {
 		rec := prof.NewRecorder()
-		if _, err := logp.Run(logp.Config{Params: params, Profiler: rec}, body); err != nil {
+		if _, err := logp.RunProgram(logp.Config{Params: params, Profiler: rec}, prog); err != nil {
 			return err
 		}
 		run, err := rec.Analyze()
@@ -203,9 +203,7 @@ func WriteProfTraces(dir string) error {
 	if err != nil {
 		return err
 	}
-	if err := write("fig3.trace.json", fig3, func(p *logp.Proc) {
-		collective.Broadcast(p, bcast, 1, nil)
-	}); err != nil {
+	if err := write("fig3.trace.json", fig3, progs.NewBroadcast(bcast, 1, nil)); err != nil {
 		return err
 	}
 
@@ -218,11 +216,9 @@ func WriteProfTraces(dir string) error {
 	for i := range values {
 		values[i] = 1
 	}
-	dist, err := collective.DistributeInputs(sum, values)
+	dist, err := sum.Distribute(values)
 	if err != nil {
 		return err
 	}
-	return write("fig4.trace.json", fig4, func(p *logp.Proc) {
-		collective.SumOptimal(p, sum, 1, dist[p.ID()])
-	})
+	return write("fig4.trace.json", fig4, progs.NewSum(sum, 1, dist))
 }

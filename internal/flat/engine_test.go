@@ -3,7 +3,6 @@ package flat_test
 import (
 	"testing"
 
-	"github.com/logp-model/logp/internal/collective"
 	"github.com/logp-model/logp/internal/core"
 	"github.com/logp-model/logp/internal/flat"
 	"github.com/logp-model/logp/internal/logp"
@@ -40,7 +39,7 @@ func TestEngineSuite(t *testing.T) {
 	for i := range values {
 		values[i] = 1
 	}
-	dist, err := collective.DistributeInputs(ss, values)
+	dist, err := ss.Distribute(values)
 	if err != nil {
 		t.Fatal(err)
 	}

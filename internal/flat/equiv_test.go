@@ -7,7 +7,6 @@ import (
 	"reflect"
 	"testing"
 
-	"github.com/logp-model/logp/internal/collective"
 	"github.com/logp-model/logp/internal/core"
 	"github.com/logp-model/logp/internal/flat"
 	"github.com/logp-model/logp/internal/logp"
@@ -129,7 +128,7 @@ func TestEquivOptimalSummation(t *testing.T) {
 		values[i] = float64(i + 1)
 		total += values[i]
 	}
-	inputs, err := collective.DistributeInputs(s, values)
+	inputs, err := s.Distribute(values)
 	if err != nil {
 		t.Fatal(err)
 	}

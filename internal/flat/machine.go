@@ -462,31 +462,18 @@ func (m *Machine) Reset(cfg logp.Config, prog logp.Program) error {
 // validate checks cfg for a machine of the given (unclamped) shard count:
 // the checks New runs before it allocates, in New's order.
 func validate(cfg logp.Config, shards int) error {
-	if err := cfg.Params.Validate(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return err
 	}
-	if cfg.LatencyJitter < 0 || cfg.LatencyJitter > cfg.L {
-		return fmt.Errorf("logp: latency jitter %d outside [0, L=%d]", cfg.LatencyJitter, cfg.L)
-	}
-	if cfg.Topology != nil {
-		if cfg.Topology.P() != cfg.P {
-			return fmt.Errorf("logp: topology describes P=%d, machine has P=%d", cfg.Topology.P(), cfg.P)
-		}
-		if minL := cfg.Topology.MinL(); cfg.LatencyJitter > minL {
-			return fmt.Errorf("logp: latency jitter %d exceeds the minimum link L=%d", cfg.LatencyJitter, minL)
-		}
-	}
-	if !(cfg.ComputeJitter >= 0 && cfg.ComputeJitter <= math.MaxFloat64) {
-		return fmt.Errorf("logp: compute jitter %v not a finite value >= 0", cfg.ComputeJitter)
-	}
-	if !(cfg.ProcSkew >= 0 && cfg.ProcSkew <= math.MaxFloat64) {
-		return fmt.Errorf("logp: processor skew %v not a finite value >= 0", cfg.ProcSkew)
-	}
-	if cfg.Faults != nil {
-		if err := cfg.Faults.Validate(cfg.P); err != nil {
-			return err
-		}
-	}
+	return ValidateShards(cfg, shards)
+}
+
+// ValidateShards checks the preconditions of the windowed parallel kernel
+// for cfg at the given (unclamped) shard count; it accepts every config
+// that runs on one shard (see ShardCount). The sharded kernel excludes
+// trace and profiler collection, latency and compute jitter, and fault
+// plans beyond pure fail-stops, and needs o+L >= 1 on every link.
+func ValidateShards(cfg logp.Config, shards int) error {
 	if ShardCount(cfg, shards) > 1 {
 		if cfg.CollectTrace || cfg.Profiler != nil {
 			return fmt.Errorf("flat: sharded execution excludes trace and profiler (single-shard observers)")

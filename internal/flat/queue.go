@@ -108,9 +108,15 @@ const (
 // Representation invariants: every wheel entry has now <= t < now+wheelSize,
 // so bucket t&wheelMask collides with nothing and the bucket for the current
 // instant holds exactly the t == now events, in seq order (appends are
-// seq-ordered; heap migrations insert by seq). The heap holds only entries
-// with t >= now + wheelSize at their scheduling time; popNext migrates them
-// into the wheel before the clock reaches them.
+// seq-ordered; heap migrations insert by seq). Every heap entry has t > now.
+// The heap holds entries that lay at least wheelSize ahead when they were
+// scheduled, but an in-place clock advance (canAdvance, which never passes
+// the heap top) moves now without migrating any, so heap entries may lie
+// inside the horizon and the heap top may precede every wheel entry.
+// nextAfterNow therefore takes the earlier of the first non-empty bucket and
+// the heap top, and popNext migrates every heap entry within the new clock's
+// horizon before it pops, so each lands in the bucket of its own time rather
+// than in the bucket that stands for a wheel turn later.
 type queue struct {
 	now      int64
 	deadline int64 // bound for in-place clock advances (window end - 1)
@@ -320,22 +326,24 @@ func (q *queue) popBucket(s int, out *ent) {
 	}
 }
 
-// nextAfterNow finds the earliest event time strictly after now: the first
-// non-empty wheel bucket ahead (every wheel entry is within the horizon, so
-// the scan is bounded by the gap to the next event) or the heap top.
+// nextAfterNow finds the earliest event time strictly after now: the earlier
+// of the first non-empty wheel bucket ahead (every wheel entry is within the
+// horizon, so the scan is bounded by the gap to the next event) and the heap
+// top, which an in-place advance can leave inside the horizon (see queue).
 func (q *queue) nextAfterNow() (int64, bool) {
+	t, ok := int64(0), false
 	if q.count > 0 {
 		for d := int64(1); d < wheelSize; d++ {
-			t := q.now + d
-			if s := int(t) & wheelMask; q.heads[s] < int32(len(q.wheel[s])) {
-				return t, true
+			if s := int(q.now+d) & wheelMask; q.heads[s] < int32(len(q.wheel[s])) {
+				t, ok = q.now+d, true
+				break
 			}
 		}
 	}
-	if len(q.heap) > 0 {
+	if len(q.heap) > 0 && (!ok || q.heap[0].t < t) {
 		return q.heap[0].t, true
 	}
-	return 0, false
+	return t, ok
 }
 
 // popNext fills out with the next event in (time, seq) order, advancing the

@@ -88,6 +88,36 @@ func TestQueueOrderAndElision(t *testing.T) {
 	}
 }
 
+// TestQueueHeapTopInsideHorizon pins the queue's answer to an in-place
+// advance that brings a heap entry inside the wheel's horizon: a wheel entry
+// queued after it at a later time must not be popped first, and the heap
+// entry must fire at its own time, not a wheel turn later.
+func TestQueueHeapTopInsideHorizon(t *testing.T) {
+	var q queue
+	var e ent
+	q.deadline = math.MaxInt64
+	q.scheduleAt(150, evWake, 1) // past the horizon: heap
+	if !q.canAdvance(129) {
+		t.Fatal("cannot advance to 129 with heap top at 150")
+	}
+	q.now = 129
+	q.scheduleAt(160, evWake, 2) // inside the horizon: wheel
+	if next, ok := q.nextTime(); !ok || next != 150 {
+		t.Fatalf("nextTime = %d, %v; want the heap top 150", next, ok)
+	}
+	for _, want := range []struct {
+		proc int32
+		t    int64
+	}{{1, 150}, {2, 160}} {
+		if !q.popNext(math.MaxInt64, &e) || e.proc != want.proc || q.now != want.t {
+			t.Fatalf("popped proc %d at %d, want proc %d at %d", e.proc, q.now, want.proc, want.t)
+		}
+	}
+	if q.pending() != 0 {
+		t.Fatalf("pending = %d after both events", q.pending())
+	}
+}
+
 // TestQueueDeliverArenaRecycles pins the arena round-trip: delivery records
 // and their payloads survive the heap, and their slots recycle instead of
 // growing.

@@ -119,6 +119,37 @@ type Config struct {
 	MetricsEvery int64
 }
 
+// Validate checks everything every engine requires of a config: the LogP
+// parameters, latency jitter within [0, L] and within the topology's
+// minimum link L, a topology for P processors, finite non-negative compute
+// jitter and processor skew, and a fault plan valid for P.
+func (cfg Config) Validate() error {
+	if err := cfg.Params.Validate(); err != nil {
+		return err
+	}
+	if cfg.LatencyJitter < 0 || cfg.LatencyJitter > cfg.L {
+		return fmt.Errorf("logp: latency jitter %d outside [0, L=%d]", cfg.LatencyJitter, cfg.L)
+	}
+	if cfg.Topology != nil {
+		if cfg.Topology.P() != cfg.P {
+			return fmt.Errorf("logp: topology describes P=%d, machine has P=%d", cfg.Topology.P(), cfg.P)
+		}
+		if minL := cfg.Topology.MinL(); cfg.LatencyJitter > minL {
+			return fmt.Errorf("logp: latency jitter %d exceeds the minimum link L=%d", cfg.LatencyJitter, minL)
+		}
+	}
+	if !(cfg.ComputeJitter >= 0 && cfg.ComputeJitter <= math.MaxFloat64) {
+		return fmt.Errorf("logp: compute jitter %v not a finite value >= 0", cfg.ComputeJitter)
+	}
+	if !(cfg.ProcSkew >= 0 && cfg.ProcSkew <= math.MaxFloat64) {
+		return fmt.Errorf("logp: processor skew %v not a finite value >= 0", cfg.ProcSkew)
+	}
+	if cfg.Faults != nil {
+		return cfg.Faults.Validate(cfg.P)
+	}
+	return nil
+}
+
 // ProcStats aggregates one processor's activity over a run.
 type ProcStats struct {
 	Proc         int
@@ -360,32 +391,10 @@ func (m *Machine) newDelivery() *delivery {
 	return &delivery{m: m}
 }
 
-// New builds a machine. Config.Params must validate.
+// New builds a machine. The config must pass Config.Validate.
 func New(cfg Config) (*Machine, error) {
-	if err := cfg.Params.Validate(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
-	}
-	if cfg.LatencyJitter < 0 || cfg.LatencyJitter > cfg.L {
-		return nil, fmt.Errorf("logp: latency jitter %d outside [0, L=%d]", cfg.LatencyJitter, cfg.L)
-	}
-	if cfg.Topology != nil {
-		if cfg.Topology.P() != cfg.P {
-			return nil, fmt.Errorf("logp: topology describes P=%d, machine has P=%d", cfg.Topology.P(), cfg.P)
-		}
-		if minL := cfg.Topology.MinL(); cfg.LatencyJitter > minL {
-			return nil, fmt.Errorf("logp: latency jitter %d exceeds the minimum link L=%d", cfg.LatencyJitter, minL)
-		}
-	}
-	if !(cfg.ComputeJitter >= 0 && cfg.ComputeJitter <= math.MaxFloat64) {
-		return nil, fmt.Errorf("logp: compute jitter %v not a finite value >= 0", cfg.ComputeJitter)
-	}
-	if !(cfg.ProcSkew >= 0 && cfg.ProcSkew <= math.MaxFloat64) {
-		return nil, fmt.Errorf("logp: processor skew %v not a finite value >= 0", cfg.ProcSkew)
-	}
-	if cfg.Faults != nil {
-		if err := cfg.Faults.Validate(cfg.P); err != nil {
-			return nil, err
-		}
 	}
 	m := &Machine{
 		cfg:           cfg,

@@ -3,10 +3,10 @@ package prof_test
 import (
 	"testing"
 
-	"github.com/logp-model/logp/internal/collective"
 	"github.com/logp-model/logp/internal/core"
 	"github.com/logp-model/logp/internal/logp"
 	"github.com/logp-model/logp/internal/prof"
+	"github.com/logp-model/logp/internal/progs"
 	"github.com/logp-model/logp/internal/trace"
 )
 
@@ -16,6 +16,15 @@ var fig3 = core.Params{P: 8, L: 6, O: 2, G: 4}
 func mustRun(t *testing.T, cfg logp.Config, body func(p *logp.Proc)) logp.Result {
 	t.Helper()
 	res, err := logp.Run(cfg, body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+func mustRunProgram(t *testing.T, cfg logp.Config, prog logp.Program) logp.Result {
+	t.Helper()
+	res, err := logp.RunProgram(cfg, prog)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,9 +51,7 @@ func recordBroadcast(t *testing.T, params core.Params, cfg logp.Config) (*prof.R
 	rec := prof.NewRecorder()
 	cfg.Params = params
 	cfg.Profiler = rec
-	res := mustRun(t, cfg, func(p *logp.Proc) {
-		collective.Broadcast(p, s, 1, "datum")
-	})
+	res := mustRunProgram(t, cfg, progs.NewBroadcast(s, 1, "datum"))
 	return rec, res
 }
 
@@ -127,14 +134,12 @@ func TestFig4SummationOracle(t *testing.T) {
 	for i := range values {
 		values[i] = 1
 	}
-	dist, err := collective.DistributeInputs(s, values)
+	dist, err := s.Distribute(values)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rec := prof.NewRecorder()
-	res := mustRun(t, logp.Config{Params: params, Profiler: rec}, func(p *logp.Proc) {
-		collective.SumOptimal(p, s, 1, dist[p.ID()])
-	})
+	res := mustRunProgram(t, logp.Config{Params: params, Profiler: rec}, progs.NewSum(s, 1, dist))
 	if res.Time != 28 {
 		t.Fatalf("simulated summation time %d, want 28 (Figure 4)", res.Time)
 	}

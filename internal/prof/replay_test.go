@@ -9,6 +9,7 @@ import (
 	"github.com/logp-model/logp/internal/core"
 	"github.com/logp-model/logp/internal/logp"
 	"github.com/logp-model/logp/internal/prof"
+	"github.com/logp-model/logp/internal/progs"
 )
 
 // whatIf replays rec under alt parameters (ideal latency L, as a what-if
@@ -46,16 +47,14 @@ func TestWhatIfBroadcastExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	body := func(p *logp.Proc) {
-		collective.Broadcast(p, s, 1, "datum")
-	}
+	prog := progs.NewBroadcast(s, 1, "datum")
 	rec := prof.NewRecorder()
-	mustRun(t, logp.Config{Params: fig3, Profiler: rec}, body)
+	mustRunProgram(t, logp.Config{Params: fig3, Profiler: rec}, prog)
 
 	for _, alt := range altParams(fig3.P) {
 		t.Run(alt.String(), func(t *testing.T) {
 			pred := whatIf(t, rec, alt)
-			fresh := mustRun(t, logp.Config{Params: alt}, body)
+			fresh := mustRunProgram(t, logp.Config{Params: alt}, prog)
 			checkMatchesMachine(t, pred, fresh)
 			if err := pred.CriticalPath().Contiguous(); err != nil {
 				t.Errorf("critical path does not tile the makespan: %v", err)
@@ -77,20 +76,18 @@ func TestWhatIfSummationExact(t *testing.T) {
 	for i := range values {
 		values[i] = 1
 	}
-	dist, err := collective.DistributeInputs(s, values)
+	dist, err := s.Distribute(values)
 	if err != nil {
 		t.Fatal(err)
 	}
-	body := func(p *logp.Proc) {
-		collective.SumOptimal(p, s, 1, dist[p.ID()])
-	}
+	prog := progs.NewSum(s, 1, dist)
 	rec := prof.NewRecorder()
-	mustRun(t, logp.Config{Params: params, Profiler: rec}, body)
+	mustRunProgram(t, logp.Config{Params: params, Profiler: rec}, prog)
 
 	for _, alt := range altParams(params.P) {
 		t.Run(alt.String(), func(t *testing.T) {
 			pred := whatIf(t, rec, alt)
-			fresh := mustRun(t, logp.Config{Params: alt}, body)
+			fresh := mustRunProgram(t, logp.Config{Params: alt}, prog)
 			checkMatchesMachine(t, pred, fresh)
 		})
 	}

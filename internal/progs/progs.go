@@ -1,7 +1,8 @@
-// Package progs ports the paper's benchmark algorithms to the reactive
+// Package progs implements the paper's benchmark algorithms in the reactive
 // logp.Program form, so one implementation runs on every engine (the
 // goroutine machine and the flat core) and cross-engine equivalence tests
-// can pin the engines cycle-identical against each other.
+// can pin the engines cycle-identical against each other. The optimal
+// broadcast and summation schedules of Figures 3 and 4 exist only here.
 //
 // Each program is handler-structured: Start seeds the computation, Message
 // reacts to one arrival. All mutable state is confined to per-processor
@@ -72,9 +73,10 @@ func (pp *PingPong) Message(n logp.Node, m logp.Message) {
 // Rounds reports the completed round trips (for post-run assertions).
 func (pp *PingPong) Rounds() int { return pp.count[0] }
 
-// Broadcast executes the optimal broadcast schedule of Figure 3: the
-// handler port of collective.Broadcast. Every non-root processor receives
-// the datum exactly once and retransmits per the schedule.
+// Broadcast executes the optimal broadcast schedule of Figure 3. Every
+// non-root processor receives the datum exactly once and retransmits per the
+// schedule, so on an otherwise idle machine the run completes at exactly the
+// schedule's Finish time.
 type Broadcast struct {
 	sched *core.BroadcastSchedule
 	tag   int
@@ -123,10 +125,11 @@ type sumState struct {
 	recvLeft  int64
 }
 
-// Sum executes the optimal summation schedule of Figure 4: the handler port
-// of collective.SumOptimal, charging the identical interleave of local
-// additions and receptions (an initial chain, then per reception one add
-// and g-o-1 chained additions between receptions).
+// Sum executes the optimal summation schedule of Figure 4, interleaving local
+// additions with receptions exactly as the schedule prescribes: an initial
+// chain, then per reception o cycles receiving, one cycle adding the received
+// partial sum and g-o-1 chained local additions. The root therefore finishes
+// at precisely the schedule's deadline on an otherwise idle machine.
 type Sum struct {
 	sched    *core.SumSchedule
 	tag      int
@@ -141,7 +144,7 @@ type Sum struct {
 }
 
 // NewSum builds the summation program for a schedule; inputs is the
-// per-processor distribution from collective.DistributeInputs.
+// per-processor distribution from (*core.SumSchedule).Distribute.
 func NewSum(s *core.SumSchedule, tag int, inputs [][]float64) *Sum {
 	period := s.Params.G
 	if period < s.Params.O+1 {
@@ -227,8 +230,9 @@ type chainState struct {
 }
 
 // PipelinedChain streams m values from root through the linear chain
-// root -> root+1 -> ... -> root+P-1 (mod P): the handler port of
-// collective.PipelinedChainBroadcast.
+// root -> root+1 -> ... -> root+P-1 (mod P). It charges what the blocking
+// collective.PipelinedChainBroadcast charges, which imperative algorithms
+// call from inside their bodies; a test pins the two identical.
 type PipelinedChain struct {
 	root, tag, m int
 	values       func(i int) any
@@ -303,8 +307,10 @@ type binState struct {
 	got      int
 }
 
-// PipelinedBinomial streams m values down the binomial broadcast tree: the
-// handler port of collective.PipelinedBinomialBroadcast.
+// PipelinedBinomial streams m values down the binomial broadcast tree
+// (core.AppendBinomialChildren). It charges what the blocking
+// collective.PipelinedBinomialBroadcast charges; a test pins the two
+// identical.
 type PipelinedBinomial struct {
 	root, tag, m int
 	values       func(i int) any
@@ -327,25 +333,10 @@ func NewPipelinedBinomial(p, root, tag, m int, values func(i int) any) *Pipeline
 	b.kidArena = make([]int, 0, p-1+1)
 	b.kidOffs = make([]int32, p+1)
 	for r := 0; r < p; r++ {
-		b.kidArena = appendBinomialChildren(b.kidArena, r, root, p)
+		b.kidArena = core.AppendBinomialChildren(b.kidArena, r, root, p)
 		b.kidOffs[r+1] = int32(len(b.kidArena))
 	}
 	return b
-}
-
-// appendBinomialChildren mirrors collective.binomialChildren: the children
-// of relative rank r sit below the bit it joined on, largest first.
-func appendBinomialChildren(dst []int, r, root, P int) []int {
-	joinMask := 1
-	for joinMask < P && r&joinMask == 0 {
-		joinMask <<= 1
-	}
-	for mask := joinMask >> 1; mask > 0; mask >>= 1 {
-		if d := r + mask; d < P {
-			dst = append(dst, (d+root)%P)
-		}
-	}
-	return dst
 }
 
 // Start implements logp.Program.

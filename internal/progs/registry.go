@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"github.com/logp-model/logp/internal/collective"
 	"github.com/logp-model/logp/internal/core"
 	"github.com/logp-model/logp/internal/logp"
 )
@@ -99,7 +98,7 @@ var builders = map[string]builder{
 			for i := range values {
 				values[i] = 1
 			}
-			dist, err := collective.DistributeInputs(s, values)
+			dist, err := s.Distribute(values)
 			if err != nil {
 				return Instance{}, err
 			}

@@ -66,7 +66,8 @@ func DecodeResponse(body []byte) (*Response, error) {
 	return &r, nil
 }
 
-// config assembles the logp.Config for a normalized spec.
+// config assembles the logp.Config of a normalized spec's machine, without
+// a metrics registry: runNormalized attaches one per run.
 func (s JobSpec) config() logp.Config {
 	cfg := logp.Config{
 		Params:          s.Machine.Params(),
@@ -85,10 +86,6 @@ func (s JobSpec) config() logp.Config {
 			panic(fmt.Sprintf("service: topology on a normalized spec: %v", err))
 		}
 		cfg.Topology = m
-	}
-	if s.Metrics != nil {
-		cfg.Metrics = metrics.NewRegistry()
-		cfg.MetricsEvery = s.Metrics.Every
 	}
 	return cfg
 }
@@ -123,6 +120,10 @@ func runNormalized(spec JobSpec,
 		return nil, err
 	}
 	cfg := spec.config()
+	if spec.Metrics != nil {
+		cfg.Metrics = metrics.NewRegistry()
+		cfg.MetricsEvery = spec.Metrics.Every
+	}
 	res, err := run(cfg, inst.Prog, spec.Shards)
 	if err != nil {
 		return nil, err

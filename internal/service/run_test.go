@@ -151,6 +151,23 @@ func TestEnginesAgreeOnBody(t *testing.T) {
 	}
 }
 
+// TestSumSpecMeetsPrediction is the daemon-path regression for an overflow-
+// heap event the flat queue once fired a wheel turn late: this summation
+// answered time 295 on the flat engine, against 167 on the goroutine engine
+// and in predicted_finish, and the daemon cached the wrong body.
+func TestSumSpecMeetsPrediction(t *testing.T) {
+	for _, engine := range []string{"goroutine", "flat"} {
+		resp, err := Run(JobSpec{Program: "sum", N: 420, Engine: engine,
+			Machine: MachineSpec{P: 3, L: 15, O: 7, G: 6}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pred := resp.Output["predicted_finish"]; resp.Result.Time != 167 || pred != 167 {
+			t.Errorf("%s: time %d, predicted_finish %v; want both 167", engine, resp.Result.Time, pred)
+		}
+	}
+}
+
 // TestRunHonoursEngineName: Run executes an explicit "goroutine" on the
 // goroutine machine, which holds one goroutine per processor for the whole
 // run, and "" or "flat" on the flat engine, which starts none. Without this,

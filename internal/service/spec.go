@@ -292,27 +292,10 @@ func (s *JobSpec) Normalize(lim Limits) error {
 		}
 	}
 	if s.Shards > 1 {
-		// Mirror the flat kernel's sharding preconditions here so a bad
-		// spec fails at validation, before it occupies a worker. Only
-		// capacity-off specs get here (see flat.ShardCount). Fail-stop-only
-		// fault plans are legal (a kill is an event on its victim's own
-		// shard and consumes no random draws); probabilistic link faults
-		// are not.
-		if s.Faults != nil && (s.Faults.Drop != 0 || s.Faults.Dup != 0 || s.Faults.Jitter != 0) {
-			return fmt.Errorf("service: sharded execution allows fail-stop faults only")
-		}
-		if s.Machine.LatencyJitter != 0 || s.Machine.ComputeJitter != 0 {
-			return fmt.Errorf("service: sharded execution requires zero latency/compute jitter")
-		}
-		minOL := s.Machine.O + s.Machine.L
-		if t := s.Machine.Topology; t != nil {
-			if m, err := t.Build(s.Machine.Params()); err == nil {
-				minOL = m.MinOL()
-			}
-		}
-		if minOL < 1 {
-			return fmt.Errorf("service: sharded execution requires min(o+L) >= 1 over all links")
-		}
+		// Check the flat kernel's sharding preconditions here so a bad spec
+		// fails at validation, before it occupies a worker. Only
+		// capacity-off specs get here (see flat.ShardCount).
+		return flat.ValidateShards(s.config(), s.Shards)
 	}
 	return nil
 }
