@@ -13,6 +13,7 @@ import (
 	"github.com/logp-model/logp/internal/metrics"
 	"github.com/logp-model/logp/internal/prof"
 	"github.com/logp-model/logp/internal/sim"
+	"github.com/logp-model/logp/internal/trace"
 )
 
 // The cross-engine determinism contract: the same (program, machine config,
@@ -168,10 +169,6 @@ func TestEquivAllToAllSaturation(t *testing.T) {
 		t.Error("naive all-to-all did not stall: capacity path not exercised")
 	}
 	runBoth(t, "alltoall-staggered", cfg, func() logp.Program { return newAllToAll(p.P, 4, 1, 9, true) }, true, true)
-
-	hold := cfg
-	hold.HoldCapacityUntilReceive = true
-	runBoth(t, "alltoall-hold", hold, func() logp.Program { return newAllToAll(p.P, 3, 0, 9, true) }, true, true)
 }
 
 func TestEquivJitterSkewSeeded(t *testing.T) {
@@ -254,7 +251,8 @@ func TestEquivFailStop(t *testing.T) {
 
 // capCase is one capacity-on machine and program. The capacity cases are
 // the corners of the ceil(L/g) semaphores: parameter extremes, stalls that
-// span many L-cycle spans, and fail-stops of processors that hold capacity.
+// outlast several L-cycle spans, and fail-stops of stalled senders and of
+// receivers with messages in flight.
 // The equivalence suite runs them on both engines, and the one-shard rule
 // (shard_test.go) runs them at several requested shard counts.
 type capCase struct {
@@ -264,11 +262,7 @@ type capCase struct {
 }
 
 // capacityCorners covers the registry programs and the parameter corners:
-// g > L (capacity 1, every link serialized), L = 0, L = o = 0, and
-// hold-until-receive (units released at reception end, not arrival). The
-// hold-mode all-to-all genuinely deadlocks — everyone's reservations are
-// held behind receptions that wait on everyone else — and must fail with
-// the identical error.
+// g > L (capacity 1, every link serialized), L = 0 and L = o = 0.
 func capacityCorners(t testing.TB) []capCase {
 	std := core.Params{P: 0, L: 8, O: 2, G: 3}
 	with := func(p int) core.Params { pr := std; pr.P = p; return pr }
@@ -290,18 +284,13 @@ func capacityCorners(t testing.TB) []capCase {
 			func() logp.Program { return newAllToAll(8, 2, 1, 2, true) }},
 		{"zero-latency-zero-overhead", logp.Config{Params: core.Params{P: 6, L: 0, O: 0, G: 1}},
 			func() logp.Program { return newChain(6, 0, 3, 4, values) }},
-		{"hold-until-receive", logp.Config{Params: with(12), HoldCapacityUntilReceive: true},
-			func() logp.Program { return newChain(12, 0, 3, 6, values) }},
-		{"hold-deadlock", logp.Config{Params: with(12), HoldCapacityUntilReceive: true},
-			func() logp.Program { return newAllToAll(12, 3, 1, 2, true) }},
 	}
 }
 
 // capFlood: proc 0 fires burst back-to-back sends at proc 1, which idles
-// for hold cycles before draining its inbox. With hold-until-receive the
-// capacity units stay reserved until proc 1's receptions complete, so proc
-// 0's stalls last many times L and its grants arrive long after its
-// acquires. The remaining processors finish at once.
+// for hold cycles before draining its inbox. Units free at arrival, so the
+// lone sender never stalls however long 1 idles. The remaining processors
+// finish at once.
 type capFlood struct {
 	burst int
 	hold  int64
@@ -327,120 +316,122 @@ func (c *capFlood) Message(n logp.Node, m logp.Message) {
 	}
 }
 
-// capacityStalls runs capFlood with units released at arrival, held until
-// reception, and held with a capacity of one.
-func capacityStalls() []capCase {
-	flood := func() logp.Program { return &capFlood{burst: 8, hold: 60} }
+// manyToOne floods processor 0: every other processor sends it msgs
+// messages back to back while 0 waits for wait cycles before draining its
+// inbox. The P-1 senders share 0's ceil(L/g) in-units, so they stall even
+// though units free at arrival, and a freed unit has several claimants.
+// 0 finishes on the last message it expects: msgs from every sender but
+// skip (0 for none), a sender the fault plan kills, whose remaining
+// messages never come.
+type manyToOne struct {
+	msgs int
+	wait int64
+	skip int
+	left int // messages 0 still expects; only processor 0 touches it
+}
+
+func (c *manyToOne) Start(n logp.Node) {
+	if n.ID() != 0 {
+		for i := 0; i < c.msgs; i++ {
+			n.Send(0, 9, i)
+		}
+		n.Done()
+		return
+	}
+	c.left = (n.P() - 1) * c.msgs
+	if c.skip != 0 {
+		c.left -= c.msgs
+	}
+	n.Wait(c.wait)
+}
+
+func (c *manyToOne) Message(n logp.Node, m logp.Message) {
+	if m.From == c.skip {
+		return
+	}
+	if c.left--; c.left == 0 {
+		n.Done()
+	}
+}
+
+// floodParams is the machine of the named many-to-one cases: capacity 2,
+// shared by five senders.
+var floodParams = core.Params{P: 6, L: 4, O: 1, G: 2}
+
+// floodKillSender and floodKillReceiver are the processors, and
+// floodSenderKills and floodReceiverKills the times, of the many-to-one
+// fail-stop cases. The sender's four stalls on 0's in-units span cycles
+// 1-5, 7-13, 15-25 and 27-33, and it is inside one at each of its times
+// (TestFloodKillsStalledSender): a stall's first cycle, its middle and its
+// last. 0 waits until 30 and drains until 69, so its kills land while the
+// flood arrives at a dead destination and while its inbox still holds
+// messages.
+const (
+	floodKillSender   = 3
+	floodKillReceiver = 0
+)
+
+var (
+	floodSenderKills   = []int64{1, 3, 7, 9, 12, 15, 20, 24, 30, 32}
+	floodReceiverKills = []int64{3, 9, 12, 20, 30, 35, 40, 50, 60, 68}
+)
+
+// floodStalls are the fault-free many-to-one cases: the receiver draining
+// at once or after a wait, and a capacity of one (g > L).
+func floodStalls() []capCase {
+	flood := func(wait int64) func() logp.Program {
+		return func() logp.Program { return &manyToOne{msgs: 4, wait: wait} }
+	}
 	return []capCase{
-		{"arrival-release", logp.Config{Params: core.Params{P: 6, L: 4, O: 1, G: 2}}, flood},
-		{"hold-release", logp.Config{Params: core.Params{P: 6, L: 4, O: 1, G: 2}, HoldCapacityUntilReceive: true}, flood},
-		{"hold-release-cap1", logp.Config{Params: core.Params{P: 6, L: 3, O: 2, G: 4}, HoldCapacityUntilReceive: true}, flood},
+		{"many-to-one", logp.Config{Params: floodParams}, flood(30)},
+		{"many-to-one-no-wait", logp.Config{Params: floodParams}, flood(0)},
+		{"many-to-one-cap1", logp.Config{Params: core.Params{P: 5, L: 3, O: 2, G: 4}}, flood(7)},
 	}
 }
 
-// holdKillChain: 0 floods 1, 1 floods 2, 2 sleeps long before draining.
-// Hold mode keeps every unit reserved until reception, so 1 stalls on its
-// acquire to 2 while arrivals from 0 pile up in its inbox; killing 1 at
-// various times lands the kill mid-stall, mid-burst and after the drain.
-// Every kill time deadlocks: 2 finishes on the burst's last message, which
-// the killed 1 never sends. The kill gives back the units of 0's messages
-// queued in the dead 1's inbox, so 0 itself completes its burst.
-//
-// With release set the chain completes with 1 failed: 0 sends 1 a single
-// message (dropped if it arrives after the kill, else left in the dead 1's
-// inbox), or with flood set the whole burst, and then sends 2 one message
-// of its own; 2 finishes on that message instead of the burst's last, and
-// leaves the rest of what 1 sent before its kill unreceived. The flood form
-// completes only because the kill releases the units of the messages queued
-// at 1: otherwise 0 stalls for good on its burst and never reaches 2.
-type holdKillChain struct {
-	burst   int
-	release bool
-	flood   bool
-}
-
-func (c *holdKillChain) Start(n logp.Node) {
-	switch n.ID() {
-	case 0:
-		if c.release {
-			sends := 1
-			if c.flood {
-				sends = c.burst
-			}
-			for i := 0; i < sends; i++ {
-				n.Send(1, 9, i)
-			}
-			n.Send(2, 10, 0)
-			n.Done()
-			return
-		}
-		for i := 0; i < c.burst; i++ {
-			n.Send(1, 9, i)
-		}
-		n.Done()
-	case 1:
-		for i := 0; i < c.burst; i++ {
-			n.Send(2, 9, i)
-		}
-	case 2:
-		n.Wait(300)
-	default:
-		n.Done()
+// floodFailStops kill a stalled sender of the many-to-one flood at each of
+// floodSenderKills, and the flooded receiver at each of floodReceiverKills.
+func floodFailStops() []capCase {
+	var cases []capCase
+	for _, at := range floodSenderKills {
+		cases = append(cases, capCase{fmt.Sprintf("many-to-one-sender-killed-at-%d", at),
+			logp.Config{Params: floodParams, Faults: failStop(floodKillSender, at)},
+			func() logp.Program { return &manyToOne{msgs: 4, wait: 30, skip: floodKillSender} }})
 	}
-}
-
-func (c *holdKillChain) Message(n logp.Node, m logp.Message) {
-	last := (n.ID() == 1 || n.ID() == 2) && m.Data.(int) == c.burst-1
-	if last || m.Tag == 10 { // tag 10: 0's message to 2 in the released chain
-		n.Done()
+	for _, at := range floodReceiverKills {
+		cases = append(cases, capCase{fmt.Sprintf("many-to-one-receiver-killed-at-%d", at),
+			logp.Config{Params: floodParams, Faults: failStop(floodKillReceiver, at)},
+			func() logp.Program { return &manyToOne{msgs: 4, wait: 30} }})
 	}
+	return cases
 }
 
-// capacityFailStops kills processors that hold reserved capacity: the
-// sender mid-stall (its queued acquire is granted posthumously, then it
-// halts at the next operation boundary, and its receiver deadlocks waiting
-// for the rest of the burst), the receiver (deliveries to it drop, but
-// non-dup drops still release the reserved units, so the ring keeps going
-// around it), and the middle of holdKillChain at ten kill times, in the
-// deadlocking form and the released one.
+// failStop is a fault plan that kills proc at cycle at.
+func failStop(proc int, at int64) *logp.FaultPlan {
+	return &logp.FaultPlan{FailStops: []logp.FailStop{{Proc: proc, At: at}}}
+}
+
+// capacityStalls runs capFlood, whose lone sender never stalls, and the
+// many-to-one flood, whose senders do.
+func capacityStalls() []capCase {
+	return append([]capCase{{"arrival-release", logp.Config{Params: floodParams},
+		func() logp.Program { return &capFlood{burst: 8, hold: 60} }}}, floodStalls()...)
+}
+
+// capacityFailStops kills processors while others stall on capacity: the
+// lone capFlood sender (its receiver then deadlocks waiting for the rest of
+// the burst), a ring receiver (deliveries to it drop and release their
+// units, so the ring keeps going around it), and the many-to-one flood's
+// stalled sender and flooded receiver.
 func capacityFailStops() []capCase {
-	params := core.Params{P: 6, L: 4, O: 1, G: 2}
-	kill := func(proc int, at int64) *logp.FaultPlan {
-		return &logp.FaultPlan{FailStops: []logp.FailStop{{Proc: proc, At: at}}}
-	}
-	cases := []capCase{
-		{"sender-killed-mid-stall", logp.Config{Params: params, Faults: kill(0, 7)},
+	return append([]capCase{
+		{"lone-sender-killed", logp.Config{Params: floodParams, Faults: failStop(0, 7)},
 			func() logp.Program { return &capFlood{burst: 8, hold: 60} }},
 		// Proc 2 expects nothing (its predecessor is dead) and the others
 		// their full stream.
-		{"receiver-killed-holding-reservations", logp.Config{Params: params, Faults: kill(1, 9)},
+		{"receiver-killed-holding-reservations", logp.Config{Params: floodParams, Faults: failStop(1, 9)},
 			func() logp.Program { return newRingExpect(4, []int{4, 0, 0, 4, 4, 4}) }},
-	}
-	cases = append(cases, holdKillCases(false)...)
-	return append(cases, holdKillCases(true)...)
-}
-
-// holdKillCases kills the middle of holdKillChain at ten times, in the
-// deadlocking form or, with release, in both released ones.
-func holdKillCases(release bool) []capCase {
-	chains := []holdKillChain{{burst: 8}}
-	names := []string{"hold-kill-at-%d"}
-	if release {
-		chains = []holdKillChain{{burst: 8, release: true}, {burst: 8, release: true, flood: true}}
-		names = []string{"hold-kill-released-at-%d", "hold-kill-flood-released-at-%d"}
-	}
-	var cases []capCase
-	for i, chain := range chains {
-		for _, at := range []int64{5, 9, 12, 15, 20, 25, 30, 40, 60, 100} {
-			cases = append(cases, capCase{
-				fmt.Sprintf(names[i], at),
-				logp.Config{Params: core.Params{P: 6, L: 4, O: 1, G: 2}, HoldCapacityUntilReceive: true,
-					Faults: &logp.FaultPlan{FailStops: []logp.FailStop{{Proc: 1, At: at}}}},
-				func() logp.Program { c := chain; return &c },
-			})
-		}
-	}
-	return cases
+	}, floodFailStops()...)
 }
 
 // TestEquivCapacity pins both engines on every capacity case with trace,
@@ -458,51 +449,109 @@ func TestEquivCapacity(t *testing.T) {
 	}
 }
 
-// TestEquivHoldKillCompletes: the released hold-kill chain completes at every
-// kill time on both engines with exactly proc 1 failed, so TestEquivCapacity
-// compares its full Results, traces, profiles and metrics rather than the
-// deadlock text the plain chain ends in.
-func TestEquivHoldKillCompletes(t *testing.T) {
-	for _, tc := range holdKillCases(true) {
-		t.Run(tc.name, func(t *testing.T) {
-			g, gErr := logp.RunProgram(tc.cfg, tc.mk())
-			f, fErr := flat.Run(tc.cfg, tc.mk(), 1)
-			if gErr != nil || fErr != nil {
-				t.Fatalf("did not complete: goroutine=%v flat=%v", gErr, fErr)
-			}
-			for _, res := range []logp.Result{g, f} {
-				if !reflect.DeepEqual(res.Failed, []int{1}) {
-					t.Errorf("Failed = %v, want [1]", res.Failed)
+// floodSweep is the many-to-one flood on every machine with P processors,
+// L 1-8, o 0-3 and g 1-5, with receiver waits 0, 7 and 30 and four
+// messages per sender.
+func floodSweep(p int) []capCase {
+	var cases []capCase
+	for l := int64(1); l <= 8; l++ {
+		for o := int64(0); o <= 3; o++ {
+			for g := int64(1); g <= 5; g++ {
+				for _, wait := range []int64{0, 7, 30} {
+					prm := core.Params{P: p, L: l, O: o, G: g}
+					cases = append(cases, capCase{fmt.Sprintf("%v/wait=%d", prm, wait), logp.Config{Params: prm},
+						func() logp.Program { return &manyToOne{msgs: 4, wait: wait} }})
 				}
+			}
+		}
+	}
+	return cases
+}
+
+// TestFloodStallsAndCompletes: every named many-to-one case stalls on
+// capacity and completes, and each fail-stop case reports exactly its
+// victim failed.
+func TestFloodStallsAndCompletes(t *testing.T) {
+	for _, tc := range append(floodStalls(), floodFailStops()...) {
+		t.Run(tc.name, func(t *testing.T) {
+			res, err := flat.Run(tc.cfg, tc.mk(), 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.TotalStall() == 0 {
+				t.Error("no sender stalled")
+			}
+			var want []int
+			if fp := tc.cfg.Faults; fp != nil {
+				want = []int{fp.FailStops[0].Proc}
+			}
+			if !reflect.DeepEqual(res.Failed, want) {
+				t.Errorf("Failed = %v, want %v", res.Failed, want)
 			}
 		})
 	}
 }
 
-// TestReplayExactOnHoldKill: the profiler's replay of both released
-// hold-kill chains lands on the machine's finish time for every processor
-// at every kill time. On the flood chain a sender woken from its out-queue
-// re-checks the in-capacity as the machine does, so it cannot take an
-// in-unit ahead of the in-queue's head.
-func TestReplayExactOnHoldKill(t *testing.T) {
-	for _, tc := range holdKillCases(true) {
-		t.Run(tc.name, func(t *testing.T) {
-			rec := prof.NewRecorder()
-			cfg := tc.cfg
-			cfg.Profiler = rec
-			res, err := flat.Run(cfg, tc.mk(), 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			run, err := rec.Analyze()
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i, f := range run.Finish {
-				if f != res.Procs[i].Finish {
-					t.Errorf("replay finishes proc %d at %d, machine at %d", i, f, res.Procs[i].Finish)
+// TestFloodKillsStalledSender: at every kill time of the many-to-one
+// sender cases, the victim is inside a capacity stall.
+func TestFloodKillsStalledSender(t *testing.T) {
+	cfg := logp.Config{Params: floodParams, CollectTrace: true}
+	res, err := flat.Run(cfg, &manyToOne{msgs: 4, wait: 30}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, at := range floodSenderKills {
+		t.Run(fmt.Sprintf("at-%d", at), func(t *testing.T) {
+			for _, sg := range res.Trace.Segments {
+				if sg.Proc == floodKillSender && sg.Kind == trace.Stall && sg.Start <= at && at < sg.End {
+					return
 				}
 			}
+			t.Errorf("sender %d is not stalled at cycle %d", floodKillSender, at)
 		})
+	}
+}
+
+// TestReplayExactOnFlood: the profiler's replay of every many-to-one case,
+// the named ones and the sweep, lands on the machine's finish time for
+// every processor. A freed unit wakes the longest-queued sender to
+// re-check, as on the machine, so a sender acting at the same instant can
+// take it first; a replay that hands the unit straight to the queue's head
+// reorders the senders' finishes.
+func TestReplayExactOnFlood(t *testing.T) {
+	for _, tc := range append(floodStalls(), floodFailStops()...) {
+		t.Run(tc.name, func(t *testing.T) { checkReplayFinish(t, tc) })
+	}
+	for p := 3; p <= 6; p++ {
+		t.Run(fmt.Sprintf("sweep-P=%d", p), func(t *testing.T) {
+			for _, tc := range floodSweep(p) {
+				checkReplayFinish(t, tc)
+			}
+		})
+	}
+}
+
+// checkReplayFinish runs tc on the flat engine with a recorder attached
+// and compares the replay's finish time for every processor with the
+// machine's.
+func checkReplayFinish(t *testing.T, tc capCase) {
+	t.Helper()
+	rec := prof.NewRecorder()
+	cfg := tc.cfg
+	cfg.Profiler = rec
+	res, err := flat.Run(cfg, tc.mk(), 1)
+	if err != nil {
+		t.Errorf("%s: %v", tc.name, err)
+		return
+	}
+	run, err := rec.Analyze()
+	if err != nil {
+		t.Errorf("%s: %v", tc.name, err)
+		return
+	}
+	for i, f := range run.Finish {
+		if f != res.Procs[i].Finish {
+			t.Errorf("%s: replay finishes proc %d at %d, machine at %d", tc.name, i, f, res.Procs[i].Finish)
+		}
 	}
 }

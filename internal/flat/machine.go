@@ -534,11 +534,10 @@ func (m *Machine) seat(cfg logp.Config, prog logp.Program) {
 	m.rec = cfg.Profiler
 	if m.rec != nil {
 		m.rec.Begin(prof.RunInfo{
-			Params:                   cfg.Params,
-			Coprocessor:              cfg.Coprocessor,
-			DisableCapacity:          cfg.DisableCapacity,
-			HoldCapacityUntilReceive: cfg.HoldCapacityUntilReceive,
-			BarrierCost:              cfg.BarrierCost,
+			Params:          cfg.Params,
+			Coprocessor:     cfg.Coprocessor,
+			DisableCapacity: cfg.DisableCapacity,
+			BarrierCost:     cfg.BarrierCost,
 		})
 	}
 
@@ -691,8 +690,9 @@ func (m *Machine) StorageBytes() int64 {
 // resets the configured metrics registry and profiler and replaces the trace,
 // so retain (or copy) a previous run's observations before re-running. A
 // compute stretched past the int64 cycle count fails the run with a
-// *logp.StretchOverflowError, and a compute or wait that passes it
-// unstretched with a *logp.ClockOverflowError, as on the goroutine machine.
+// *logp.StretchOverflowError, and any other operation that passes it (see
+// logp.ClockOverflowError) with a *logp.ClockOverflowError, as on the
+// goroutine machine.
 func (m *Machine) Run() (logp.Result, error) {
 	if m.ran {
 		m.seat(m.cfg, m.prog)
@@ -1055,8 +1055,8 @@ func (m *Machine) execOp(sh *shard, p *proc) bool {
 	}
 }
 
-// overflow ends p's part in the run on a compute or wait that would end
-// past the int64 cycle count: p halts as a fail-stopped processor does, the
+// overflow ends p's part in the run on an operation that would end past
+// the int64 cycle count: p halts as a fail-stopped processor does, the
 // rest of the run drains, and Run returns the shard's first such error. It
 // returns false, execOp's halt.
 func (m *Machine) overflow(sh *shard, p *proc, err error) bool {
@@ -1087,6 +1087,9 @@ func (m *Machine) execSend(sh *shard, p *proc, o *op) bool {
 	}
 	p.initiation = initiation
 	_, lkO, _ := m.link(int(p.id), to)
+	if lkO > math.MaxInt64-initiation {
+		return m.overflow(sh, p, &logp.ClockOverflowError{Proc: int(p.id), Op: "send", Cycles: lkO, At: initiation})
+	}
 	if t := initiation + lkO; t > sh.now {
 		if !m.parkUntil(sh, p, t, rSendPaid) {
 			m.bufferParkedSend(sh, p, o)
@@ -1117,8 +1120,12 @@ func (m *Machine) bufferParkedSend(sh *shard, p *proc, o *op) {
 	}
 	// The flight is the link's own o+L, which is at least the machine-wide
 	// minOL the window spans — so the buffered delivery still lands at or
-	// after the window end.
+	// after the window end. A flight that would land past the int64 cycle
+	// count is left to the wake, where sendInject fails the run.
 	lkL, lkO, _ := m.link(int(p.id), int(to))
+	if lkL > math.MaxInt64-(p.initiation+lkO) {
+		return
+	}
 	sh.outbox(ds, p.initiation+lkO+lkL, to, p.takeData(o), false).set(p.id, int(o.a), p.initiation, lkL, false)
 	p.sentEarly = true
 }
@@ -1142,8 +1149,7 @@ func (m *Machine) sendAfterOverhead(sh *shard, p *proc) bool {
 		p.stallStart = sh.now
 		return m.sendAcquireOut(sh, p)
 	}
-	m.sendInject(sh, p)
-	return true
+	return m.sendInject(sh, p)
 }
 
 // sendAcquireOut waits for an out-capacity unit (re-entered on every wake,
@@ -1175,13 +1181,14 @@ func (m *Machine) sendAcquireIn(sh *shard, p *proc) bool {
 			m.met.OnStall(int(p.id), d)
 		}
 	}
-	m.sendInject(sh, p)
-	return true
+	return m.sendInject(sh, p)
 }
 
 // sendInject injects the message into the network: in-transit accounting,
 // gap bookkeeping, the latency draw, the fault fate, and the delivery event.
-func (m *Machine) sendInject(sh *shard, p *proc) {
+// It returns false, halting p, if the message would arrive past the int64
+// cycle count, as logp.Proc.Send does.
+func (m *Machine) sendInject(sh *shard, p *proc) bool {
 	o := &p.ops[p.opHead]
 	to := int(o.to)
 	tag := int(o.a)
@@ -1209,7 +1216,7 @@ func (m *Machine) sendInject(sh *shard, p *proc) {
 		// The delivery was buffered at park time (bufferParkedSend); only
 		// the gap bookkeeping above remains to be done at the wake.
 		p.sentEarly = false
-		return
+		return true
 	}
 	lat := lkL
 	if m.cfg.LatencyJitter > 0 {
@@ -1219,6 +1226,11 @@ func (m *Machine) sendInject(sh *shard, p *proc) {
 	var dupLat int64
 	if m.faults != nil {
 		lat, drop, dup, dupLat = m.faults.MessageFate(int(p.id), to, lat)
+	}
+	// The later copy's flight: a duplicate always lands after the original,
+	// and dupLat is 0 without one.
+	if f := max(lat, dupLat); f > math.MaxInt64-injection {
+		return m.overflow(sh, p, &logp.ClockOverflowError{Proc: int(p.id), Op: "send", Cycles: f, At: injection})
 	}
 	if m.rec != nil {
 		m.rec.Send(int(p.id), to, tag, lat)
@@ -1234,6 +1246,7 @@ func (m *Machine) sendInject(sh *shard, p *proc) {
 		}
 		m.route(sh, injection+dupLat, int32(to), data, false).set(p.id, tag, p.initiation, dupLat, true)
 	}
+	return true
 }
 
 // route queues the delivery of a message to to at time t and returns the
@@ -1261,15 +1274,15 @@ func (sh *shard) outbox(ds int32, t int64, to int32, data any, drop bool) *recor
 // dropped message's slot is freed here.
 func (m *Machine) deliver(sh *shard, e *ent) {
 	r := &sh.arena[e.idx]
-	from, to := int(r.from), int(e.proc)
+	to := int(e.proc)
+	if !r.dup {
+		m.settle(int(r.from), to)
+	}
 	dst := &m.procs[e.proc]
 	if e.drop || dst.failed {
 		sh.dropped++
 		if m.met != nil {
 			m.met.OnDrop(to)
-		}
-		if !r.dup {
-			m.settle(from, to)
 		}
 		if e.data != 0 {
 			sh.takeData(e.data)
@@ -1289,20 +1302,15 @@ func (m *Machine) deliver(sh *shard, e *ent) {
 		if m.met != nil {
 			m.met.OnDup(to)
 		}
-	} else {
-		if m.met != nil {
-			// OnDeliver splits under sharding: the per-processor counter is
-			// owned by the destination shard, but the flight histogram is
-			// shared, so sharded runs observe into shard scratch instead.
-			if sh.flight != nil {
-				m.met.Procs[to].Delivered.Inc()
-				sh.flight.Observe(flight)
-			} else {
-				m.met.OnDeliver(to, flight)
-			}
-		}
-		if !m.cfg.HoldCapacityUntilReceive {
-			m.settle(from, to)
+	} else if m.met != nil {
+		// OnDeliver splits under sharding: the per-processor counter is
+		// owned by the destination shard, but the flight histogram is
+		// shared, so sharded runs observe into shard scratch instead.
+		if sh.flight != nil {
+			m.met.Procs[to].Delivered.Inc()
+			sh.flight.Observe(flight)
+		} else {
+			m.met.OnDeliver(to, flight)
 		}
 	}
 	if dst.waiting {
@@ -1355,7 +1363,8 @@ func (m *Machine) semRelease(s *semaphore) {
 
 // beginRecvPay pops the earliest message and starts paying the reception
 // costs (gap wait + overhead in one park). True means the cost completed
-// inline; false means the processor parked with resume = rRecvPaid.
+// inline; false means the processor parked with resume = rRecvPaid, or
+// halted because the overhead would end past the int64 cycle count.
 func (m *Machine) beginRecvPay(sh *shard, p *proc) bool {
 	p.cur = p.popInbox()
 	arrived := sh.now
@@ -1369,6 +1378,9 @@ func (m *Machine) beginRecvPay(sh *shard, p *proc) bool {
 	// o per word, or once with a coprocessor, and every message here is one
 	// word.
 	_, cost, _ := m.link(int(sh.arena[p.cur].from), int(p.id))
+	if cost > math.MaxInt64-start {
+		return m.overflow(sh, p, &logp.ClockOverflowError{Proc: int(p.id), Op: "receive", Cycles: cost, At: start})
+	}
 	p.recvPay = cost
 	if t := start + cost; t > sh.now {
 		if !m.parkUntil(sh, p, t, rRecvPaid) {
@@ -1399,9 +1411,6 @@ func (m *Machine) finishRecvBook(sh *shard, p *proc) {
 	p.nextRecv = start + iv
 	if t := start + cost; t > p.nextRecv {
 		p.nextRecv = t
-	}
-	if m.cfg.HoldCapacityUntilReceive && !r.dup {
-		m.settle(int(r.from), int(p.id))
 	}
 	if m.rec != nil {
 		m.rec.RecvDone(int(p.id))
@@ -1460,23 +1469,10 @@ func (m *Machine) kill(p *proc) {
 		return
 	}
 	p.failed = true
-	sh := &m.sh[p.shard]
-	if m.rec != nil {
-		m.rec.Kill(int(p.id), sh.now)
-	}
 	if p.waiting {
 		p.waiting, p.blocked = false, false
+		sh := &m.sh[p.shard]
 		sh.scheduleAt(sh.now, evWake, p.id)
-	}
-	if m.cfg.HoldCapacityUntilReceive {
-		// The dead processor will never receive what is queued for it, so
-		// those messages give back the units they hold, in inbox order; they
-		// stay queued, and count as undelivered.
-		for _, i := range p.inbox[p.inboxHead:] {
-			if r := &sh.arena[i]; !r.dup {
-				m.settle(int(r.from), int(p.id))
-			}
-		}
 	}
 }
 

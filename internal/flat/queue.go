@@ -2,6 +2,7 @@ package flat
 
 import (
 	"fmt"
+	"math"
 
 	"github.com/logp-model/logp/internal/logp"
 )
@@ -347,17 +348,18 @@ func (q *queue) nextAfterNow() (int64, bool) {
 }
 
 // popNext fills out with the next event in (time, seq) order, advancing the
-// clock, as long as its time is strictly below limit. Events at the current
-// instant always run (the window barrier only bounds clock advances).
-// A delivery's record stays in the arena, where the dispatcher reads it via
-// out.idx.
+// clock, as long as its time is strictly below limit; a limit of
+// math.MaxInt64 bounds nothing, so an event at the last cycle still runs.
+// Events at the current instant always run (the window barrier only bounds
+// clock advances). A delivery's record stays in the arena, where the
+// dispatcher reads it via out.idx.
 func (q *queue) popNext(limit int64, out *ent) bool {
 	if s := int(q.now) & wheelMask; q.heads[s] < int32(len(q.wheel[s])) {
 		q.popBucket(s, out)
 		return true
 	}
 	t, ok := q.nextAfterNow()
-	if !ok || t >= limit {
+	if !ok || t >= limit && limit != math.MaxInt64 {
 		return false
 	}
 	q.now = t

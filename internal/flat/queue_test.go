@@ -7,24 +7,25 @@ import (
 
 // TestQueuePendingQuiescence pins the queue-level invariant the deadlock
 // detector depends on (the flat-core analogue of kernel.Quiescent /
-// pendingEvents): pending counts both the same-instant FIFO and the heap,
-// and reaches zero exactly when both drain.
+// pendingEvents): pending counts both the timing wheel's buckets and the
+// overflow heap, and reaches zero exactly when both drain.
 func TestQueuePendingQuiescence(t *testing.T) {
 	var q queue
 	var e ent
 	if q.pending() != 0 {
 		t.Fatalf("fresh queue pending = %d", q.pending())
 	}
-	q.scheduleAt(0, evWake, 0) // same-instant: FIFO
-	q.scheduleAt(5, evWake, 1) // future: heap
-	q.scheduleAt(0, evWake, 2) // FIFO again
-	if got := q.pending(); got != 3 {
-		t.Fatalf("pending = %d, want 3", got)
+	q.scheduleAt(0, evWake, 0)   // the current instant's bucket
+	q.scheduleAt(5, evWake, 1)   // a later bucket
+	q.scheduleAt(0, evWake, 2)   // the current instant's bucket again
+	q.scheduleAt(200, evWake, 3) // past the wheel's horizon: the heap
+	if got := q.pending(); got != 4 {
+		t.Fatalf("pending = %d, want 4", got)
 	}
 	if _, ok := q.nextTime(); !ok {
 		t.Fatal("nextTime reported empty")
 	}
-	for i := 3; i > 0; i-- {
+	for i := 4; i > 0; i-- {
 		if q.pending() != i {
 			t.Fatalf("pending = %d, want %d", q.pending(), i)
 		}
@@ -38,13 +39,13 @@ func TestQueuePendingQuiescence(t *testing.T) {
 	if q.popNext(math.MaxInt64, &e) {
 		t.Fatal("popNext produced an event from an empty queue")
 	}
-	if q.now != 5 {
-		t.Fatalf("queue time %d after draining, want 5", q.now)
+	if q.now != 200 {
+		t.Fatalf("queue time %d after draining, want 200", q.now)
 	}
 }
 
-// TestQueueOrderAndElision pins the merge rule ((time, seq) order with the
-// FIFO fast path) and the in-place clock-advance condition used to elide
+// TestQueueOrderAndElision pins the dispatch order ((time, seq) across the
+// wheel's buckets) and the in-place clock-advance condition used to elide
 // park wake-ups.
 func TestQueueOrderAndElision(t *testing.T) {
 	var q queue
@@ -54,7 +55,7 @@ func TestQueueOrderAndElision(t *testing.T) {
 	q.scheduleAt(0, evWake, 0)
 	q.scheduleAt(2, evWake, 1)
 
-	// FIFO is non-empty at t=0: the clock cannot advance in place.
+	// The bucket of t=0 is non-empty: the clock cannot advance in place.
 	if q.canAdvance(1) {
 		t.Error("canAdvance with same-instant work pending")
 	}
@@ -62,12 +63,13 @@ func TestQueueOrderAndElision(t *testing.T) {
 	if e.proc != 0 || q.now != 0 {
 		t.Fatalf("first event proc %d at %d, want proc 0 at 0", e.proc, q.now)
 	}
-	// FIFO drained, heap top at 2: advancing to 1 is safe, to 3 is not.
+	// The bucket of t=0 drained and the next event is at 2: advancing to 1
+	// is safe, to 3 is not.
 	if !q.canAdvance(1) {
-		t.Error("cannot advance to 1 with heap top at 2")
+		t.Error("cannot advance to 1 with the next event at 2")
 	}
 	if q.canAdvance(3) {
-		t.Error("advanced past heap top at 2")
+		t.Error("advanced past the next event at 2")
 	}
 	q.popNext(math.MaxInt64, &e)
 	if e.proc != 1 || q.now != 2 {
@@ -153,7 +155,8 @@ func TestQueueDeliverArenaRecycles(t *testing.T) {
 }
 
 // BenchmarkQueueScheduleDrain measures the raw event-kernel cycle the flat
-// core is built on: schedule into the heap, pop in order.
+// core is built on: schedule a batch of events 1 to 64 cycles ahead, all
+// inside the timing wheel's horizon, then pop them in (time, seq) order.
 func BenchmarkQueueScheduleDrain(b *testing.B) {
 	const batch = 1024
 	var q queue
@@ -169,8 +172,9 @@ func BenchmarkQueueScheduleDrain(b *testing.B) {
 	}
 }
 
-// BenchmarkQueueFIFOFastPath measures the same-instant append/pop fast path
-// taken by handler-driven wake chains.
+// BenchmarkQueueFIFOFastPath measures events at the current instant, which
+// handler-driven wake chains schedule: appends to and pops from the current
+// instant's wheel bucket, which keeps them in scheduling order.
 func BenchmarkQueueFIFOFastPath(b *testing.B) {
 	var q queue
 	var e ent

@@ -134,7 +134,6 @@ func TestResetMatchesNew(t *testing.T) {
 		{name: "observed", cfg: logp.Config{Params: base}, trace: true, prof: true, metrics: true},
 		{name: "nocap", cfg: logp.Config{Params: base, DisableCapacity: true}},
 		{name: "two-tier", cfg: logp.Config{Params: base, Topology: twoTierModel(t, base)}, metrics: true},
-		{name: "hold", cfg: logp.Config{Params: base, HoldCapacityUntilReceive: true}, trace: true},
 		{name: "jitter-skew", cfg: logp.Config{Params: other, LatencyJitter: 4, ComputeJitter: 0.3,
 			ProcSkew: 0.2, Seed: 7}, prof: true},
 		{name: "faults", cfg: logp.Config{Params: base, Seed: 3, Faults: &logp.FaultPlan{

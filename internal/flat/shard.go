@@ -56,7 +56,7 @@ func (m *Machine) runSharded() error {
 			break
 		}
 		wend := M + m.horizon
-		if wend < M { // saturate on overflow
+		if wend < M { // saturate on overflow: the last window runs to the end of the clock
 			wend = math.MaxInt64
 		}
 		wg.Add(len(m.sh))

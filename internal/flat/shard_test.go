@@ -338,7 +338,7 @@ func TestCapShardedMatchesSequential(t *testing.T) {
 }
 
 // TestCapShardedStallSpansBarrier applies the one-shard rule to stalls that
-// outlast many L-cycle spans (see capacityStalls).
+// outlast several L-cycle spans (see capacityStalls).
 func TestCapShardedStallSpansBarrier(t *testing.T) {
 	for _, tc := range capacityStalls() {
 		t.Run(tc.name, func(t *testing.T) { checkOneShard(t, tc) })

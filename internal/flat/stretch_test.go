@@ -40,12 +40,32 @@ func (longWaits) Start(n logp.Node) {
 
 func (longWaits) Message(logp.Node, logp.Message) {}
 
+// lateSend has processor 0 wait until cycle at and then send processor 1 one
+// message, which 1 finishes on; the others finish at once.
+type lateSend struct{ at int64 }
+
+func (s lateSend) Start(n logp.Node) {
+	switch n.ID() {
+	case 0:
+		n.WaitUntil(s.at)
+		n.Send(1, 0, nil)
+		n.Done()
+	case 1:
+	default:
+		n.Done()
+	}
+}
+
+func (lateSend) Message(n logp.Node, _ logp.Message) { n.Done() }
+
 // TestStretchOverflowFailsBothEngines: a compute that a stretch factor —
 // compute jitter, processor skew, a slowdown window or a topology rate —
 // pushes past the int64 cycle count fails the run on both engines with the
 // same StretchOverflowError, and a moderate stretch still finishes no
 // earlier than the unstretched run. A compute or wait that passes the int64
-// cycle count unstretched fails it with the same ClockOverflowError.
+// cycle count unstretched, a send whose overhead or flight (a duplicate's
+// included) passes it, and a reception whose overhead does fail it with the
+// same ClockOverflowError.
 func TestStretchOverflowFailsBothEngines(t *testing.T) {
 	plain, err := flat.Run(logp.Config{Params: stretchParams}, stretchProg(t, 3), 1)
 	if err != nil || plain.Time != 131 {
@@ -85,6 +105,23 @@ func TestStretchOverflowFailsBothEngines(t *testing.T) {
 		{"compute-past-the-clock", logp.Config{Params: stretchParams}, alltoall(1 << 62), true},
 		{"wait-past-the-clock", logp.Config{Params: stretchParams},
 			func(*testing.T) logp.Program { return longWaits{} }, true},
+		// The daemon spec {"program":"alltoall","work":9223372036854775800,
+		// "machine":{"p":4,"l":6,"o":2,"g":4}} crashed both engines on the
+		// first send's arrival: the flat one on a scheduling panic, the
+		// goroutine one on a process goroutine, taking the process down.
+		{"send-past-the-clock", logp.Config{Params: stretchParams}, alltoall(math.MaxInt64 - 7), true},
+		{"send-overhead-past-the-clock", logp.Config{Params: stretchParams},
+			func(*testing.T) logp.Program { return lateSend{at: math.MaxInt64 - 1} }, true},
+		// The original lands on the last cycle; its duplicate lands later.
+		{"duplicate-past-the-clock", logp.Config{Params: stretchParams, Faults: &logp.FaultPlan{
+			Default: logp.LinkFault{Dup: 1},
+		}}, func(*testing.T) logp.Program { return lateSend{at: math.MaxInt64 - 8} }, true},
+		{"receive-past-the-clock", logp.Config{Params: stretchParams},
+			func(*testing.T) logp.Program { return lateSend{at: math.MaxInt64 - 9} }, true},
+		// The message lands on the last cycle, which the flat queue once
+		// never reached, and its reception ends past it.
+		{"arrival-on-the-last-cycle", logp.Config{Params: stretchParams},
+			func(*testing.T) logp.Program { return lateSend{at: math.MaxInt64 - 8} }, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -124,6 +161,28 @@ func TestStretchOverflowSharded(t *testing.T) {
 		var e *logp.StretchOverflowError
 		if !errors.As(err, &e) {
 			t.Errorf("shards=%d: err = %v, want a StretchOverflowError", shards, err)
+		}
+	}
+}
+
+// TestSendPastTheClockSharded: the windowed kernel fails a send or a
+// reception past the int64 cycle count with the sequential kernel's error,
+// whether or not the message crosses a shard boundary. The window that
+// reaches the last cycle runs to it: a delivery there once left the kernel
+// looping on an empty window.
+func TestSendPastTheClockSharded(t *testing.T) {
+	cfg := logp.Config{Params: stretchParams, DisableCapacity: true}
+	for _, prog := range []func() logp.Program{
+		func() logp.Program { return stretchProg(t, math.MaxInt64-7) },
+		func() logp.Program { return lateSend{at: math.MaxInt64 - 8} },
+	} {
+		_, want := flat.Run(cfg, prog(), 1)
+		for _, shards := range []int{2, 4} {
+			_, err := flat.Run(cfg, prog(), shards)
+			var e *logp.ClockOverflowError
+			if !errors.As(err, &e) || err.Error() != want.Error() {
+				t.Errorf("shards=%d: err = %v, want %v", shards, err, want)
+			}
 		}
 	}
 }

@@ -175,14 +175,16 @@ func (e *StretchOverflowError) Error() string {
 	return fmt.Sprintf("logp: proc %d: compute at cycle %d stretches past the int64 cycle count", e.Proc, e.At)
 }
 
-// ClockOverflowError is the error of a run in which a compute or wait of the
-// length the program asked for, unstretched, would end past the int64 cycle
-// count. It fails the run as a StretchOverflowError does.
+// ClockOverflowError is the error of a run in which an operation would end
+// past the int64 cycle count: a compute or wait of the length the program
+// asked for, unstretched; a send whose overhead, or whose flight (the later
+// copy's, for a duplicated message), would; or a reception whose overhead
+// would. It fails the run as a StretchOverflowError does.
 type ClockOverflowError struct {
 	Proc   int    // the processor whose operation overflowed
-	Op     string // "compute" or "wait"
-	Cycles int64  // the operation's length
-	At     int64  // the cycle at which it began
+	Op     string // "compute", "wait", "send" or "receive"
+	Cycles int64  // the length that overflowed: the operation's, or a send's flight
+	At     int64  // the cycle at which that length began: a flight's at injection
 }
 
 func (e *ClockOverflowError) Error() string {

@@ -21,8 +21,8 @@ import (
 //
 //   - a dropped message is injected normally (the sender pays o, the gap and
 //     the capacity constraint) and is lost at the destination module: its
-//     capacity slots free at the would-be arrival, even under
-//     HoldCapacityUntilReceive (the network has discarded its buffer);
+//     capacity slots free at the would-be arrival, as a delivered
+//     message's do;
 //   - a duplicated message yields a second copy, created inside the network,
 //     that arrives strictly after the original (at least one cycle later,
 //     plus its own jitter draw) and is exempt from the capacity constraint —

@@ -71,32 +71,29 @@ func TestZeroFaultPlanMatchesNil(t *testing.T) {
 func TestDropLosesMessageAndSettlesCapacity(t *testing.T) {
 	// Every message on 0->1 is dropped; the sender must not wedge on the
 	// capacity constraint (the network frees a dropped message's slots at
-	// its would-be arrival), even under HoldCapacityUntilReceive.
-	for _, hold := range []bool{false, true} {
-		c := cfg(2, 6, 2, 4)
-		c.HoldCapacityUntilReceive = hold
-		c.Faults = &FaultPlan{
-			Links: map[Link]LinkFault{{From: 0, To: 1}: {Drop: 1}},
-		}
-		const n = 10 // well beyond capacity ceil(L/g) = 2
-		res, err := Run(c, func(p *Proc) {
-			if p.ID() == 0 {
-				for i := 0; i < n; i++ {
-					p.Send(1, 0, i)
-				}
-			} else {
-				drainBody(200)(p)
+	// its would-be arrival).
+	c := cfg(2, 6, 2, 4)
+	c.Faults = &FaultPlan{
+		Links: map[Link]LinkFault{{From: 0, To: 1}: {Drop: 1}},
+	}
+	const n = 10 // well beyond capacity ceil(L/g) = 2
+	res, err := Run(c, func(p *Proc) {
+		if p.ID() == 0 {
+			for i := 0; i < n; i++ {
+				p.Send(1, 0, i)
 			}
-		})
-		if err != nil {
-			t.Fatalf("hold=%v: %v", hold, err)
+		} else {
+			drainBody(200)(p)
 		}
-		if res.Dropped != n {
-			t.Errorf("hold=%v: dropped %d messages, want %d", hold, res.Dropped, n)
-		}
-		if res.Messages != 0 {
-			t.Errorf("hold=%v: delivered %d messages, want 0", hold, res.Messages)
-		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Dropped != n {
+		t.Errorf("dropped %d messages, want %d", res.Dropped, n)
+	}
+	if res.Messages != 0 {
+		t.Errorf("delivered %d messages, want 0", res.Messages)
 	}
 }
 

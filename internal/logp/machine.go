@@ -67,12 +67,6 @@ type Config struct {
 	// exists to close.
 	DisableCapacity bool
 
-	// HoldCapacityUntilReceive keeps a message's capacity slot occupied
-	// until the destination processor actually receives it, instead of
-	// releasing it on arrival at the destination module: a stricter
-	// finite-buffering reading of "in transit to any processor".
-	HoldCapacityUntilReceive bool
-
 	// Coprocessor equips every node with a network DMA device for bulk
 	// transfers (Section 5.4): SendBulk pays the setup overhead o once and
 	// streams at the gap while the processor computes, and receiving a
@@ -277,12 +271,11 @@ type delivery struct {
 	flight int64 // actual network latency drawn for this copy (metrics)
 }
 
-// RunEvent completes the message's flight: stamp the arrival, enqueue at
-// the destination inbox, settle capacity (unless held until receive), and
-// wake a waiting receiver. Under faults, a dropped message — or any message
-// addressed to a dead processor — is discarded here instead, freeing its
-// capacity slots (the network has dropped its buffer), and duplicate copies
-// are enqueued without touching the capacity books.
+// RunEvent completes the message's flight: stamp the arrival, settle
+// capacity, enqueue at the destination inbox, and wake a waiting receiver.
+// Under faults, a dropped message — or any message addressed to a dead
+// processor — is discarded here instead, and duplicate copies are enqueued
+// without touching the capacity books.
 func (d *delivery) RunEvent() {
 	m := d.m
 	msg := d.msg
@@ -291,14 +284,14 @@ func (d *delivery) RunEvent() {
 	d.drop, d.dup = false, false
 	m.freeDeliveries = append(m.freeDeliveries, d)
 	msg.ArrivedAt = int64(m.kernel.Now())
+	if !dup {
+		m.settle(msg)
+	}
 	dst := m.procs[msg.To]
 	if drop || dst.failed {
 		m.dropped++
 		if m.met != nil {
 			m.met.OnDrop(msg.To)
-		}
-		if !dup {
-			m.settle(msg)
 		}
 		return
 	}
@@ -308,13 +301,8 @@ func (d *delivery) RunEvent() {
 		if m.met != nil {
 			m.met.OnDup(msg.To)
 		}
-	} else {
-		if m.met != nil {
-			m.met.OnDeliver(msg.To, flight)
-		}
-		if !m.cfg.HoldCapacityUntilReceive {
-			m.settle(msg)
-		}
+	} else if m.met != nil {
+		m.met.OnDeliver(msg.To, flight)
 	}
 	dst.inboxSig.Notify()
 }
@@ -419,11 +407,10 @@ func New(cfg Config) (*Machine, error) {
 	if cfg.Profiler != nil {
 		m.rec = cfg.Profiler
 		m.rec.Begin(prof.RunInfo{
-			Params:                   cfg.Params,
-			Coprocessor:              cfg.Coprocessor,
-			DisableCapacity:          cfg.DisableCapacity,
-			HoldCapacityUntilReceive: cfg.HoldCapacityUntilReceive,
-			BarrierCost:              cfg.BarrierCost,
+			Params:          cfg.Params,
+			Coprocessor:     cfg.Coprocessor,
+			DisableCapacity: cfg.DisableCapacity,
+			BarrierCost:     cfg.BarrierCost,
 		})
 	}
 	if !cfg.DisableCapacity {
@@ -449,8 +436,7 @@ func New(cfg Config) (*Machine, error) {
 }
 
 // settle ends a message's in-transit accounting and frees its capacity
-// slots: at arrival normally, or at reception under
-// HoldCapacityUntilReceive.
+// slots, at its arrival at the destination module.
 func (m *Machine) settle(msg Message) {
 	m.inTransitFrom[msg.From]--
 	m.inTransitTo[msg.To]--
@@ -482,8 +468,8 @@ func (m *Machine) Params() core.Params { return m.cfg.Params }
 // Run executes body on every processor (as processor p.ID) until all return,
 // and reports the run. A Machine runs one program; build a fresh Machine per
 // run. A compute stretched past the int64 cycle count fails the run with a
-// *StretchOverflowError, and a compute or wait that passes it unstretched
-// with a *ClockOverflowError.
+// *StretchOverflowError, and any other operation that passes it (see
+// ClockOverflowError) with a *ClockOverflowError.
 func (m *Machine) Run(body func(p *Proc)) (Result, error) {
 	if m.procs != nil {
 		return Result{}, fmt.Errorf("logp: machine already ran")
@@ -579,20 +565,7 @@ func (m *Machine) kill(proc int) {
 		return
 	}
 	pr.failed = true
-	if m.rec != nil {
-		m.rec.Kill(proc, int64(m.kernel.Now()))
-	}
 	pr.inboxSig.Broadcast()
-	if m.cfg.HoldCapacityUntilReceive {
-		// The dead processor will never receive what is queued for it, so
-		// those messages give back the units they hold, in inbox order; they
-		// stay queued, and count as undelivered.
-		for _, msg := range pr.inbox[pr.inboxHead:] {
-			if !msg.dup {
-				m.settle(msg)
-			}
-		}
-	}
 }
 
 // Run is a convenience wrapper: build a machine from cfg and run body.

@@ -23,8 +23,8 @@ type Message struct {
 	SentAt    int64 // initiation time at the sender
 	ArrivedAt int64 // arrival time at the destination module
 
-	// dup marks a network-made duplicate copy (fault injection). The copy
-	// never touched the capacity books, so reception must not settle it.
+	// dup marks a network-made duplicate copy (fault injection), which never
+	// touches the capacity books.
 	dup bool
 }
 
@@ -214,6 +214,9 @@ func (p *Proc) Send(to, tag int, data any) {
 	if p.nextSend > initiation {
 		initiation = p.nextSend
 	}
+	if lkO > math.MaxInt64-initiation {
+		p.overflow(&ClockOverflowError{Proc: p.id, Op: "send", Cycles: lkO, At: initiation})
+	}
 	p.ps.WaitUntil(sim.Time(initiation + lkO)) // idle until nextSend, then send overhead
 	p.stats.SendOverhead += lkO
 	p.stats.MsgsSent++
@@ -271,6 +274,11 @@ func (p *Proc) Send(to, tag int, data any) {
 	var dupLat int64
 	if p.m.faults != nil {
 		lat, drop, dup, dupLat = p.m.faults.messageFate(p.id, to, lat)
+	}
+	// The later copy's flight: a duplicate always lands after the original,
+	// and dupLat is 0 without one.
+	if f := max(lat, dupLat); f > math.MaxInt64-injection {
+		p.overflow(&ClockOverflowError{Proc: p.id, Op: "send", Cycles: f, At: injection})
 	}
 	if p.m.rec != nil {
 		p.m.rec.Send(p.id, to, tag, lat)
@@ -345,6 +353,9 @@ func (p *Proc) finishRecv(msg Message) Message {
 	}
 	_, lkO, lkG := p.m.link(msg.From, p.id)
 	cost := p.recvCost(msg, lkO)
+	if cost > math.MaxInt64-start {
+		p.overflow(&ClockOverflowError{Proc: p.id, Op: "receive", Cycles: cost, At: start})
+	}
 	p.ps.WaitUntil(sim.Time(start + cost)) // gap, then receive overhead (per word without a coprocessor)
 	p.stats.RecvOverhead += cost
 	p.stats.MsgsReceived++
@@ -359,9 +370,6 @@ func (p *Proc) finishRecv(msg Message) Message {
 	p.nextRecv = start + iv
 	if t := start + cost; t > p.nextRecv {
 		p.nextRecv = t
-	}
-	if p.m.cfg.HoldCapacityUntilReceive && !msg.dup {
-		p.m.settle(msg)
 	}
 	if p.m.rec != nil {
 		p.m.rec.RecvDone(p.id)

@@ -67,11 +67,10 @@ type Op struct {
 // subset of logp.Config that affects costs. Replay defaults to these values
 // so a what-if sweep only overrides what it varies.
 type RunInfo struct {
-	Params                   core.Params
-	Coprocessor              bool
-	DisableCapacity          bool
-	HoldCapacityUntilReceive bool
-	BarrierCost              int64
+	Params          core.Params
+	Coprocessor     bool
+	DisableCapacity bool
+	BarrierCost     int64
 }
 
 // Recorder accumulates the operation log of one machine run. Pass it to the
@@ -90,14 +89,6 @@ type Recorder struct {
 	// replay uses to discard their late arrivals as the machine does.
 	pendingRecv []bool
 	failed      []bool
-	// kills lists the fail-stop kills in the order they fired (see Kill).
-	kills []kill
-}
-
-// kill is one recorded fail-stop kill: proc was killed at cycle t.
-type kill struct {
-	proc int
-	t    int64
 }
 
 // NewRecorder returns an empty recorder.
@@ -119,7 +110,6 @@ func (r *Recorder) Begin(info RunInfo) {
 	}
 	r.pendingRecv = make([]bool, info.Params.P)
 	r.failed = make([]bool, info.Params.P)
-	r.kills = r.kills[:0]
 }
 
 // Info returns the recorded machine configuration.
@@ -194,15 +184,6 @@ func (r *Recorder) FailStop(proc int, t int64) {
 	}
 	r.ops[proc] = append(r.ops[proc], Op{Kind: OpWaitUntil, Arg: t})
 	r.failed[proc] = true
-}
-
-// Kill records that proc was killed by a fail-stop at absolute time t. It
-// halts at its next operation boundary, which FailStop records. Replay
-// under hold-until-receive needs the kill time: there the machine gives
-// back, at the kill, the capacity of every message queued at the victim,
-// and discards the victim's later arrivals.
-func (r *Recorder) Kill(proc int, t int64) {
-	r.kills = append(r.kills, kill{proc: proc, t: t})
 }
 
 // Failed reports whether proc fail-stopped during the recorded run.

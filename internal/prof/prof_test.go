@@ -190,7 +190,6 @@ func TestAnalyzeReconstructsRun(t *testing.T) {
 		{"deterministic", logp.Config{Params: base}},
 		{"latency-jitter", logp.Config{Params: base, LatencyJitter: 5, Seed: 7}},
 		{"all-noise", logp.Config{Params: base, LatencyJitter: 4, ComputeJitter: 0.5, ProcSkew: 0.3, Seed: 11}},
-		{"hold-capacity", logp.Config{Params: base, HoldCapacityUntilReceive: true}},
 		{"coprocessor", logp.Config{Params: base, Coprocessor: true}},
 		{"no-capacity", logp.Config{Params: base, DisableCapacity: true}},
 		{"barrier-cost", logp.Config{Params: base, BarrierCost: 9}},

@@ -11,11 +11,10 @@ import (
 // The zero value is not useful; start from Recorder.BaseConfig and override
 // the parameters being swept.
 type Config struct {
-	Params                   core.Params
-	Coprocessor              bool
-	DisableCapacity          bool
-	HoldCapacityUntilReceive bool
-	BarrierCost              int64
+	Params          core.Params
+	Coprocessor     bool
+	DisableCapacity bool
+	BarrierCost     int64
 
 	// UseRecordedLatency charges each message its actually drawn latency
 	// instead of Params.L, reproducing a jittered recording exactly. What-if
@@ -29,12 +28,11 @@ type Config struct {
 func (r *Recorder) BaseConfig() Config {
 	i := r.info
 	return Config{
-		Params:                   i.Params,
-		Coprocessor:              i.Coprocessor,
-		DisableCapacity:          i.DisableCapacity,
-		HoldCapacityUntilReceive: i.HoldCapacityUntilReceive,
-		BarrierCost:              i.BarrierCost,
-		UseRecordedLatency:       true,
+		Params:             i.Params,
+		Coprocessor:        i.Coprocessor,
+		DisableCapacity:    i.DisableCapacity,
+		BarrierCost:        i.BarrierCost,
+		UseRecordedLatency: true,
 	}
 }
 
@@ -108,8 +106,6 @@ const (
 	evStep     evKind = iota // advance a processor through its next ops
 	evAcquire                // a send reaches its capacity-acquire point
 	evDelivery               // a message arrives at its destination module
-	evSettle                 // a held capacity slot is freed at reception
-	evKill                   // a recorded kill under hold-until-receive
 )
 
 type event struct {
@@ -188,8 +184,7 @@ type rmsg struct {
 	lat                  int64
 	arrival              int64
 	flightSpan           int
-	settled              bool
-	dropped              bool // discarded at arrival, capacity settled there
+	dropped              bool // discarded at arrival
 	dup                  bool // capacity-exempt network copy
 }
 
@@ -206,7 +201,6 @@ type rproc struct {
 	waitStart int64
 	lastMsg   int32 // message index of this processor's latest send, for OpDup
 	failed    bool  // fail-stopped in the recording: late arrivals are discarded
-	killed    bool  // hold mode: past its recorded kill, arrivals are discarded
 	// pending send context while acquiring capacity
 	sendInit int64 // initiation time
 	sendEng  int64 // end of the engaged (overhead) stretch
@@ -251,13 +245,6 @@ func newReplayer(r *Recorder, cfg Config) *replayer {
 			rp.procs[i].failed = r.failed[i]
 		}
 	}
-	if cfg.HoldCapacityUntilReceive {
-		// Queued first, as the machine schedules its fail-stops: at equal
-		// times a kill precedes everything else.
-		for _, k := range r.kills {
-			rp.q.push(k.t, evKill, int32(k.proc), 0)
-		}
-	}
 	for i := 0; i < P; i++ {
 		rp.q.push(0, evStep, int32(i), 0)
 	}
@@ -293,10 +280,6 @@ func (rp *replayer) run() error {
 			rp.acquire(rp.procs[e.proc], e.t)
 		case evDelivery:
 			rp.deliver(int(e.msg), e.t)
-		case evSettle:
-			rp.settle(int(e.msg), e.t)
-		case evKill:
-			rp.kill(rp.procs[e.proc], e.t)
 		}
 	}
 	for _, p := range rp.procs {
@@ -511,8 +494,7 @@ func (rp *replayer) startDup(p *rproc, op *Op) {
 	rp.spans = append(rp.spans, Span{Proc: -1, Kind: trace.Flight, Start: flightStart, End: arrival, Pred: orig.flightSpan, Msg: mi})
 	rp.msgs = append(rp.msgs, rmsg{
 		from: p.id, to: int(op.To), tag: int(op.Tag), words: int(op.Words),
-		lat: op.Arg, arrival: arrival, flightSpan: fs,
-		settled: true, dup: true, // capacity-exempt: nothing to settle
+		lat: op.Arg, arrival: arrival, flightSpan: fs, dup: true,
 	})
 	rp.minfo = append(rp.minfo, MsgInfo{
 		From: p.id, To: int(op.To), Tag: int(op.Tag), Words: int(op.Words),
@@ -522,30 +504,19 @@ func (rp *replayer) startDup(p *rproc, op *Op) {
 	rp.q.push(arrival, evDelivery, 0, int32(mi))
 }
 
-// deliver completes a message's flight: settle capacity (unless held until
-// reception), enqueue at the destination, and wake a blocked receiver. A
-// message the fault layer dropped — or one addressed to a fail-stopped
-// processor — is discarded here, settling its capacity unconditionally (the
-// network freed its buffer), exactly as the machine does.
+// deliver completes a message's flight: settle capacity, enqueue at the
+// destination, and wake a blocked receiver. A message the fault layer
+// dropped — or one addressed to a fail-stopped processor — is discarded
+// here instead, exactly as the machine does.
 func (rp *replayer) deliver(mi int, now int64) {
 	m := &rp.msgs[mi]
+	rp.settle(m, now)
 	dst := rp.procs[m.to]
 	// A fail-stopped destination discards arrivals once past its last
 	// recorded op (its death point); earlier arrivals must still queue so
-	// the receives it did complete before dying find their messages. Under
-	// hold-until-receive the recorded kill time decides instead, as on the
-	// machine (see kill): there the moment a message is settled moves the
-	// timing.
-	dead := dst.failed && dst.pc >= len(dst.ops) && dst.waiting == wNone
-	if rp.cfg.HoldCapacityUntilReceive {
-		dead = dst.killed
-	}
-	if m.dropped || dead {
-		rp.settle(mi, now)
+	// the receives it did complete before dying find their messages.
+	if m.dropped || dst.failed && dst.pc >= len(dst.ops) && dst.waiting == wNone {
 		return
-	}
-	if !rp.cfg.HoldCapacityUntilReceive {
-		rp.settle(mi, now)
 	}
 	if dst.waiting == wRecv {
 		op := &dst.ops[dst.pc]
@@ -564,25 +535,12 @@ func (rp *replayer) deliver(mi int, now int64) {
 	dst.inbox = append(dst.inbox, int32(mi))
 }
 
-// kill applies a recorded kill under hold-until-receive, as the machine
-// does: the victim will never receive what is queued for it, so those
-// messages give back their capacity at the kill, in inbox order (a
-// duplicate copy holds none), and its later arrivals are discarded.
-func (rp *replayer) kill(p *rproc, now int64) {
-	p.killed = true
-	for _, mi := range p.inbox {
-		rp.settle(int(mi), now)
-	}
-}
-
-// settle frees a message's capacity slots, waking stalled senders.
-func (rp *replayer) settle(mi int, now int64) {
-	m := &rp.msgs[mi]
-	if m.settled || rp.outCap == nil {
-		m.settled = true
+// settle frees a message's capacity slots at its arrival, waking stalled
+// senders; a duplicate copy holds none.
+func (rp *replayer) settle(m *rmsg, now int64) {
+	if m.dup || rp.outCap == nil {
 		return
 	}
-	m.settled = true
 	rp.release(rp.outCap[m.from], now)
 	rp.release(rp.inCap[m.to], now)
 }
@@ -631,9 +589,6 @@ func (rp *replayer) consume(p *rproc, op *Op, mi int, ta int64) {
 	rp.minfo[mi].RecvStart = start
 	rp.minfo[mi].RecvEnd = start + cost
 	rp.minfo[mi].RecvSpan = rs
-	if rp.cfg.HoldCapacityUntilReceive {
-		rp.q.push(p.t, evSettle, 0, int32(mi))
-	}
 }
 
 // barrier registers an arrival; the last arriver releases everyone

@@ -94,8 +94,9 @@ func TestWhatIfSummationExact(t *testing.T) {
 }
 
 // TestWhatIfConfigToggles: replay also predicts configuration what-ifs —
-// removing the capacity constraint and holding slots until reception —
-// exactly, for a program with enough contention that they matter.
+// removing the capacity constraint from a recording made with it, and
+// imposing it on a recording made without it — exactly, for a program with
+// enough contention that it matters.
 func TestWhatIfConfigToggles(t *testing.T) {
 	params := core.Params{P: 4, L: 12, O: 2, G: 6}
 	const msgs = 3
@@ -110,41 +111,30 @@ func TestWhatIfConfigToggles(t *testing.T) {
 			p.Send(0, p.ID(), nil)
 		}
 	}
-	rec := prof.NewRecorder()
-	mustRun(t, logp.Config{Params: params, Profiler: rec}, body)
-
 	toggles := []struct {
-		name string
-		mut  func(*prof.Config, *logp.Config)
+		name     string
+		recorded bool // DisableCapacity of the recorded run; the what-if flips it
 	}{
-		{"disable-capacity", func(rc *prof.Config, lc *logp.Config) {
-			rc.DisableCapacity = true
-			lc.DisableCapacity = true
-		}},
-		{"hold-capacity", func(rc *prof.Config, lc *logp.Config) {
-			rc.HoldCapacityUntilReceive = true
-			lc.HoldCapacityUntilReceive = true
-		}},
+		{"disable-capacity", false},
+		{"enable-capacity", true},
 	}
 	for _, tc := range toggles {
 		t.Run(tc.name, func(t *testing.T) {
+			rec := prof.NewRecorder()
+			res := mustRun(t, logp.Config{Params: params, DisableCapacity: tc.recorded, Profiler: rec}, body)
 			rc := rec.BaseConfig()
 			rc.UseRecordedLatency = false
-			lc := logp.Config{Params: params}
-			tc.mut(&rc, &lc)
+			rc.DisableCapacity = !tc.recorded
 			pred, err := rec.Replay(rc)
 			if err != nil {
 				t.Fatal(err)
 			}
-			fresh := mustRun(t, lc, body)
-			// Under heavy contention the machine's capacity arbitration is
-			// only weakly FIFO (a sender already scheduled at the release
-			// instant can barge ahead of the queue), while replay grants
-			// strictly FIFO, so individual senders' finish times can permute;
-			// the makespan — set by the receiver — must still match exactly.
-			if pred.Makespan != fresh.Time {
-				t.Errorf("replay makespan %d, machine ran in %d", pred.Makespan, fresh.Time)
+			fresh := mustRun(t, logp.Config{Params: params, DisableCapacity: !tc.recorded}, body)
+			// Exactly one of the two runs has the capacity constraint.
+			if res.TotalStall()+fresh.TotalStall() == 0 {
+				t.Fatal("the capacity-constrained run never stalled")
 			}
+			checkMatchesMachine(t, pred, fresh)
 		})
 	}
 }

@@ -2,6 +2,7 @@ package service
 
 import (
 	"container/list"
+	"errors"
 	"sync"
 )
 
@@ -14,7 +15,9 @@ import (
 // every caller gets the same byte slice. Eviction is LRU over completed
 // entries, bounded both by entry count and by total body bytes; in-flight
 // entries are never evicted. Errors are not cached — every waiter of a
-// failed computation sees the error, and the next submission retries.
+// failed computation sees the error, and the next submission retries. A
+// computation that panics fails its waiters the same way, and the panic
+// goes on up the caller's stack.
 type Cache struct {
 	mu       sync.Mutex
 	maxEnt   int
@@ -109,18 +112,30 @@ func (c *Cache) getOrRun(hash string, run func() ([]byte, summary, error)) (*cac
 	c.misses++
 	c.mu.Unlock()
 
+	// Deferred, so that a run that panics still completes the entry:
+	// otherwise every later submission of the hash would wait on it forever.
+	ran := false
+	defer func() {
+		if !ran {
+			e.err = errRunPanicked
+		}
+		close(e.done)
+		c.mu.Lock()
+		if e.err != nil {
+			delete(c.entries, hash) // errors are not cached; next submission retries
+		} else {
+			c.complete(hash, e)
+		}
+		c.mu.Unlock()
+	}()
 	e.body, e.sum, e.err = run()
-	close(e.done)
-
-	c.mu.Lock()
-	if e.err != nil {
-		delete(c.entries, hash) // errors are not cached; next submission retries
-	} else {
-		c.complete(hash, e)
-	}
-	c.mu.Unlock()
+	ran = true
 	return e, false
 }
+
+// errRunPanicked is the error a waiter coalesced onto a run that panicked
+// receives.
+var errRunPanicked = errors.New("service: the run panicked")
 
 // Get returns the completed body cached under hash without running
 // anything. An in-flight entry is not waited for.

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // TestCacheSingleFlight fires many concurrent lookups of one hash whose
@@ -152,6 +153,59 @@ func TestCacheErrorsNotCached(t *testing.T) {
 	}
 	if st := c.Stats(); st.Entries != 1 || st.Misses != 2 {
 		t.Errorf("stats %+v", st)
+	}
+}
+
+// TestCachePanicDropsEntry: a run that panics passes its panic to its
+// caller, fails a waiter coalesced onto it instead of leaving it blocked,
+// and leaves no entry behind, so the next lookup of the hash runs again
+// rather than waiting forever.
+func TestCachePanicDropsEntry(t *testing.T) {
+	c := NewCache(16, 0)
+	started := make(chan struct{})
+	waiter := make(chan error)
+	go func() {
+		<-started
+		_, hit, err := c.GetOrRun("h", func() ([]byte, error) { return []byte("unused"), nil })
+		if !hit {
+			err = errors.New("waiter ran instead of coalescing")
+		}
+		waiter <- err
+	}()
+	func() {
+		defer func() {
+			if r := recover(); r != "boom" {
+				t.Errorf("recovered %v, want the run's panic", r)
+			}
+		}()
+		c.GetOrRun("h", func() ([]byte, error) {
+			close(started)
+			for c.Stats().Coalesced == 0 {
+				runtime.Gosched()
+			}
+			panic("boom")
+		})
+	}()
+	select {
+	case err := <-waiter:
+		if !errors.Is(err, errRunPanicked) {
+			t.Errorf("coalesced waiter: err = %v, want errRunPanicked", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("coalesced waiter still blocked on the panicked run")
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		body, hit, err := c.GetOrRun("h", func() ([]byte, error) { return []byte("ok"), nil })
+		if err != nil || hit || string(body) != "ok" {
+			t.Errorf("lookup after the panic: body=%q hit=%v err=%v", body, hit, err)
+		}
+	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("lookup after the panic still blocked")
 	}
 }
 

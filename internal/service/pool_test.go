@@ -62,7 +62,7 @@ func checkSweepPoints(t *testing.T, req SweepRequest, body []byte) {
 	if err := json.Unmarshal(body, &sr); err != nil {
 		t.Fatalf("sweep body %s: %v", body, err)
 	}
-	specs, err := req.expand(Limits{}, 4096)
+	specs, err := req.expand()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +229,7 @@ func TestSweepSummariesAfterEvictionAndRefresh(t *testing.T) {
 	}
 
 	// Refresh one resident point, then sweep a grid of resident points only.
-	specs, err := req.expand(Limits{}, 4096)
+	specs, err := req.expand()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,11 +2,14 @@ package service
 
 import (
 	"bytes"
+	"encoding/json"
+	"errors"
 	"fmt"
 	"runtime"
 	"sync/atomic"
 	"testing"
 
+	"github.com/logp-model/logp/internal/logp"
 	"github.com/logp-model/logp/internal/progs"
 	"github.com/logp-model/logp/internal/topo"
 )
@@ -165,6 +168,34 @@ func TestSumSpecMeetsPrediction(t *testing.T) {
 		if pred := resp.Output["predicted_finish"]; resp.Result.Time != 167 || pred != 167 {
 			t.Errorf("%s: time %d, predicted_finish %v; want both 167", engine, resp.Result.Time, pred)
 		}
+	}
+}
+
+// sendPastTheClock is a daemon spec whose first send would arrive past the
+// int64 cycle count: each processor computes until cycle 2^63-8, then pays
+// o=2 and puts a message in flight for L=6. It once crashed the flat engine
+// on a scheduling panic, and the goroutine engine's whole process with it.
+const sendPastTheClock = `{"program":"alltoall","work":9223372036854775800,"machine":{"p":4,"l":6,"o":2,"g":4}}`
+
+// TestSendPastTheClockFailsBothEngines: Run fails the overflowing send with
+// the same logp.ClockOverflowError on the flat engine and the goroutine one.
+func TestSendPastTheClockFailsBothEngines(t *testing.T) {
+	var texts []string
+	for _, engine := range []string{"", "goroutine"} {
+		var spec JobSpec
+		if err := json.Unmarshal([]byte(sendPastTheClock), &spec); err != nil {
+			t.Fatal(err)
+		}
+		spec.Engine = engine
+		_, err := Run(spec)
+		var e *logp.ClockOverflowError
+		if !errors.As(err, &e) || e.Op != "send" {
+			t.Fatalf("engine %q: err = %v, want a send's ClockOverflowError", engine, err)
+		}
+		texts = append(texts, err.Error())
+	}
+	if texts[0] != texts[1] {
+		t.Errorf("engines disagree:\n flat:      %s\n goroutine: %s", texts[0], texts[1])
 	}
 }
 

@@ -26,11 +26,6 @@ type Config struct {
 	// CacheBytes bounds the result cache's total body size (default
 	// 256 MiB).
 	CacheBytes int64
-	// MaxSweepPoints caps the expansion of one sweep request (default
-	// 4096).
-	MaxSweepPoints int
-	// Limits bound individual specs.
-	Limits Limits
 	// Logger, when set, emits one structured line per job request — hash,
 	// program, cache verdict, stage latencies, status. Nil disables
 	// request logging; the wall-clock telemetry on /metrics stays on
@@ -60,13 +55,6 @@ func (c Config) cacheBytes() int64 {
 		return c.CacheBytes
 	}
 	return 256 << 20
-}
-
-func (c Config) maxSweepPoints() int {
-	if c.MaxSweepPoints > 0 {
-		return c.MaxSweepPoints
-	}
-	return 4096
 }
 
 // Server is the simulation service: cache, machine pool and executor behind
@@ -227,7 +215,7 @@ func (s *Server) decodeSpec(w http.ResponseWriter, r *http.Request, sp *obs.Span
 		return JobSpec{}, false
 	}
 	normDone := sp.Timer("normalize")
-	err = spec.Normalize(s.cfg.Limits)
+	err = spec.Normalize(DefaultLimits)
 	normDone()
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err)

@@ -258,8 +258,10 @@ func TestHashDistinguishes(t *testing.T) {
 // (unknown fields rejected) and normalizes it under small limits, so each
 // execution stays cheap. Nothing may panic. An accepted spec must be a fixed
 // point of Normalize, its canonical bytes must decode and normalize back to
-// the same bytes, and Run on it must return a body or an error. The corpus
-// is seeded with the golden-hash specs in their wire form.
+// the same bytes, and Run on it, on the engine the input names, must return
+// a body or an error. The corpus is seeded with the golden-hash specs in
+// their wire form and the overflow regressions, the send past the clock on
+// both engines.
 func FuzzJobSpec(f *testing.F) {
 	for _, seed := range []string{
 		`{"program":"broadcast","machine":{"p":8,"l":6,"o":2,"g":4}}`,
@@ -269,6 +271,8 @@ func FuzzJobSpec(f *testing.F) {
 		`{"program":"broadcast","machine":{"p":8,"l":6,"o":2,"g":4,"topology":{"procs_per_node":4,"node":{"l":2,"o":1,"g":1}}}}`,
 		`{"program":"alltoall","work":3,"machine":{"p":4,"l":6,"o":2,"g":4,"compute_jitter":1e300}}`,
 		`{"program":"alltoall","work":4611686018427387904,"machine":{"p":4,"l":6,"o":2,"g":4}}`,
+		sendPastTheClock,
+		`{"program":"alltoall","work":9223372036854775800,"machine":{"p":4,"l":6,"o":2,"g":4},"engine":"goroutine"}`,
 	} {
 		f.Add([]byte(seed))
 	}
@@ -281,6 +285,7 @@ func FuzzJobSpec(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		spec, err := decode(data)
+		engine := spec.Engine // Normalize clears it
 		if err != nil || spec.Normalize(lim) != nil {
 			return
 		}
@@ -302,7 +307,9 @@ func FuzzJobSpec(f *testing.F) {
 		if got := back.Canonical(); !bytes.Equal(got, canon) {
 			t.Fatalf("canonical bytes do not round-trip:\n%s\n%s", canon, got)
 		}
-		resp, err := Run(spec)
+		named := spec
+		named.Engine = engine
+		resp, err := Run(named)
 		if err != nil {
 			return
 		}

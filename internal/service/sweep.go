@@ -49,9 +49,12 @@ type SweepResponse struct {
 	Points []SweepPoint `json:"points"` // one summary per grid point, in expansion order
 }
 
-// expand builds the normalized spec grid. Every returned spec has been
-// validated; the first invalid point aborts the expansion.
-func (r *SweepRequest) expand(lim Limits, maxPoints int) ([]JobSpec, error) {
+// maxSweepPoints caps the expansion of one sweep request.
+const maxSweepPoints = 4096
+
+// expand builds the normalized spec grid under DefaultLimits. Every returned
+// spec has been validated; the first invalid point aborts the expansion.
+func (r *SweepRequest) expand() ([]JobSpec, error) {
 	orOne := func(n int) int {
 		if n == 0 {
 			return 1
@@ -60,12 +63,12 @@ func (r *SweepRequest) expand(lim Limits, maxPoints int) ([]JobSpec, error) {
 	}
 	total := orOne(len(r.Axes.P)) * orOne(len(r.Axes.L)) * orOne(len(r.Axes.O)) *
 		orOne(len(r.Axes.G)) * orOne(len(r.Axes.N)) * orOne(len(r.Axes.Seed))
-	if total > maxPoints {
-		return nil, fmt.Errorf("service: sweep expands to %d points, limit %d", total, maxPoints)
+	if total > maxSweepPoints {
+		return nil, fmt.Errorf("service: sweep expands to %d points, limit %d", total, maxSweepPoints)
 	}
 	specs := make([]JobSpec, 0, total)
 	forEach := func(spec JobSpec) error {
-		if err := spec.Normalize(lim); err != nil {
+		if err := spec.Normalize(DefaultLimits); err != nil {
 			return fmt.Errorf("sweep point %d: %w", len(specs), err)
 		}
 		specs = append(specs, spec)
@@ -115,7 +118,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, fmt.Errorf("decoding sweep: %w", err))
 		return
 	}
-	specs, err := req.expand(s.cfg.Limits, s.cfg.maxSweepPoints())
+	specs, err := req.expand()
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return
