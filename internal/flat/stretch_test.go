@@ -3,6 +3,7 @@ package flat_test
 import (
 	"errors"
 	"math"
+	"strings"
 	"testing"
 
 	"github.com/logp-model/logp/internal/core"
@@ -201,5 +202,63 @@ func TestNonFiniteStretchRejected(t *testing.T) {
 		if gErr == nil || fErr == nil || gErr.Error() != fErr.Error() {
 			t.Errorf("jitter %v skew %v: goroutine err %v, flat err %v", cfg.ComputeJitter, cfg.ProcSkew, gErr, fErr)
 		}
+	}
+}
+
+// TestFlightsPastInt64Rejected: both engines refuse, with the same error, a
+// config whose latency draws could leave int64. The daemon specs
+// {"program":"pingpong","machine":{"p":2,"l":9223372036854775807,"o":2,
+// "g":4,"latency_jitter":9223372036854775807}} and any fault jitter of
+// 2^63-1 once panicked rand.Int63n, whose argument is jitter+1, and
+// "l":9223372036854775800 with "faults":{"jitter":100,"drop":0.1} wrapped
+// the drawn flight negative. A flight is at most the longest link's L plus
+// the fault jitter J, a duplicate's L + 2J + 1; a config whose bounds just
+// fit is accepted, and both engines run it to the same outcome.
+func TestFlightsPastInt64Rejected(t *testing.T) {
+	params := func(p int, l int64) core.Params { return core.Params{P: p, L: l, O: 2, G: 4} }
+	faults := func(lf logp.LinkFault) *logp.FaultPlan { return &logp.FaultPlan{Default: lf} }
+	twoTier, err := topo.TwoTier(params(4, 6), 2, topo.Link{L: math.MaxInt64 - 8, O: 1, G: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name string
+		cfg  logp.Config
+		fits bool
+	}{
+		{"latency-jitter", logp.Config{Params: params(2, math.MaxInt64), LatencyJitter: math.MaxInt64}, false},
+		{"fault-jitter", logp.Config{Params: params(2, 6), Faults: faults(logp.LinkFault{Jitter: math.MaxInt64})}, false},
+		{"fault-jitter-zero-latency", logp.Config{Params: core.Params{P: 2},
+			Faults: faults(logp.LinkFault{Jitter: math.MaxInt64})}, false},
+		{"flight-wraps", logp.Config{Params: params(2, math.MaxInt64-7),
+			Faults: faults(logp.LinkFault{Jitter: 100, Drop: 0.1})}, false},
+		{"link-override", logp.Config{Params: params(2, 6), Faults: &logp.FaultPlan{
+			Links: map[logp.Link]logp.LinkFault{{From: 0, To: 1}: {Jitter: math.MaxInt64}}}}, false},
+		{"two-tier-node-link", logp.Config{Params: params(4, 6), Topology: twoTier,
+			Faults: faults(logp.LinkFault{Jitter: 100})}, false},
+		{"duplicate-wraps", logp.Config{Params: params(2, math.MaxInt64-200),
+			Faults: faults(logp.LinkFault{Jitter: 100, Dup: 0.5})}, false},
+		{"latency-jitter-fits", logp.Config{Params: params(2, math.MaxInt64), LatencyJitter: math.MaxInt64 - 1}, true},
+		{"flight-fits", logp.Config{Params: params(2, math.MaxInt64-100),
+			Faults: faults(logp.LinkFault{Jitter: 100, Drop: 0.1})}, true},
+		{"duplicate-fits", logp.Config{Params: params(2, math.MaxInt64-201),
+			Faults: faults(logp.LinkFault{Jitter: 100, Dup: 0.5})}, true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			prog := lateSend{at: 0}
+			gRes, gErr := logp.RunProgram(tc.cfg, prog)
+			fRes, fErr := flat.Run(tc.cfg, prog, 1)
+			switch {
+			case tc.fits && gErr == nil && fErr == nil:
+				if gRes.Time != fRes.Time {
+					t.Errorf("engines disagree: goroutine time %d, flat time %d", gRes.Time, fRes.Time)
+				}
+			case gErr == nil || fErr == nil || gErr.Error() != fErr.Error():
+				t.Errorf("engines disagree: goroutine=%v flat=%v", gErr, fErr)
+			case tc.fits == strings.Contains(gErr.Error(), "draw"):
+				t.Errorf("fits=%v, error %v", tc.fits, gErr)
+			}
+		})
 	}
 }

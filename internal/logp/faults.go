@@ -144,6 +144,31 @@ func (fp *FaultPlan) Validate(P int) error {
 	return nil
 }
 
+// validateFlights checks that no link's fault jitter can carry a flight
+// past int64 on links whose latency is at most maxL: the jitter draw covers
+// [0, J], so it needs J+1 within int64, a flight is at most maxL + J, and a
+// duplicate's, which lands at least a cycle after the original, at most
+// maxL + 2J + 1.
+func (fp *FaultPlan) validateFlights(maxL int64) error {
+	fits := func(lf LinkFault) bool {
+		room := math.MaxInt64 - maxL // maxL >= 0
+		j := lf.Jitter
+		if j == math.MaxInt64 || j > room {
+			return false
+		}
+		return lf.Dup == 0 || j <= room-j-1
+	}
+	if !fits(fp.Default) {
+		return fmt.Errorf("logp: fault jitter %d on links of latency up to %d draws a flight past the int64 cycle count", fp.Default.Jitter, maxL)
+	}
+	for l, lf := range fp.Links {
+		if !fits(lf) {
+			return fmt.Errorf("logp: fault jitter %d on link %d->%d draws a flight past the int64 cycle count", lf.Jitter, l.From, l.To)
+		}
+	}
+	return nil
+}
+
 // faultState is the per-run runtime of a FaultPlan.
 type faultState struct {
 	plan *FaultPlan

@@ -116,7 +116,8 @@ type Config struct {
 // Validate checks everything every engine requires of a config: the LogP
 // parameters, latency jitter within [0, L] and within the topology's
 // minimum link L, a topology for P processors, finite non-negative compute
-// jitter and processor skew, and a fault plan valid for P.
+// jitter and processor skew, a fault plan valid for P, and every flight a
+// message can draw within int64.
 func (cfg Config) Validate() error {
 	if err := cfg.Params.Validate(); err != nil {
 		return err
@@ -124,6 +125,10 @@ func (cfg Config) Validate() error {
 	if cfg.LatencyJitter < 0 || cfg.LatencyJitter > cfg.L {
 		return fmt.Errorf("logp: latency jitter %d outside [0, L=%d]", cfg.LatencyJitter, cfg.L)
 	}
+	if cfg.LatencyJitter == math.MaxInt64 {
+		return fmt.Errorf("logp: latency jitter %d: the draw from [0, jitter] needs jitter+1 within int64", cfg.LatencyJitter)
+	}
+	maxL := cfg.L
 	if cfg.Topology != nil {
 		if cfg.Topology.P() != cfg.P {
 			return fmt.Errorf("logp: topology describes P=%d, machine has P=%d", cfg.Topology.P(), cfg.P)
@@ -131,6 +136,7 @@ func (cfg Config) Validate() error {
 		if minL := cfg.Topology.MinL(); cfg.LatencyJitter > minL {
 			return fmt.Errorf("logp: latency jitter %d exceeds the minimum link L=%d", cfg.LatencyJitter, minL)
 		}
+		maxL = cfg.Topology.MaxL()
 	}
 	if !(cfg.ComputeJitter >= 0 && cfg.ComputeJitter <= math.MaxFloat64) {
 		return fmt.Errorf("logp: compute jitter %v not a finite value >= 0", cfg.ComputeJitter)
@@ -139,7 +145,10 @@ func (cfg Config) Validate() error {
 		return fmt.Errorf("logp: processor skew %v not a finite value >= 0", cfg.ProcSkew)
 	}
 	if cfg.Faults != nil {
-		return cfg.Faults.Validate(cfg.P)
+		if err := cfg.Faults.Validate(cfg.P); err != nil {
+			return err
+		}
+		return cfg.Faults.validateFlights(maxL)
 	}
 	return nil
 }

@@ -23,19 +23,20 @@ type Cache struct {
 	maxEnt   int
 	maxBytes int64
 	bytes    int64
-	order    *list.List               // completed entries, front = most recent
-	entries  map[string]*cacheEntry   // hash → entry (in-flight or complete)
-	elem     map[string]*list.Element // hash → LRU element (complete only)
+	order    *list.List             // hashes of completed entries, front = most recent
+	entries  map[string]*cacheEntry // hash → entry (in-flight or complete)
 
 	hits, misses, coalesced, evictions int64
 }
 
-// cacheEntry is one hash's slot. done is closed when body/sum/err are final.
+// cacheEntry is one hash's slot. done is closed when body/sum/err are final;
+// el is the entry's LRU element once it is filed as complete.
 type cacheEntry struct {
 	done chan struct{}
 	body []byte
 	sum  summary
 	err  error
+	el   *list.Element
 }
 
 // summary is the part of a run a sweep point reports, kept beside the body
@@ -74,7 +75,6 @@ func NewCache(maxEntries int, maxBytes int64) *Cache {
 		maxBytes: maxBytes,
 		order:    list.New(),
 		entries:  map[string]*cacheEntry{},
-		elem:     map[string]*list.Element{},
 	}
 }
 
@@ -98,7 +98,7 @@ func (c *Cache) getOrRun(hash string, run func() ([]byte, summary, error)) (*cac
 		select {
 		case <-e.done:
 			c.hits++
-			c.touch(hash)
+			c.touch(e)
 			c.mu.Unlock()
 		default:
 			c.coalesced++
@@ -140,45 +140,54 @@ var errRunPanicked = errors.New("service: the run panicked")
 // Get returns the completed body cached under hash without running
 // anything. An in-flight entry is not waited for.
 func (c *Cache) Get(hash string) ([]byte, bool) {
+	if e := c.lookup(hash); e != nil {
+		return e.body, true
+	}
+	return nil, false
+}
+
+// lookup returns the completed entry cached under hash, counted as a hit
+// and moved to the LRU front, or nil for a hash that is absent, in flight
+// or failed. It runs and waits for nothing; callers must not mutate the
+// entry.
+func (c *Cache) lookup(hash string) *cacheEntry {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	e, ok := c.entries[hash]
 	if !ok {
-		return nil, false
+		return nil
 	}
 	select {
 	case <-e.done:
 		if e.err != nil {
-			return nil, false
+			return nil
 		}
 		c.hits++
-		c.touch(hash)
-		return e.body, true
+		c.touch(e)
+		return e
 	default:
-		return nil, false
+		return nil
 	}
 }
 
-// touch moves a completed entry to the LRU front. Caller holds mu.
-func (c *Cache) touch(hash string) {
-	if el, ok := c.elem[hash]; ok {
-		c.order.MoveToFront(el)
+// touch moves a completed entry to the LRU front; an entry not yet filed
+// stays where it is. Caller holds mu.
+func (c *Cache) touch(e *cacheEntry) {
+	if e.el != nil {
+		c.order.MoveToFront(e.el)
 	}
 }
 
 // complete files a finished entry into the LRU and evicts past the bounds.
 // Caller holds mu.
 func (c *Cache) complete(hash string, e *cacheEntry) {
-	c.elem[hash] = c.order.PushFront(hash)
+	e.el = c.order.PushFront(hash)
 	c.bytes += int64(len(e.body))
 	// Evict from the LRU tail past either bound, but always keep the entry
 	// just completed: a body larger than the byte bound still serves its
 	// own request and the next identical one.
 	for (c.order.Len() > c.maxEnt || (c.maxBytes > 0 && c.bytes > c.maxBytes)) && c.order.Len() > 1 {
-		last := c.order.Back()
-		victim := last.Value.(string)
-		c.order.Remove(last)
-		delete(c.elem, victim)
+		victim := c.order.Remove(c.order.Back()).(string)
 		c.bytes -= int64(len(c.entries[victim].body))
 		delete(c.entries, victim)
 		c.evictions++
@@ -207,9 +216,8 @@ func (c *Cache) Invalidate(hash string) {
 	}
 	select {
 	case <-e.done:
-		if el, found := c.elem[hash]; found {
-			c.order.Remove(el)
-			delete(c.elem, hash)
+		if e.el != nil {
+			c.order.Remove(e.el)
 		}
 		c.bytes -= int64(len(e.body))
 		delete(c.entries, hash)

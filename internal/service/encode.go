@@ -1,10 +1,12 @@
 package service
 
 import (
+	"bytes"
 	"encoding/json"
 	"math"
 	"slices"
 	"strconv"
+	"strings"
 	"sync"
 	"unicode/utf8"
 
@@ -18,9 +20,12 @@ import (
 // same rules: struct fields in definition order with omitempty honoured,
 // map keys sorted, a nil slice as null and an empty one as [], HTML-safe
 // string escaping, floats in the ES6 number form, and NaN or ±Inf rejected
-// with encoding/json's error. Only the parts that grow with P are written
-// here; the spec block, a few hundred bytes, is spliced in from
-// json.MarshalIndent, so its omitempty rules live only in its struct tags.
+// with encoding/json's error. The spec block is the spec's canonical bytes
+// (appendSpec in spec.go, the ones its hash covers) indented by
+// json.Indent, which is what json.MarshalIndent does with json.Marshal's
+// bytes; so the spec's field and omitempty rules live in one function, and
+// no body is encoded by reflection. encode_test.go and spec_test.go keep
+// encoding/json as the oracle for both.
 
 // maxPooledScratch bounds the scratch buffers kept for reuse, so one large
 // body (a P=256 metrics body is 18 MB) is never pinned in memory.
@@ -150,40 +155,70 @@ func appendArray[T any](w *writer, xs []T, elem func(*writer, *T)) {
 	}
 }
 
-// float writes f as encoding/json does: the shortest 'f' form, or the 'e'
-// form with a one-digit negative exponent when |f| < 1e-6 or |f| >= 1e21.
+// float writes f as encoding/json does, or keeps the error for NaN and
+// ±Inf.
 func (w *writer) float(f float64) {
+	var err error
+	if w.b, err = appendFloat(w.b, f); err != nil {
+		w.fail(err)
+	}
+}
+
+// fail keeps err unless an earlier error is kept.
+func (w *writer) fail(err error) {
+	if w.err == nil {
+		w.err = err
+	}
+}
+
+func (w *writer) str(s string) { w.b = appendString(w.b, s) }
+
+// appendFloat appends f as encoding/json does: the shortest 'f' form, or
+// the 'e' form with a one-digit negative exponent when |f| < 1e-6 or
+// |f| >= 1e21. NaN and ±Inf append nothing and fail with encoding/json's
+// error.
+func appendFloat(b []byte, f float64) ([]byte, error) {
 	if math.IsInf(f, 0) || math.IsNaN(f) {
-		if w.err == nil {
-			w.err = &json.UnsupportedValueError{Str: strconv.FormatFloat(f, 'g', -1, 64)}
-		}
-		return
+		return b, &json.UnsupportedValueError{Str: strconv.FormatFloat(f, 'g', -1, 64)}
 	}
 	format := byte('f')
 	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
 		format = 'e'
 	}
-	w.b = strconv.AppendFloat(w.b, f, format, -1, 64)
-	if n := len(w.b); format == 'e' && w.b[n-4] == 'e' && w.b[n-3] == '-' && w.b[n-2] == '0' {
-		w.b[n-2] = w.b[n-1] // e-09 → e-9
-		w.b = w.b[:n-1]
+	b = strconv.AppendFloat(b, f, format, -1, 64)
+	if n := len(b); format == 'e' && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+		b[n-2] = b[n-1] // e-09 → e-9
+		b = b[:n-1]
 	}
+	return b, nil
 }
 
 const hexDigits = "0123456789abcdef"
 
-// str writes s as a JSON string with encoding/json's HTML-safe escaping:
-// <, > and & as \u00XX, control bytes as \b, \f, \n, \r, \t or \u00XX,
-// U+2028 and U+2029 escaped, and each invalid UTF-8 byte as \ufffd.
-func (w *writer) str(s string) {
-	b := append(w.b, '"')
+// plain[c] reports whether byte c goes into a JSON string as itself: an
+// ASCII byte that is no control byte, quote, backslash, <, > or &.
+var plain = func() (t [256]bool) {
+	for c := ' '; c < utf8.RuneSelf; c++ {
+		t[c] = !strings.ContainsRune(`"\<>&`, c)
+	}
+	return t
+}()
+
+// appendString appends s as a JSON string with encoding/json's HTML-safe
+// escaping: <, > and & as \u00XX, control bytes as \b, \f, \n, \r, \t or
+// \u00XX, U+2028 and U+2029 escaped, and each invalid UTF-8 byte as
+// \ufffd. A run of bytes that need no escaping, such as a whole spec hash,
+// is copied in one append.
+func appendString(b []byte, s string) []byte {
+	b = append(b, '"')
 	start := 0
 	for i := 0; i < len(s); {
-		if c := s[i]; c < utf8.RuneSelf {
-			if c >= ' ' && c != '"' && c != '\\' && c != '<' && c != '>' && c != '&' {
-				i++
-				continue
-			}
+		c := s[i]
+		if plain[c] {
+			i++
+			continue
+		}
+		if c < utf8.RuneSelf {
 			b = append(b, s[start:i]...)
 			switch c {
 			case '"', '\\':
@@ -221,7 +256,7 @@ func (w *writer) str(s string) {
 		start = i
 	}
 	b = append(b, s[start:]...)
-	w.b = append(b, '"')
+	return append(b, '"')
 }
 
 // Encode renders the canonical response body: two-space-indented JSON with
@@ -232,12 +267,7 @@ func (r *Response) Encode() ([]byte, error) {
 	w.open('{')
 	w.strField("spec_hash", r.SpecHash)
 	w.key("spec")
-	// encoding/json writes the spec block, indented as a member at depth 1.
-	if spec, err := json.MarshalIndent(&r.Spec, newlines[1:1+2*w.depth], "  "); err != nil {
-		w.err = err
-	} else {
-		w.b = append(w.b, spec...)
-	}
+	w.spec(&r.Spec)
 	w.key("result")
 	w.result(&r.Result)
 	if len(r.Output) > 0 {
@@ -250,6 +280,21 @@ func (r *Response) Encode() ([]byte, error) {
 	}
 	w.close('}')
 	return w.finish()
+}
+
+// spec writes the spec block: its canonical bytes (appendSpec) indented
+// as a member at the current depth, as json.MarshalIndent would.
+func (w *writer) spec(s *JobSpec) {
+	var buf [512]byte
+	compact, err := appendSpec(buf[:0], s)
+	if err == nil {
+		dst := bytes.NewBuffer(w.b)
+		err = json.Indent(dst, compact, newlines[1:1+2*w.depth], "  ")
+		w.b = dst.Bytes()
+	}
+	if err != nil {
+		w.fail(err)
+	}
 }
 
 func (w *writer) result(r *ResultJSON) {
@@ -385,16 +430,27 @@ func (r *SweepResponse) encode() []byte {
 	return body
 }
 
+// sweepPoint writes one point of the sweep body. Points sit at depth 2, in
+// the points array, so each member's comma, line break, indent and key are
+// one constant.
 func (w *writer) sweepPoint(p *SweepPoint) {
-	w.open('{')
-	w.strField("spec_hash", p.SpecHash)
-	w.intField("p", int64(p.P))
-	w.intField("l", p.L)
-	w.intField("o", p.O)
-	w.intField("g", p.G)
-	w.intField("n", int64(p.N))
-	w.intField("seed", p.Seed)
-	w.intField("time", p.Time)
-	w.intField("messages", int64(p.Messages))
-	w.close('}')
+	const indent = "\n      " // a member at depth 3
+	b := append(w.b, "{"+indent+`"spec_hash": `...)
+	b = appendString(b, p.SpecHash)
+	for _, m := range [...]struct {
+		key string
+		v   int64
+	}{
+		{"," + indent + `"p": `, int64(p.P)},
+		{"," + indent + `"l": `, p.L},
+		{"," + indent + `"o": `, p.O},
+		{"," + indent + `"g": `, p.G},
+		{"," + indent + `"n": `, int64(p.N)},
+		{"," + indent + `"seed": `, p.Seed},
+		{"," + indent + `"time": `, p.Time},
+		{"," + indent + `"messages": `, int64(p.Messages)},
+	} {
+		b = strconv.AppendInt(append(b, m.key...), m.v, 10)
+	}
+	w.b = append(b, "\n    }"...)
 }

@@ -247,8 +247,59 @@ func TestSweepSummariesAfterEvictionAndRefresh(t *testing.T) {
 	checkSweepPoints(t, tail, body)
 }
 
+// TestSweepLeadingHitsInOrder: a sweep whose first points are cached
+// answers them on the request goroutine and fans out the rest, with the
+// same hit and miss counts and the same body as the per-point route. Hits
+// reach the LRU front in expansion order, so after a hot re-sweep the next
+// eviction takes the sweep's first point and no other.
+func TestSweepLeadingHitsInOrder(t *testing.T) {
+	srv, ts := newTestServer(t, Config{Workers: 2, CacheEntries: 8})
+	req := SweepRequest{
+		Base: JobSpec{Program: "broadcast", Machine: MachineSpec{P: 4, L: 6, O: 2, G: 4}},
+		Axes: SweepAxes{L: []int64{2, 6}, G: []int64{4, 6}, Seed: []int64{1, 2}},
+	}
+	specs, err := req.expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Points 0-2 lead with hits; point 3 is the first miss, and point 5 is a
+	// hit among the fanned-out rest.
+	for _, k := range []int{0, 1, 2, 5} {
+		if code, body, _ := submit(t, ts.URL, specs[k], ""); code != 200 {
+			t.Fatalf("point %d: status %d: %s", k, code, body)
+		}
+	}
+	code, body, hits, misses := postSweep(t, ts.URL, req)
+	if code != 200 || hits != "4" || misses != "4" {
+		t.Fatalf("partly cached sweep: status %d, hits %s, misses %s: %s", code, hits, misses, body)
+	}
+	checkSweepPoints(t, req, body)
+	if st := srv.Stats(); st.Cache.Hits != 4 || st.Cache.Misses != 8 || st.JobsRun != 8 {
+		t.Errorf("after the sweep: %+v, want 4 hits, 8 misses and 8 jobs run", st)
+	}
+
+	if code, warm, hits, _ := postSweep(t, ts.URL, req); code != 200 || hits != "8" || !bytes.Equal(warm, body) {
+		t.Fatalf("hot sweep: status %d, hits %s, same body %v", code, hits, bytes.Equal(warm, body))
+	}
+	other := req.Base
+	other.Seed = 3
+	if code, body, _ := submit(t, ts.URL, other, ""); code != 200 {
+		t.Fatalf("ninth spec: status %d: %s", code, body)
+	}
+	for k, spec := range specs {
+		resp, err := http.Get(ts.URL + "/v1/jobs/" + spec.Hash())
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if want := map[bool]int{true: 404, false: 200}[k == 0]; resp.StatusCode != want {
+			t.Errorf("point %d after one eviction: status %d, want %d", k, resp.StatusCode, want)
+		}
+	}
+}
+
 // TestMachinePoolBudget exercises the pool directly: several idle machines
-// per shape, most recent first, least recently released evicted past the
+// per shape, least recently released taken first and evicted first past the
 // byte budget, and a machine larger than the budget never kept.
 func TestMachinePoolBudget(t *testing.T) {
 	build := func(p int) *flat.Machine {
@@ -276,21 +327,21 @@ func TestMachinePoolBudget(t *testing.T) {
 	if st := pool.stats(); st.size != 3 || st.bytes != 2*sa+sc {
 		t.Fatalf("three machines within budget: %+v", st)
 	}
-	if got := pool.acquire(small); got != b {
-		t.Error("acquire did not return the shape's most recently released machine")
+	if got := pool.acquire(small); got != a {
+		t.Error("acquire did not return the shape's least recently released machine")
 	}
-	pool.release(small, b)
+	pool.release(small, a)
 	// One more P=32 machine overflows the budget. Eviction runs from the
-	// least recently released: a, then c, leaving b and d.
+	// least recently released: b, then c, leaving a and d.
 	d := build(32)
 	pool.release(big, d)
 	if st := pool.stats(); st.size != 2 || st.bytes != sa+d.StorageBytes() {
-		t.Errorf("after overflow: %+v, want b and d (%d bytes)", st, sa+d.StorageBytes())
+		t.Errorf("after overflow: %+v, want a and d (%d bytes)", st, sa+d.StorageBytes())
 	}
 	if got := pool.acquire(big); got != d {
 		t.Error("the surviving P=32 machine is not the recently released one")
 	}
-	if got := pool.acquire(small); got != b {
+	if got := pool.acquire(small); got != a {
 		t.Error("the surviving P=8 machine is not the recently released one")
 	}
 	if got := pool.acquire(small); got != nil {

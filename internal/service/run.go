@@ -79,8 +79,8 @@ func (s JobSpec) config() logp.Config {
 		Faults:          s.Faults.plan(),
 	}
 	if t := s.Machine.Topology; t != nil {
-		// Normalize already built this model once to validate it; Build on a
-		// validated spec cannot fail.
+		// Normalize validated the topology and the base parameters, so
+		// Build cannot fail.
 		m, err := t.Build(s.Machine.Params())
 		if err != nil {
 			panic(fmt.Sprintf("service: topology on a normalized spec: %v", err))
@@ -195,11 +195,14 @@ const poolBudget = 64 << 20
 
 // machinePool keeps idle flat machines for re-seating, keyed by shape. A
 // shape may have several idle machines, since executor slots can run one
-// shape concurrently; acquire takes the shape's most recently released one,
-// so a machine never runs concurrently with itself. Past the byte budget the
-// least recently released machines are dropped, and a machine larger than
-// the whole budget is never kept. The budget bounds the idle list's length
-// too, so acquire scans it.
+// shape concurrently; a machine leaves the pool while it runs, so it never
+// runs concurrently with itself. acquire takes the shape's least recently
+// released machine, so later jobs of the shape re-seat, and so trim, every
+// pooled machine in turn: taking the most recent one left the others idle
+// with whatever an earlier, larger job had grown them to. Past the byte
+// budget the least recently released machines are dropped, and a machine
+// larger than the whole budget is never kept. The budget bounds the idle
+// list's length too, so acquire scans it.
 type machinePool struct {
 	mu    sync.Mutex
 	max   int64
@@ -222,12 +225,13 @@ func newMachinePool(maxBytes int64) *machinePool {
 	return &machinePool{max: maxBytes, idle: list.New()}
 }
 
-// acquire removes and returns an idle machine of shape key, or nil.
+// acquire removes and returns the least recently released idle machine of
+// shape key, or nil.
 func (p *machinePool) acquire(key poolKey) *flat.Machine {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.acquires++
-	for el := p.idle.Front(); el != nil; el = el.Next() {
+	for el := p.idle.Back(); el != nil; el = el.Prev() {
 		if im := el.Value.(*idleMachine); im.key == key {
 			p.idle.Remove(el)
 			p.bytes -= im.bytes

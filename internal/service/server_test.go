@@ -375,6 +375,19 @@ func TestAPIErrorsAndAux(t *testing.T) {
 		}
 	}
 
+	// Specs whose latency draws could leave int64 fail validation.
+	for _, spec := range []string{latencyDrawPastInt64, flightPastInt64} {
+		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(spec))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != 400 || !strings.Contains(string(body), "int64") {
+			t.Errorf("%s: status %d body %s", spec, resp.StatusCode, body)
+		}
+	}
+
 	// Missing hash is a JSON 404.
 	resp, err = http.Get(ts.URL + "/v1/jobs/deadbeef")
 	if err != nil {

@@ -15,8 +15,8 @@ package service
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
+	"strconv"
 
 	"github.com/logp-model/logp/internal/core"
 	"github.com/logp-model/logp/internal/flat"
@@ -211,23 +211,16 @@ func (s *JobSpec) Normalize(lim Limits) error {
 	if s.N > lim.maxN() {
 		return fmt.Errorf("service: n=%d exceeds the limit %d", s.N, lim.maxN())
 	}
-	if s.Machine.LatencyJitter < 0 || s.Machine.LatencyJitter > s.Machine.L {
-		return fmt.Errorf("service: latency jitter %d outside [0, L=%d]", s.Machine.LatencyJitter, s.Machine.L)
-	}
 	if !(0 <= s.Machine.ComputeJitter && s.Machine.ComputeJitter <= maxStretch) ||
 		!(0 <= s.Machine.ProcSkew && s.Machine.ProcSkew <= maxStretch) {
 		return fmt.Errorf("service: compute jitter %v or processor skew %v outside [0, %d]",
 			s.Machine.ComputeJitter, s.Machine.ProcSkew, maxStretch)
 	}
 	if t := s.Machine.Topology; t != nil {
-		// Build the model once here so a bad topology fails at validation,
-		// with the same errors the machine constructors would raise.
-		m, err := t.Build(s.Machine.Params())
-		if err != nil {
+		// A bad topology fails here, with the errors its Build would raise;
+		// config builds the model once the spec is canonical.
+		if err := t.Validate(s.Machine.P); err != nil {
 			return err
-		}
-		if s.Machine.LatencyJitter > m.MinL() {
-			return fmt.Errorf("service: latency jitter %d exceeds the minimum link latency %d", s.Machine.LatencyJitter, m.MinL())
 		}
 	}
 
@@ -279,9 +272,6 @@ func (s *JobSpec) Normalize(lim Limits) error {
 		if s.Faults.Seed == 0 {
 			s.Faults.Seed = 1
 		}
-		if err := s.Faults.plan().Validate(s.Machine.P); err != nil {
-			return err
-		}
 	}
 	if s.Metrics != nil {
 		if s.Metrics.Every < 0 {
@@ -291,32 +281,179 @@ func (s *JobSpec) Normalize(lim Limits) error {
 			s.Metrics = nil
 		}
 	}
-	if s.Shards > 1 {
-		// Check the flat kernel's sharding preconditions here so a bad spec
-		// fails at validation, before it occupies a worker. Only
-		// capacity-off specs get here (see flat.ShardCount).
-		return flat.ValidateShards(s.config(), s.Shards)
+	// Check what the engines check, the fault plan and the longest flight
+	// among them, and the flat kernel's sharding preconditions, so a bad
+	// spec fails at validation, before it occupies a worker. Only
+	// capacity-off specs shard (see flat.ShardCount).
+	cfg := s.config()
+	if m := cfg.Topology; m != nil && s.Machine.LatencyJitter > m.MinL() {
+		return fmt.Errorf("service: latency jitter %d exceeds the minimum link latency %d", s.Machine.LatencyJitter, m.MinL())
 	}
-	return nil
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
+	return flat.ValidateShards(cfg, s.Shards)
 }
 
 // Canonical returns the canonical JSON encoding of a normalized spec: the
-// exact bytes the content hash covers. Field order is fixed by the struct
-// definitions, so the encoding is stable across processes and Go versions
-// (the golden-hash test pins it).
-func (s JobSpec) Canonical() []byte {
-	b, err := json.Marshal(s)
+// exact bytes the content hash covers. appendSpec writes them by hand, byte
+// for byte what json.Marshal writes for the spec (the golden-hash test and
+// spec_test.go's encoding/json oracle pin that), so the encoding is stable
+// across processes and Go versions.
+func (s JobSpec) Canonical() []byte { return s.appendCanonical(nil) }
+
+// Hash is the spec's content address: hex SHA-256 of the canonical
+// encoding. Call it on normalized specs only — Normalize is what guarantees
+// equal simulations get equal hashes. The encoding and the digest stay on
+// the stack, so the returned string is its only allocation.
+func (s JobSpec) Hash() string {
+	var buf [512]byte
+	sum := sha256.Sum256(s.appendCanonical(buf[:0]))
+	var hexed [2 * sha256.Size]byte
+	hex.Encode(hexed[:], sum[:])
+	return string(hexed[:])
+}
+
+// appendCanonical appends the canonical encoding of s to b.
+func (s *JobSpec) appendCanonical(b []byte) []byte {
+	b, err := appendSpec(b, s)
 	if err != nil {
-		// Every field is a plain value; Marshal cannot fail on a JobSpec.
+		// Normalize rejects every non-finite float a spec holds.
 		panic(fmt.Sprintf("service: canonical encoding: %v", err))
 	}
 	return b
 }
 
-// Hash is the spec's content address: hex SHA-256 of the canonical
-// encoding. Call it on normalized specs only — Normalize is what guarantees
-// equal simulations get equal hashes.
-func (s JobSpec) Hash() string {
-	sum := sha256.Sum256(s.Canonical())
-	return hex.EncodeToString(sum[:])
+// appendSpec appends s as compact JSON, byte-identical to json.Marshal:
+// fields in definition order, omitempty fields left out at their zero
+// value, strings and floats in encoding/json's form, and the first NaN or
+// ±Inf in field order failing with encoding/json's error. It is the one
+// place the spec's wire form lives; Response.Encode indents its output.
+func appendSpec(b []byte, s *JobSpec) ([]byte, error) {
+	var err error
+	b = append(b, `{"program":`...)
+	b = appendString(b, s.Program)
+	b = appendIntField(b, "n", int64(s.N), true)
+	b = appendIntField(b, "work", s.Work, true)
+	b = appendBoolField(b, "staggered", s.Staggered, true)
+	b = appendKey(b, "machine")
+	if b, err = appendMachine(b, &s.Machine); err != nil {
+		return b, err
+	}
+	if s.Engine != "" {
+		b = appendKey(b, "engine")
+		b = appendString(b, s.Engine)
+	}
+	b = appendIntField(b, "shards", int64(s.Shards), true)
+	b = appendIntField(b, "seed", s.Seed, true)
+	if f := s.Faults; f != nil {
+		b = appendKey(b, "faults")
+		b = append(b, '{')
+		b = appendIntField(b, "seed", f.Seed, true)
+		if b, err = appendFloatField(b, "drop", f.Drop); err != nil {
+			return b, err
+		}
+		if b, err = appendFloatField(b, "dup", f.Dup); err != nil {
+			return b, err
+		}
+		b = appendIntField(b, "jitter", f.Jitter, true)
+		if len(f.Fails) > 0 {
+			b = append(appendKey(b, "fail_stops"), '[')
+			for i, fs := range f.Fails {
+				if i > 0 {
+					b = append(b, ',')
+				}
+				b = appendIntField(append(b, '{'), "proc", int64(fs.Proc), false)
+				b = append(appendIntField(b, "at", fs.At, false), '}')
+			}
+			b = append(b, ']')
+		}
+		b = append(b, '}')
+	}
+	if m := s.Metrics; m != nil {
+		b = appendKey(b, "metrics")
+		b = append(b, '{')
+		b = appendBoolField(b, "include", m.Include, false)
+		b = appendIntField(b, "every", m.Every, true)
+		b = append(b, '}')
+	}
+	b = appendBoolField(b, "include_procs", s.IncludeProcs, true)
+	return append(b, '}'), nil
+}
+
+func appendMachine(b []byte, m *MachineSpec) ([]byte, error) {
+	var err error
+	b = append(b, '{')
+	b = appendIntField(b, "p", int64(m.P), false)
+	b = appendIntField(b, "l", m.L, false)
+	b = appendIntField(b, "o", m.O, false)
+	b = appendIntField(b, "g", m.G, false)
+	b = appendBoolField(b, "no_capacity", m.NoCapacity, true)
+	b = appendIntField(b, "latency_jitter", m.LatencyJitter, true)
+	if b, err = appendFloatField(b, "compute_jitter", m.ComputeJitter); err != nil {
+		return b, err
+	}
+	if b, err = appendFloatField(b, "proc_skew", m.ProcSkew); err != nil {
+		return b, err
+	}
+	if t := m.Topology; t != nil {
+		b = appendKey(b, "topology")
+		b = append(b, '{')
+		b = appendIntField(b, "procs_per_node", int64(t.ProcsPerNode), false)
+		b = appendIntField(b, "nodes_per_rack", int64(t.NodesPerRack), true)
+		b = appendKey(b, "node")
+		b = appendLink(b, &t.Node)
+		if t.Rack != nil {
+			b = appendKey(b, "rack")
+			b = appendLink(b, t.Rack)
+		}
+		b = append(b, '}')
+	}
+	return append(b, '}'), nil
+}
+
+func appendLink(b []byte, l *topo.Link) []byte {
+	b = append(b, '{')
+	b = appendIntField(b, "l", l.L, false)
+	b = appendIntField(b, "o", l.O, false)
+	b = appendIntField(b, "g", l.G, false)
+	return append(b, '}')
+}
+
+// appendKey starts the member name of a compact object, after a comma
+// unless it is the object's first; name needs no escaping.
+func appendKey(b []byte, name string) []byte {
+	if b[len(b)-1] != '{' {
+		b = append(b, ',')
+	}
+	b = append(b, '"')
+	b = append(b, name...)
+	return append(b, '"', ':')
+}
+
+// appendIntField appends the member name: v, or nothing when omitEmpty is
+// set and v is 0.
+func appendIntField(b []byte, name string, v int64, omitEmpty bool) []byte {
+	if omitEmpty && v == 0 {
+		return b
+	}
+	return strconv.AppendInt(appendKey(b, name), v, 10)
+}
+
+// appendBoolField appends the member name: v, or nothing when omitEmpty is
+// set and v is false.
+func appendBoolField(b []byte, name string, v, omitEmpty bool) []byte {
+	if omitEmpty && !v {
+		return b
+	}
+	return strconv.AppendBool(appendKey(b, name), v)
+}
+
+// appendFloatField appends the omitempty member name: f, or nothing when f
+// is 0 (negative zero included, as in encoding/json).
+func appendFloatField(b []byte, name string, f float64) ([]byte, error) {
+	if f == 0 {
+		return b, nil
+	}
+	return appendFloat(appendKey(b, name), f)
 }

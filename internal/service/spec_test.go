@@ -3,9 +3,13 @@ package service
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
+	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
+	"testing/quick"
 
 	"github.com/logp-model/logp/internal/topo"
 )
@@ -132,6 +136,16 @@ func TestNormalizeRejects(t *testing.T) {
 			s.Machine.LatencyJitter = 4
 			s.Machine.Topology = &topo.Spec{ProcsPerNode: 4, Node: topo.Link{L: 2, O: 1, G: 1}}
 		}, "minimum link latency"},
+		{"latency jitter draw past int64", func(s *JobSpec) {
+			s.Machine.L, s.Machine.LatencyJitter = math.MaxInt64, math.MaxInt64
+		}, "needs jitter+1 within int64"},
+		{"fault jitter draw past int64", func(s *JobSpec) {
+			s.Faults = &FaultSpec{Jitter: math.MaxInt64}
+		}, "past the int64 cycle count"},
+		{"flight past int64", func(s *JobSpec) {
+			s.Machine.L = math.MaxInt64 - 7
+			s.Faults = &FaultSpec{Jitter: 100, Drop: 0.1}
+		}, "past the int64 cycle count"},
 	}
 	for _, tc := range cases {
 		s := specBroadcast8()
@@ -200,6 +214,132 @@ func TestSpecHashGolden(t *testing.T) {
 	}
 }
 
+// TestCanonicalMatchesJSON requires appendSpec's compact bytes to equal
+// json.Marshal's, or to fail with the same error text, and the spec block
+// of a response body to equal json.MarshalIndent's, over seeded random
+// specs. testing/quick fills every field, so a field added to JobSpec and
+// missing from appendSpec fails here; perturbSpec then zeroes about a third
+// of the fields, so each omitempty rule is taken both ways, and swaps in
+// floats and strings from the corners encoding/json formats specially.
+func TestCanonicalMatchesJSON(t *testing.T) {
+	c := &encodeChecker{t: t}
+	rng := rand.New(rand.NewSource(25))
+	for i := 0; i < 2000; i++ {
+		v := quickValue(reflect.TypeOf(JobSpec{}), rng)
+		perturbSpec(v, rng)
+		spec := v.Interface().(JobSpec)
+
+		got, err := appendSpec(nil, &spec)
+		want, wantErr := json.Marshal(&spec)
+		switch {
+		case (err == nil) != (wantErr == nil):
+			t.Fatalf("spec %d: appendSpec error %v, json.Marshal error %v", i, err, wantErr)
+		case err != nil:
+			if err.Error() != wantErr.Error() {
+				t.Fatalf("spec %d: appendSpec error %q, json.Marshal error %q", i, err, wantErr)
+			}
+		case !bytes.Equal(got, want):
+			t.Fatalf("spec %d:\nappendSpec:   %s\njson.Marshal: %s", i, got, want)
+		case !bytes.Equal(spec.Canonical(), want):
+			t.Fatalf("spec %d: Canonical differs from json.Marshal", i)
+		}
+
+		resp := &Response{Spec: spec}
+		c.response(fmt.Sprintf("spec %d", i), resp)
+		if err == nil {
+			body, _ := resp.Encode()
+			block, _ := json.MarshalIndent(&spec, "  ", "  ")
+			if !bytes.Contains(body, append([]byte(`"spec": `), block...)) {
+				t.Fatalf("spec %d: body lacks json.MarshalIndent's spec block:\n%s\n%s", i, body, block)
+			}
+		}
+	}
+}
+
+// specFloats and specStrings are the corners perturbSpec swaps in: zero of
+// both signs (omitted), the edges of the 'e' form, and strings that need
+// escaping or hold invalid UTF-8.
+var (
+	specFloats = []float64{0, math.Copysign(0, -1), 1e-6, 9.99e-7, 1e-7, 5e-324, 0.1, 1.0 / 3,
+		1e20, 999e18, 1e21, -1e21, 123456789e12, math.MaxFloat64}
+	specStrings = []string{"", "broadcast", "<&>", "a\u2028b\u2029c", "\x00\x01\b\f\n\r\t\x1f\x7f",
+		`"quoted" \back\`, "\xff", "ok\xc3", "\xed\xa0\x80", "é日本\U0001F389", "</script>"}
+)
+
+// perturbSpec walks a random value. quick splits its size budget among a
+// struct's fields, so it leaves nested blocks (topology, rack, fail-stops)
+// nil or empty: perturbSpec fills each from a fresh quick value first. It
+// then zeroes about a third of the fields and elements (an emptied slice is
+// sometimes left non-nil), replaces half the floats with specFloats and one
+// in 60 with NaN or ±Inf, and half the strings with specStrings.
+func perturbSpec(v reflect.Value, rng *rand.Rand) {
+	switch v.Kind() {
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			perturbSpec(v.Field(i), rng)
+		}
+	case reflect.Pointer:
+		if v.IsNil() {
+			v.Set(quickValue(v.Type(), rng))
+		}
+		if !v.IsNil() {
+			perturbSpec(v.Elem(), rng)
+		}
+	case reflect.Slice:
+		if v.Len() == 0 {
+			v.Set(quickValue(v.Type(), rng))
+		}
+		for i := 0; i < v.Len(); i++ {
+			perturbSpec(v.Index(i), rng)
+		}
+		if rng.Intn(6) == 0 {
+			v.Set(reflect.MakeSlice(v.Type(), 0, 0))
+		}
+	case reflect.Float64:
+		switch n := rng.Intn(60); {
+		case n == 0:
+			v.SetFloat([]float64{math.NaN(), math.Inf(1), math.Inf(-1)}[rng.Intn(3)])
+		case n < 30:
+			v.SetFloat(specFloats[rng.Intn(len(specFloats))])
+		}
+	case reflect.String:
+		if rng.Intn(2) == 0 {
+			v.SetString(specStrings[rng.Intn(len(specStrings))])
+		}
+	}
+	if rng.Intn(3) == 0 {
+		v.SetZero()
+	}
+}
+
+func quickValue(t reflect.Type, rng *rand.Rand) reflect.Value {
+	v, ok := quick.Value(t, rng)
+	if !ok {
+		panic(fmt.Sprintf("quick.Value(%v) failed", t))
+	}
+	return v
+}
+
+// TestHashAllocatesOnlyItsString pins Hash to one allocation, the string it
+// returns: the canonical bytes and the digest stay on the stack.
+func TestHashAllocatesOnlyItsString(t *testing.T) {
+	for _, spec := range []JobSpec{
+		specBroadcast8(),
+		{Program: "pingpong", N: 5, Machine: MachineSpec{P: 4, L: 6, O: 2, G: 4,
+			Topology: &topo.Spec{ProcsPerNode: 2, NodesPerRack: 1, Node: topo.Link{L: 2, O: 1, G: 1},
+				Rack: &topo.Link{L: 4, O: 1, G: 2}}},
+			Faults:  &FaultSpec{Seed: 3, Drop: 0.1, Fails: []FailStopSpec{{Proc: 2, At: 100}}},
+			Metrics: &MetricsSpec{Include: true, Every: 50}},
+	} {
+		if err := spec.Normalize(Limits{}); err != nil {
+			t.Fatal(err)
+		}
+		if allocs := testing.AllocsPerRun(100, func() { _ = spec.Hash() }); allocs != 1 {
+			t.Errorf("Hash of %s: %v allocations, want 1", spec.Canonical(), allocs)
+		}
+	}
+}
+
 // TestHashDistinguishes checks that every knob that changes the observable
 // result also changes the hash, and that the engine, which changes nothing,
 // does not.
@@ -254,14 +394,23 @@ func TestHashDistinguishes(t *testing.T) {
 	}
 }
 
+// Daemon specs whose latency draws once left int64: the first panicked
+// rand.Int63n (its argument is jitter+1), the second wrapped the drawn
+// flight negative. Both engines crashed on them; Normalize rejects them.
+const (
+	latencyDrawPastInt64 = `{"program":"pingpong","machine":{"p":2,"l":9223372036854775807,"o":2,"g":4,"latency_jitter":9223372036854775807}}`
+	flightPastInt64      = `{"program":"pingpong","machine":{"p":2,"l":9223372036854775800,"o":2,"g":4},"faults":{"jitter":100,"drop":0.1}}`
+)
+
 // FuzzJobSpec decodes the input into a JobSpec the way the daemon does
 // (unknown fields rejected) and normalizes it under small limits, so each
 // execution stays cheap. Nothing may panic. An accepted spec must be a fixed
-// point of Normalize, its canonical bytes must decode and normalize back to
-// the same bytes, and Run on it, on the engine the input names, must return
-// a body or an error. The corpus is seeded with the golden-hash specs in
-// their wire form and the overflow regressions, the send past the clock on
-// both engines.
+// point of Normalize, its canonical bytes must equal json.Marshal's and
+// decode and normalize back to the same bytes, and Run on it, on the engine
+// the input names, must return a body or an error. The corpus is seeded
+// with the golden-hash specs in their wire form and the overflow
+// regressions: the send past the clock on both engines and the latency
+// draws past int64.
 func FuzzJobSpec(f *testing.F) {
 	for _, seed := range []string{
 		`{"program":"broadcast","machine":{"p":8,"l":6,"o":2,"g":4}}`,
@@ -273,6 +422,9 @@ func FuzzJobSpec(f *testing.F) {
 		`{"program":"alltoall","work":4611686018427387904,"machine":{"p":4,"l":6,"o":2,"g":4}}`,
 		sendPastTheClock,
 		`{"program":"alltoall","work":9223372036854775800,"machine":{"p":4,"l":6,"o":2,"g":4},"engine":"goroutine"}`,
+		latencyDrawPastInt64,
+		flightPastInt64,
+		`{"program":"pingpong","machine":{"p":2,"l":6,"o":2,"g":4},"faults":{"jitter":9223372036854775807},"engine":"goroutine"}`,
 	} {
 		f.Add([]byte(seed))
 	}
@@ -290,6 +442,9 @@ func FuzzJobSpec(f *testing.F) {
 			return
 		}
 		canon := spec.Canonical()
+		if want, err := json.Marshal(spec); err != nil || !bytes.Equal(canon, want) {
+			t.Fatalf("canonical bytes differ from json.Marshal (err %v):\n%s\n%s", err, canon, want)
+		}
 		again := spec
 		if err := again.Normalize(lim); err != nil {
 			t.Fatalf("normalized spec rejected on re-normalization: %v\n%s", err, canon)

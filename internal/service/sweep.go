@@ -105,11 +105,15 @@ func valuesOr[T any](axis []T, base T) []T {
 	return axis
 }
 
-// handleSweep expands the grid and drives every point through the cache on
-// the experiments parallel runner at the server's worker bound. The response
-// lists the points in expansion order, each read from the summary its cache
-// entry stores beside the body; per-point full responses stay cached under
-// their spec hashes.
+// handleSweep expands the grid and drives every point through the cache.
+// Each point is hashed once. The leading run of points whose bodies are
+// already cached is answered here, on the request goroutine, in expansion
+// order: such a point runs nothing, so handing it to a worker would only
+// add a hand-off. The rest go through runCached on the experiments parallel
+// runner at the server's worker bound, so a cold sweep keeps its
+// parallelism. The response lists the points in expansion order, each read
+// from the summary its cache entry stores beside the body; per-point full
+// responses stay cached under their spec hashes.
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	var req SweepRequest
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 4<<20))
@@ -124,35 +128,44 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	type outcome struct {
-		point SweepPoint
-		hit   bool
-		err   error
-	}
-	outs := experiments.MapIndexed(s.cfg.workers(), len(specs), func(i int) outcome {
-		spec := specs[i]
-		hash := spec.Hash()
-		e, hit := s.runCached(spec, hash, nil)
-		if e.err != nil {
-			return outcome{err: fmt.Errorf("sweep point %d (%s): %w", i, hash[:12], e.err)}
+	sr := SweepResponse{Points: make([]SweepPoint, len(specs))}
+	hits := 0
+	var hash string
+	for ; hits < len(specs); hits++ {
+		hash = specs[hits].Hash()
+		e := s.cache.lookup(hash)
+		if e == nil {
+			break
 		}
-		return outcome{hit: hit, point: SweepPoint{
-			SpecHash: hash,
-			P:        spec.Machine.P, L: spec.Machine.L, O: spec.Machine.O, G: spec.Machine.G,
-			N: spec.N, Seed: spec.Seed,
-			Time: e.sum.time, Messages: e.sum.messages,
-		}}
-	})
+		sr.Points[hits] = newSweepPoint(&specs[hits], hash, e.sum)
+	}
 
-	var hits, misses int
-	sr := SweepResponse{Points: make([]SweepPoint, len(outs))}
-	for i, o := range outs {
+	// Fan out the rest, the first of which was hashed above. Each worker
+	// writes only its own point.
+	cold, coldHash := hits, hash
+	type outcome struct {
+		hit bool
+		err error
+	}
+	outs := experiments.MapIndexed(s.cfg.workers(), len(specs)-cold, func(i int) outcome {
+		k, hash := cold+i, coldHash
+		if i > 0 {
+			hash = specs[k].Hash()
+		}
+		e, hit := s.runCached(specs[k], hash, nil)
+		if e.err != nil {
+			return outcome{err: fmt.Errorf("sweep point %d (%s): %w", k, hash[:12], e.err)}
+		}
+		sr.Points[k] = newSweepPoint(&specs[k], hash, e.sum)
+		return outcome{hit: hit}
+	})
+	misses := 0
+	for _, o := range outs {
 		if o.err != nil {
 			// First failure in expansion order, matching the sequential loop.
 			httpError(w, http.StatusBadRequest, o.err)
 			return
 		}
-		sr.Points[i] = o.point
 		if o.hit {
 			hits++
 		} else {
@@ -163,4 +176,15 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("X-Logpsimd-Cache-Misses", strconv.Itoa(misses))
 	w.Header().Set("Content-Type", "application/json")
 	w.Write(sr.encode())
+}
+
+// newSweepPoint is the summary of the point spec, with content address hash,
+// whose run reported sum.
+func newSweepPoint(spec *JobSpec, hash string, sum summary) SweepPoint {
+	return SweepPoint{
+		SpecHash: hash,
+		P:        spec.Machine.P, L: spec.Machine.L, O: spec.Machine.O, G: spec.Machine.G,
+		N: spec.N, Seed: spec.Seed,
+		Time: sum.time, Messages: sum.messages,
+	}
 }

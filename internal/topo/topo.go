@@ -82,6 +82,9 @@ type Model interface {
 	// MinL is the minimum L over all links: latency jitter must not exceed
 	// it.
 	MinL() int64
+	// MaxL is the maximum L over all links: the longest flight a message
+	// can draw starts from it.
+	MaxL() int64
 }
 
 // flat is the Model of the unmodified machine: one link class everywhere.
@@ -103,6 +106,7 @@ func (f *flat) Link(src, dst int) Link { return f.lk }
 func (f *flat) Rate(proc int) float64  { return 1 }
 func (f *flat) MinOL() int64           { return f.lk.O + f.lk.L }
 func (f *flat) MinL() int64            { return f.lk.L }
+func (f *flat) MaxL() int64            { return f.lk.L }
 
 // twoTier groups processors into nodes of ppn consecutive IDs; the last node
 // may be short when ppn does not divide P.
@@ -154,6 +158,7 @@ func (t *twoTier) MinOL() int64 {
 }
 
 func (t *twoTier) MinL() int64 { return minInt64(t.node.L, t.cluster.L) }
+func (t *twoTier) MaxL() int64 { return max(t.node.L, t.cluster.L) }
 
 // threeTier adds a rack tier: nodesPerRack consecutive nodes form a rack.
 type threeTier struct {
@@ -216,6 +221,8 @@ func (t *threeTier) MinOL() int64 {
 func (t *threeTier) MinL() int64 {
 	return minInt64(t.node.L, minInt64(t.rack.L, t.cluster.L))
 }
+
+func (t *threeTier) MaxL() int64 { return max(t.node.L, t.rack.L, t.cluster.L) }
 
 // rated wraps a Model with per-processor compute-rate multipliers.
 type rated struct {
