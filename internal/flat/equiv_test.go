@@ -317,8 +317,8 @@ func (c *capFlood) Message(n logp.Node, m logp.Message) {
 }
 
 // manyToOne floods processor 0: every other processor sends it msgs
-// messages back to back while 0 waits for wait cycles before draining its
-// inbox. The P-1 senders share 0's ceil(L/g) in-units, so they stall even
+// messages back to back, from cycle at on, while 0 waits for wait cycles
+// before draining its inbox. The P-1 senders share 0's ceil(L/g) in-units, so they stall even
 // though units free at arrival, and a freed unit has several claimants.
 // 0 finishes on the last message it expects: msgs from every sender but
 // skip (0 for none), a sender the fault plan kills, whose remaining
@@ -327,11 +327,15 @@ type manyToOne struct {
 	msgs int
 	wait int64
 	skip int
+	at   int64
 	left int // messages 0 still expects; only processor 0 touches it
 }
 
 func (c *manyToOne) Start(n logp.Node) {
 	if n.ID() != 0 {
+		if c.at > 0 {
+			n.WaitUntil(c.at)
+		}
 		for i := 0; i < c.msgs; i++ {
 			n.Send(0, 9, i)
 		}

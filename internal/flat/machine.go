@@ -1080,6 +1080,9 @@ func (m *Machine) execSend(sh *shard, p *proc, o *op) bool {
 		return false
 	}
 	start := sh.now
+	if p.nextSend < 0 {
+		return m.overflow(sh, p, logp.GapOverflow(int(p.id), "send", p.nextSend, start))
+	}
 	p.sendStart = start
 	initiation := start
 	if p.nextSend > initiation {
@@ -1204,14 +1207,7 @@ func (m *Machine) sendInject(sh *shard, p *proc) bool {
 	}
 	lkL, lkO, lkG := m.link(int(p.id), to)
 	injection := sh.now
-	iv := lkO
-	if lkG > iv {
-		iv = lkG
-	}
-	p.nextSend = p.initiation + iv
-	if t := injection + lkG - lkO; t > p.nextSend {
-		p.nextSend = t
-	}
+	p.nextSend = logp.GapBound(p.initiation, max(lkO, lkG), injection, lkG-lkO)
 	if p.sentEarly {
 		// The delivery was buffered at park time (bufferParkedSend); only
 		// the gap bookkeeping above remains to be done at the wake.
@@ -1368,6 +1364,9 @@ func (m *Machine) semRelease(s *semaphore) {
 func (m *Machine) beginRecvPay(sh *shard, p *proc) bool {
 	p.cur = p.popInbox()
 	arrived := sh.now
+	if p.nextRecv < 0 {
+		return m.overflow(sh, p, logp.GapOverflow(int(p.id), "receive", p.nextRecv, arrived))
+	}
 	p.recvArrive = arrived
 	start := arrived
 	if p.nextRecv > start {
@@ -1404,14 +1403,7 @@ func (m *Machine) finishRecvBook(sh *shard, p *proc) {
 	m.record(p, trace.RecvOverhead, start, sh.now)
 	r := &sh.arena[p.cur]
 	_, lkO, lkG := m.link(int(r.from), int(p.id))
-	iv := lkO
-	if lkG > iv {
-		iv = lkG
-	}
-	p.nextRecv = start + iv
-	if t := start + cost; t > p.nextRecv {
-		p.nextRecv = t
-	}
+	p.nextRecv = logp.GapBound(start, max(lkO, lkG), start, cost)
 	if m.rec != nil {
 		m.rec.RecvDone(int(p.id))
 	}

@@ -2,6 +2,7 @@ package flat_test
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -258,6 +259,80 @@ func TestFlightsPastInt64Rejected(t *testing.T) {
 				t.Errorf("engines disagree: goroutine=%v flat=%v", gErr, fErr)
 			case tc.fits == strings.Contains(gErr.Error(), "draw"):
 				t.Errorf("fits=%v, error %v", tc.fits, gErr)
+			}
+		})
+	}
+}
+
+// TestGapPastTheClockFailsBothEngines: a send or reception whose gap bound
+// lies past the int64 cycle count fails the run on both engines, with the
+// same ClockOverflowError, and the windowed kernel fails it as the
+// sequential one does; a processor whose last operation sets such a bound
+// and that does nothing after it finishes normally. On this machine the
+// P=4 all-to-all makes its 12 sends g apart and then its 12 receptions g
+// apart, finishing at 22g + 16. The daemon spec {"program":"alltoall",
+// "machine":{"p":4,"l":6,"o":2,"g":840000000000000000}} once finished at
+// 10g + 56 on both engines, because the bound after the eleventh send,
+// initiation + max(o, g), wrapped negative and the twelfth send did not
+// wait; at g = 830000000000000000 the receptions' bound wrapped the same
+// way, and both engines answered 11g + 38.
+func TestGapPastTheClockFailsBothEngines(t *testing.T) {
+	const wide = 1 << 62                // a gap most of the way to the end of the clock
+	const at = math.MaxInt64 - wide - 4 // a send at this cycle sets a bound 4 short of the end
+	params := func(g int64) core.Params { return core.Params{P: 4, L: 6, O: 2, G: g} }
+	alltoall := func(t *testing.T) logp.Program { return stretchProg(t, 0) }
+	cases := []struct {
+		name string
+		cfg  logp.Config
+		prog func(*testing.T) logp.Program
+		time int64                    // the finish, when the run succeeds
+		want *logp.ClockOverflowError // the error, when it fails
+	}{
+		{"alltoall-fits", logp.Config{Params: params(4e17)}, alltoall, 22*4e17 + 16, nil},
+		{"alltoall-receive-gap", logp.Config{Params: params(83e16)}, alltoall, 0,
+			&logp.ClockOverflowError{Proc: 0, Op: "receive", Cycles: 83e16 - 2, At: 11*83e16 + 4}},
+		{"alltoall-send-gap", logp.Config{Params: params(84e16)}, alltoall, 0,
+			&logp.ClockOverflowError{Proc: 0, Op: "send", Cycles: 84e16 - 2, At: 10*84e16 + 2}},
+		// Processor 2 stalls 6 cycles for 0's in-capacity unit, so its bound
+		// is its injection + g - o, past the clock though its initiation + g
+		// is not, and its second send fails at once. The others' bounds fit.
+		{"send-gap-after-stall", logp.Config{Params: core.Params{P: 3, L: 6, O: 2, G: wide}},
+			func(*testing.T) logp.Program { return &manyToOne{msgs: 2, at: at} }, 0,
+			&logp.ClockOverflowError{Proc: 2, Op: "send", Cycles: wide - 2, At: at + 8}},
+		// Without capacity every message lands at at+8. Each sender's bound,
+		// at + g, fits; the receiver's, at + 8 + g, does not, so its second
+		// reception fails.
+		{"receive-gap", logp.Config{Params: params(wide), DisableCapacity: true},
+			func(*testing.T) logp.Program { return &manyToOne{msgs: 1, at: at} }, 0,
+			&logp.ClockOverflowError{Proc: 0, Op: "receive", Cycles: wide - 2, At: at + 10}},
+		// Both ends set a bound past the clock on their last operation.
+		{"last-op-gap", logp.Config{Params: params(wide)},
+			func(*testing.T) logp.Program { return lateSend{at: math.MaxInt64 - 20} }, math.MaxInt64 - 10, nil},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			gRes, gErr := logp.RunProgram(tc.cfg, tc.prog(t))
+			fRes, fErr := flat.Run(tc.cfg, tc.prog(t), 1)
+			if tc.want == nil {
+				if gErr != nil || fErr != nil || gRes.Time != tc.time || fRes.Time != tc.time {
+					t.Fatalf("goroutine: time %d, err %v; flat: time %d, err %v; want time %d",
+						gRes.Time, gErr, fRes.Time, fErr, tc.time)
+				}
+			} else {
+				sameError[logp.ClockOverflowError](t, gErr, fErr)
+				if e := (*logp.ClockOverflowError)(nil); !errors.As(fErr, &e) || *e != *tc.want {
+					t.Errorf("err = %v, want %v", fErr, tc.want)
+				}
+			}
+			// The windowed kernel needs capacity off.
+			cfg := tc.cfg
+			cfg.DisableCapacity = true
+			seqRes, seqErr := flat.Run(cfg, tc.prog(t), 1)
+			for _, shards := range []int{2, 4} {
+				res, err := flat.Run(cfg, tc.prog(t), shards)
+				if fmt.Sprint(err) != fmt.Sprint(seqErr) || res.Time != seqRes.Time {
+					t.Errorf("shards=%d: time %d, err %v; sequential: time %d, err %v", shards, res.Time, err, seqRes.Time, seqErr)
+				}
 			}
 		})
 	}

@@ -50,6 +50,9 @@ func (p *Proc) SendBulk(to, tag int, data any, words int) {
 	cfg := &p.m.cfg
 	lkL, lkO, lkG := p.m.link(p.id, to)
 	start := p.Now()
+	if p.nextSend < 0 {
+		p.overflow(GapOverflow(p.id, "send", p.nextSend, start))
+	}
 	initiation := start
 	if p.nextSend > initiation {
 		initiation = p.nextSend

@@ -178,18 +178,38 @@ func (e *StretchOverflowError) Error() string {
 // ClockOverflowError is the error of a run in which an operation would end
 // past the int64 cycle count: a compute or wait of the length the program
 // asked for, unstretched; a send whose overhead, or whose flight (the later
-// copy's, for a duplicated message), would; or a reception whose overhead
-// would. It fails the run as a StretchOverflowError does.
+// copy's, for a duplicated message), would; a reception whose overhead
+// would; or a send or reception whose gap wait would (see GapBound). It
+// fails the run as a StretchOverflowError does.
 type ClockOverflowError struct {
 	Proc   int    // the processor whose operation overflowed
 	Op     string // "compute", "wait", "send" or "receive"
-	Cycles int64  // the length that overflowed: the operation's, or a send's flight
+	Cycles int64  // the length that overflowed: the operation's, a send's flight, or a gap wait
 	At     int64  // the cycle at which that length began: a flight's at injection
 }
 
 func (e *ClockOverflowError) Error() string {
 	return fmt.Sprintf("logp: proc %d: %s of %d cycles at cycle %d ends past the int64 cycle count",
 		e.Proc, e.Op, e.Cycles, e.At)
+}
+
+// GapBound returns the later of the gap bounds a+x and b+y that a send or
+// reception sets for the processor's next one. Each is a cycle plus a
+// length whose exact sum lies in [0, 2^64), so one that passes the int64
+// cycle count wraps negative and, read unsigned, is still the later. A
+// negative bound is therefore past the clock: the next operation it gates
+// fails with GapOverflow, and a processor that performs none finishes
+// normally. Both engines keep their gap bounds through it.
+func GapBound(a, x, b, y int64) int64 {
+	return int64(max(uint64(a+x), uint64(b+y)))
+}
+
+// GapOverflow is the error of proc's send or reception (op), reached at
+// cycle now, whose gap bound is past the int64 cycle count: its wait for
+// that bound is the length that overflows. The wait fits an int64, because
+// the operation that set the bound began by now.
+func GapOverflow(proc int, op string, bound, now int64) *ClockOverflowError {
+	return &ClockOverflowError{Proc: proc, Op: op, Cycles: int64(uint64(bound) - uint64(now)), At: now}
 }
 
 // FaultRuntime exposes the per-run fault machinery to engines implemented

@@ -210,6 +210,9 @@ func (p *Proc) Send(to, tag int, data any) {
 	// uninterruptible stretch of processor time, so they share a single
 	// kernel park; the trace segments are computed analytically.
 	start := p.Now()
+	if p.nextSend < 0 {
+		p.overflow(GapOverflow(p.id, "send", p.nextSend, start))
+	}
 	initiation := start
 	if p.nextSend > initiation {
 		initiation = p.nextSend
@@ -257,14 +260,7 @@ func (p *Proc) Send(to, tag int, data any) {
 	// Consecutive injections at one processor are at least g apart even if a
 	// stall delayed this one. Both bounds use the link's own interval: the
 	// gap is a property of the port driving that link class.
-	iv := lkO
-	if lkG > iv {
-		iv = lkG
-	}
-	p.nextSend = initiation + iv
-	if t := injection + lkG - lkO; t > p.nextSend {
-		p.nextSend = t
-	}
+	p.nextSend = GapBound(initiation, max(lkO, lkG), injection, lkG-lkO)
 
 	lat := lkL
 	if cfg.LatencyJitter > 0 {
@@ -325,7 +321,9 @@ func (p *Proc) popInbox() Message {
 // RecvReady reports whether a Recv would proceed immediately: a message has
 // arrived and the reception gap has elapsed. Polling loops that interleave
 // receives with other work should gate on this rather than HasMessage, or
-// the Recv blocks waiting out the gap and delays the other work.
+// the Recv blocks waiting out the gap and delays the other work. A gap
+// bound past the int64 cycle count reads as elapsed, so the Recv fails at
+// once instead of a poll waiting for ever.
 func (p *Proc) RecvReady() bool {
 	return p.Pending() > 0 && p.Now() >= p.nextRecv
 }
@@ -347,6 +345,9 @@ func (p *Proc) HasTag(tag int) bool {
 // behind the queue front.
 func (p *Proc) finishRecv(msg Message) Message {
 	arrived := p.Now()
+	if p.nextRecv < 0 {
+		p.overflow(GapOverflow(p.id, "receive", p.nextRecv, arrived))
+	}
 	start := arrived
 	if p.nextRecv > start {
 		start = p.nextRecv
@@ -363,14 +364,7 @@ func (p *Proc) finishRecv(msg Message) Message {
 		p.record(trace.Idle, arrived, start)
 	}
 	p.record(trace.RecvOverhead, start, p.Now())
-	iv := lkO
-	if lkG > iv {
-		iv = lkG
-	}
-	p.nextRecv = start + iv
-	if t := start + cost; t > p.nextRecv {
-		p.nextRecv = t
-	}
+	p.nextRecv = GapBound(start, max(lkO, lkG), start, cost)
 	if p.m.rec != nil {
 		p.m.rec.RecvDone(p.id)
 	}

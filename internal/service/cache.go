@@ -4,7 +4,14 @@ import (
 	"container/list"
 	"errors"
 	"sync"
+	"unsafe"
 )
+
+// maxMemoBytes bounds the sweep memo: its raw request bodies and their
+// expansions, as memoSize counts them. A sweep-hot working set of 16
+// 48-point grids takes about a tenth of it; a body larger than the bound
+// is never memoized.
+const maxMemoBytes = 1 << 20
 
 // Cache is the bounded content-addressed result cache. Keys are spec hashes;
 // values are the canonical response bodies, each stored with the run's
@@ -18,6 +25,10 @@ import (
 // failed computation sees the error, and the next submission retries. A
 // computation that panics fails its waiters the same way, and the panic
 // goes on up the caller's stack.
+//
+// The cache also holds the sweep memo: each sweep request's expansion,
+// filed under its raw body, so a repeated sweep is answered without being
+// decoded, normalized or hashed (see sweepHit).
 type Cache struct {
 	mu       sync.Mutex
 	maxEnt   int
@@ -27,6 +38,32 @@ type Cache struct {
 	entries  map[string]*cacheEntry // hash → entry (in-flight or complete)
 
 	hits, misses, coalesced, evictions int64
+
+	memos     map[string]*sweepMemo // raw sweep request body → its expansion
+	memoOrder *list.List            // memos, front = most recently used
+	memoBytes int64                 // memoSize summed over the memos
+	memoHits  int64
+}
+
+// sweepMemo is one sweep request's expansion: its points in expansion
+// order, each with its spec hash and coordinates. A memo hit reads each
+// point's time and message count from the cache entry its hash names,
+// never from the memo, and the memo holds no entry, so it keeps no evicted
+// or refreshed body alive.
+type sweepMemo struct {
+	key    string
+	points []SweepPoint
+	el     *list.Element
+}
+
+// memoSize is what the memo bound counts for a memo of points under a key
+// of keyLen bytes: the key, and each point with its hash string.
+func memoSize(keyLen int, points []SweepPoint) int64 {
+	n := int64(keyLen) + int64(len(points))*int64(unsafe.Sizeof(SweepPoint{}))
+	for i := range points {
+		n += int64(len(points[i].SpecHash))
+	}
+	return n
 }
 
 // cacheEntry is one hash's slot. done is closed when body/sum/err are final;
@@ -61,6 +98,14 @@ type CacheStats struct {
 	Entries int `json:"entries"`
 	// Bytes is the total size of the resident bodies.
 	Bytes int64 `json:"bytes"`
+	// MemoHits counts sweeps answered from the sweep memo; each of their
+	// points is also counted in Hits.
+	MemoHits int64 `json:"memo_hits"`
+	// MemoEntries is the number of sweep requests memoized.
+	MemoEntries int `json:"memo_entries"`
+	// MemoBytes is the memo's size as its bound counts it: the raw request
+	// bodies and their points.
+	MemoBytes int64 `json:"memo_bytes"`
 }
 
 // NewCache builds a cache bounded to maxEntries completed bodies and
@@ -71,10 +116,12 @@ func NewCache(maxEntries int, maxBytes int64) *Cache {
 		maxEntries = 1
 	}
 	return &Cache{
-		maxEnt:   maxEntries,
-		maxBytes: maxBytes,
-		order:    list.New(),
-		entries:  map[string]*cacheEntry{},
+		maxEnt:    maxEntries,
+		maxBytes:  maxBytes,
+		order:     list.New(),
+		entries:   map[string]*cacheEntry{},
+		memos:     map[string]*sweepMemo{},
+		memoOrder: list.New(),
 	}
 }
 
@@ -140,33 +187,22 @@ var errRunPanicked = errors.New("service: the run panicked")
 // Get returns the completed body cached under hash without running
 // anything. An in-flight entry is not waited for.
 func (c *Cache) Get(hash string) ([]byte, bool) {
-	if e := c.lookup(hash); e != nil {
-		return e.body, true
-	}
-	return nil, false
-}
-
-// lookup returns the completed entry cached under hash, counted as a hit
-// and moved to the LRU front, or nil for a hash that is absent, in flight
-// or failed. It runs and waits for nothing; callers must not mutate the
-// entry.
-func (c *Cache) lookup(hash string) *cacheEntry {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	e, ok := c.entries[hash]
 	if !ok {
-		return nil
+		return nil, false
 	}
 	select {
 	case <-e.done:
 		if e.err != nil {
-			return nil
+			return nil, false
 		}
 		c.hits++
 		c.touch(e)
-		return e
+		return e.body, true
 	default:
-		return nil
+		return nil, false
 	}
 }
 
@@ -194,6 +230,69 @@ func (c *Cache) complete(hash string, e *cacheEntry) {
 	}
 }
 
+// sweepHit answers a sweep from the memo filed under its raw body key. It
+// succeeds only if every point's hash names a complete entry. Then, under
+// one hold of the lock, it counts a hit for each point and moves each to
+// the LRU front in expansion order, as looking the points up one by one
+// would, and returns a copy of the memo's points, each with its entry's
+// time and message count. Otherwise it counts and moves nothing, and the
+// caller takes the sweep's full path.
+func (c *Cache) sweepHit(key []byte) ([]SweepPoint, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	m := c.memos[string(key)]
+	if m == nil {
+		return nil, false
+	}
+	var buf [64]*cacheEntry
+	ents := buf[:0]
+	for i := range m.points {
+		// Only a complete entry is filed in the LRU: an in-flight one is
+		// not yet, and an evicted, invalidated or failed one is gone from
+		// the map.
+		e := c.entries[m.points[i].SpecHash]
+		if e == nil || e.el == nil {
+			return nil, false
+		}
+		ents = append(ents, e)
+	}
+	pts := make([]SweepPoint, len(ents))
+	for i, e := range ents {
+		c.order.MoveToFront(e.el)
+		pts[i] = m.points[i]
+		pts[i].Time, pts[i].Messages = e.sum.time, e.sum.messages
+	}
+	c.hits += int64(len(ents))
+	c.memoHits++
+	c.memoOrder.MoveToFront(m.el)
+	return pts, true
+}
+
+// fileMemo files points, the expansion of a sweep whose every point ran,
+// under its raw body key, unless a memo is filed there already or the two
+// together pass maxMemoBytes. It evicts the least recently used memos past
+// that bound. Only the hashes and coordinates of points are read.
+func (c *Cache) fileMemo(key []byte, points []SweepPoint) {
+	size := memoSize(len(key), points)
+	if size > maxMemoBytes {
+		return
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if _, ok := c.memos[string(key)]; ok {
+		return
+	}
+	m := &sweepMemo{key: string(key), points: points}
+	m.el = c.memoOrder.PushFront(m)
+	c.memos[m.key] = m
+	c.memoBytes += size
+	for c.memoBytes > maxMemoBytes {
+		old := c.memoOrder.Remove(c.memoOrder.Back()).(*sweepMemo)
+		delete(c.memos, old.key)
+		c.memoBytes -= memoSize(len(old.key), old.points)
+	}
+}
+
 // Stats snapshots the counters.
 func (c *Cache) Stats() CacheStats {
 	c.mu.Lock()
@@ -201,6 +300,7 @@ func (c *Cache) Stats() CacheStats {
 	return CacheStats{
 		Hits: c.hits, Coalesced: c.coalesced, Misses: c.misses,
 		Evictions: c.evictions, Entries: c.order.Len(), Bytes: c.bytes,
+		MemoHits: c.memoHits, MemoEntries: c.memoOrder.Len(), MemoBytes: c.memoBytes,
 	}
 }
 

@@ -3,6 +3,7 @@ package service
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"math"
 	"slices"
 	"strconv"
@@ -48,9 +49,7 @@ type writer struct {
 func newWriter() *writer { return scratch.Get().(*writer) }
 
 // finish ends the body with a newline and returns an exactly sized copy of
-// it, which the caller owns, or the first error. It then returns the
-// scratch buffer to the pool unless the buffer has grown past
-// maxPooledScratch.
+// it, which the caller owns, or the first error. It then releases w.
 func (w *writer) finish() ([]byte, error) {
 	w.b = append(w.b, '\n')
 	var body []byte
@@ -59,11 +58,17 @@ func (w *writer) finish() ([]byte, error) {
 		// Copying by append skips zeroing the new slice, which make would do.
 		body = slices.Clip(append([]byte(nil), w.b...))
 	}
+	w.release()
+	return body, err
+}
+
+// release returns w to the pool unless its buffer has grown past
+// maxPooledScratch. Nothing may use w or its bytes after.
+func (w *writer) release() {
 	if cap(w.b) <= maxPooledScratch {
 		w.b, w.depth, w.err = w.b[:0], 0, nil
 		scratch.Put(w)
 	}
-	return body, err
 }
 
 func (w *writer) newline() { w.b = append(w.b, newlines[:1+2*w.depth]...) }
@@ -418,16 +423,18 @@ func (w *writer) sample(s *metrics.Sample) {
 	w.close('}')
 }
 
-// encode renders the sweep body in the same canonical form as
-// Response.Encode. It holds no floats, so it cannot fail.
-func (r *SweepResponse) encode() []byte {
+// writeTo writes the sweep body, in the same canonical form as
+// Response.Encode, to dst straight from a pooled buffer: a sweep body is
+// never kept, so it needs no copy. It holds no floats, so it cannot fail.
+func (r *SweepResponse) writeTo(dst io.Writer) {
 	w := newWriter()
 	w.open('{')
 	w.key("points")
 	appendArray(w, r.Points, (*writer).sweepPoint)
 	w.close('}')
-	body, _ := w.finish()
-	return body
+	w.b = append(w.b, '\n')
+	dst.Write(w.b)
+	w.release()
 }
 
 // sweepPoint writes one point of the sweep body. Points sit at depth 2, in

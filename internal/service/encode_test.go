@@ -46,7 +46,9 @@ func (c *encodeChecker) response(name string, r *Response) {
 
 func (c *encodeChecker) sweep(name string, r *SweepResponse) {
 	c.t.Helper()
-	c.compare(name, r, r.encode(), nil)
+	var buf bytes.Buffer
+	r.writeTo(&buf)
+	c.compare(name, r, buf.Bytes(), nil)
 }
 
 func (c *encodeChecker) compare(name string, v any, got []byte, err error) {

@@ -247,11 +247,11 @@ func TestSweepSummariesAfterEvictionAndRefresh(t *testing.T) {
 	checkSweepPoints(t, tail, body)
 }
 
-// TestSweepLeadingHitsInOrder: a sweep whose first points are cached
-// answers them on the request goroutine and fans out the rest, with the
-// same hit and miss counts and the same body as the per-point route. Hits
-// reach the LRU front in expansion order, so after a hot re-sweep the next
-// eviction takes the sweep's first point and no other.
+// TestSweepLeadingHitsInOrder: a sweep whose first points are cached gives
+// the same hit and miss counts and the same body as the per-point route.
+// A hot re-sweep, a memo hit, moves its points to the LRU front in
+// expansion order, so the next eviction takes the sweep's first point and
+// no other.
 func TestSweepLeadingHitsInOrder(t *testing.T) {
 	srv, ts := newTestServer(t, Config{Workers: 2, CacheEntries: 8})
 	req := SweepRequest{
@@ -388,8 +388,9 @@ func TestDeadlockJobReleasesGoroutines(t *testing.T) {
 }
 
 // BenchmarkSweepHit times one 48-point all-hit sweep through the handler:
-// expansion, Normalize and Hash per point, the cache hit, and the response
-// encode, with no simulation and no network.
+// a sweep memo hit, which reads the body, takes the cache lock once and
+// writes the response, with no decode, Normalize or Hash, no simulation
+// and no network.
 func BenchmarkSweepHit(b *testing.B) {
 	srv := New(Config{Workers: 2})
 	h := srv.Handler()
@@ -419,5 +420,53 @@ func BenchmarkSweepHit(b *testing.B) {
 	b.StopTimer()
 	if st := srv.Stats(); st.JobsRun != 48 {
 		b.Fatalf("timed sweeps ran %d simulations", st.JobsRun-48)
+	}
+}
+
+// BenchmarkSweepFallback times a sweep's full path, the one below the memo:
+// decoding, expansion, Normalize and Hash per point, the cache and the body
+// write, with no network. all-hit re-sweeps one cached 48-point grid.
+// overlap alternates two 48-point grids that share their first 24 points,
+// through a cache of 48 entries: each sweep hits those 24 and re-runs the
+// 24 points the other grid evicted.
+func BenchmarkSweepFallback(b *testing.B) {
+	grid := func(p int) []byte {
+		req, err := json.Marshal(SweepRequest{
+			Base: JobSpec{Program: "sum", Machine: MachineSpec{P: 8, L: 6, O: 2, G: 4}},
+			Axes: SweepAxes{P: []int{8, p}, L: []int64{6, 12, 24}, G: []int64{4, 8}, Seed: []int64{1, 2, 3, 4}},
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		return req
+	}
+	for _, tc := range []struct {
+		name    string
+		grids   [][]byte
+		entries int
+	}{
+		{"all-hit", [][]byte{grid(16)}, 0},
+		{"overlap", [][]byte{grid(16), grid(32)}, 48},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			srv := New(Config{Workers: 2, CacheEntries: tc.entries})
+			sweep := func(i int) (hits int) {
+				points, hits, _, err := srv.sweep(tc.grids[i%len(tc.grids)])
+				if err != nil {
+					b.Fatal(err)
+				}
+				(&SweepResponse{Points: points}).writeTo(io.Discard)
+				return hits
+			}
+			sweep(0) // fill the cache
+			if hits := sweep(1); hits != 48-24*(len(tc.grids)-1) {
+				b.Fatalf("%d hits in the second sweep", hits)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sweep(i)
+			}
+		})
 	}
 }

@@ -363,6 +363,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		counter("logpsimd_cache_evictions_total", "Result-cache evictions.", float64(st.Cache.Evictions)),
 		gauge("logpsimd_cache_entries", "Cached response bodies.", float64(st.Cache.Entries)),
 		gauge("logpsimd_cache_bytes", "Total size of cached response bodies.", float64(st.Cache.Bytes)),
+		counter("logpsimd_sweep_memo_hits_total", "Sweeps answered from the sweep memo without decoding, normalizing or hashing their points.", float64(st.Cache.MemoHits)),
+		gauge("logpsimd_sweep_memo_entries", "Sweep requests memoized.", float64(st.Cache.MemoEntries)),
+		gauge("logpsimd_sweep_memo_bytes", "Size of the sweep memo: raw request bodies and their points.", float64(st.Cache.MemoBytes)),
 		gauge("logpsimd_executor_workers", "Executor slot bound.", float64(st.Workers)),
 		gauge("logpsimd_executor_queue_depth", "Submissions waiting for an executor slot.", float64(st.QueueDepth)),
 		gauge("logpsimd_executor_in_flight", "Simulations holding an executor slot.", float64(st.InFlight)),

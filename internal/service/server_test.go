@@ -361,17 +361,23 @@ func TestAPIErrorsAndAux(t *testing.T) {
 	if code != 400 || !strings.Contains(string(body), "past the int64 cycle count") {
 		t.Errorf("compute past the clock: status %d body %s", code, body)
 	}
-	// A send past the clock is a 400 too, and a failed spec is not cached
-	// or left in flight: the second submission runs and fails again.
-	for i := 0; i < 2; i++ {
-		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(sendPastTheClock))
-		if err != nil {
-			t.Fatalf("send past the clock, submission %d: %v", i+1, err)
-		}
-		body, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != 400 || !strings.Contains(string(body), "send of 6 cycles") {
-			t.Errorf("send past the clock, submission %d: status %d body %s", i+1, resp.StatusCode, body)
+	// A send past the clock, by its flight or by its gap bound, is a 400
+	// too, and a failed spec is not cached or left in flight: the second
+	// submission runs and fails again.
+	for _, tc := range []struct{ spec, want string }{
+		{sendPastTheClock, "send of 6 cycles"},
+		{gapPastTheClock, "send of 839999999999999998 cycles"},
+	} {
+		for i := 0; i < 2; i++ {
+			resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(tc.spec))
+			if err != nil {
+				t.Fatalf("%s, submission %d: %v", tc.spec, i+1, err)
+			}
+			body, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != 400 || !strings.Contains(string(body), tc.want) {
+				t.Errorf("%s, submission %d: status %d body %s", tc.spec, i+1, resp.StatusCode, body)
+			}
 		}
 	}
 

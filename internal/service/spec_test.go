@@ -400,6 +400,9 @@ func TestHashDistinguishes(t *testing.T) {
 const (
 	latencyDrawPastInt64 = `{"program":"pingpong","machine":{"p":2,"l":9223372036854775807,"o":2,"g":4,"latency_jitter":9223372036854775807}}`
 	flightPastInt64      = `{"program":"pingpong","machine":{"p":2,"l":9223372036854775800,"o":2,"g":4},"faults":{"jitter":100,"drop":0.1}}`
+	// gapPastTheClock's twelfth send, 11g after its first, would start past
+	// the int64 cycle count. Both engines once answered 10g + 56.
+	gapPastTheClock = `{"program":"alltoall","machine":{"p":4,"l":6,"o":2,"g":840000000000000000}}`
 )
 
 // FuzzJobSpec decodes the input into a JobSpec the way the daemon does
@@ -409,8 +412,8 @@ const (
 // decode and normalize back to the same bytes, and Run on it, on the engine
 // the input names, must return a body or an error. The corpus is seeded
 // with the golden-hash specs in their wire form and the overflow
-// regressions: the send past the clock on both engines and the latency
-// draws past int64.
+// regressions: the send past the clock on both engines, the latency draws
+// past int64 and the gap bound past the clock.
 func FuzzJobSpec(f *testing.F) {
 	for _, seed := range []string{
 		`{"program":"broadcast","machine":{"p":8,"l":6,"o":2,"g":4}}`,
@@ -425,6 +428,7 @@ func FuzzJobSpec(f *testing.F) {
 		latencyDrawPastInt64,
 		flightPastInt64,
 		`{"program":"pingpong","machine":{"p":2,"l":6,"o":2,"g":4},"faults":{"jitter":9223372036854775807},"engine":"goroutine"}`,
+		gapPastTheClock,
 	} {
 		f.Add([]byte(seed))
 	}

@@ -1,8 +1,10 @@
 package service
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 
@@ -105,66 +107,81 @@ func valuesOr[T any](axis []T, base T) []T {
 	return axis
 }
 
-// handleSweep expands the grid and drives every point through the cache.
-// Each point is hashed once. The leading run of points whose bodies are
-// already cached is answered here, on the request goroutine, in expansion
-// order: such a point runs nothing, so handing it to a worker would only
-// add a hand-off. The rest go through runCached on the experiments parallel
-// runner at the server's worker bound, so a cold sweep keeps its
-// parallelism. The response lists the points in expansion order, each read
-// from the summary its cache entry stores beside the body; per-point full
-// responses stay cached under their spec hashes.
+// maxSweepBody bounds a sweep request body.
+const maxSweepBody = 4 << 20
+
+// handleSweep answers a sweep. It reads the body once. If the sweep memo
+// holds the expansion of these exact bytes and every point's body is
+// cached, the sweep is answered from the memo (Cache.sweepHit): nothing is
+// decoded, normalized or hashed. Otherwise it takes the full path, sweep,
+// and a sweep whose every point ran is then memoized. Either way the
+// response lists the points in expansion order, each read from the summary
+// its cache entry stores beside the body, and per-point full responses
+// stay cached under their spec hashes.
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
-	var req SweepRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 4<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	key, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxSweepBody))
+	if err != nil {
 		httpError(w, http.StatusBadRequest, fmt.Errorf("decoding sweep: %w", err))
 		return
 	}
-	specs, err := req.expand()
+	if points, ok := s.cache.sweepHit(key); ok {
+		writeSweep(w, points, len(points), 0)
+		return
+	}
+	points, hits, misses, err := s.sweep(key)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
+	s.cache.fileMemo(key, points)
+	writeSweep(w, points, hits, misses)
+}
 
-	sr := SweepResponse{Points: make([]SweepPoint, len(specs))}
-	hits := 0
-	var hash string
-	for ; hits < len(specs); hits++ {
-		hash = specs[hits].Hash()
-		e := s.cache.lookup(hash)
-		if e == nil {
-			break
-		}
-		sr.Points[hits] = newSweepPoint(&specs[hits], hash, e.sum)
+// writeSweep writes a sweep's reply: the cache counts in headers, so a warm
+// re-submission still returns byte-identical bytes, and the body.
+func writeSweep(w http.ResponseWriter, points []SweepPoint, hits, misses int) {
+	w.Header().Set("X-Logpsimd-Cache-Hits", strconv.Itoa(hits))
+	w.Header().Set("X-Logpsimd-Cache-Misses", strconv.Itoa(misses))
+	w.Header().Set("Content-Type", "application/json")
+	(&SweepResponse{Points: points}).writeTo(w)
+}
+
+// sweep is a sweep's full path: it decodes the request body, expands the
+// grid and drives every point through the cache on the experiments
+// parallel runner at the server's worker bound, each point hashed once. It
+// returns the points with their summaries and the hit and miss counts, or
+// the error of the first point in expansion order that failed.
+func (s *Server) sweep(body []byte) (points []SweepPoint, hits, misses int, err error) {
+	var req SweepRequest
+	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&req); err != nil {
+		return nil, 0, 0, fmt.Errorf("decoding sweep: %w", err)
+	}
+	specs, err := req.expand()
+	if err != nil {
+		return nil, 0, 0, err
 	}
 
-	// Fan out the rest, the first of which was hashed above. Each worker
-	// writes only its own point.
-	cold, coldHash := hits, hash
+	// Each worker writes only its own point.
+	points = make([]SweepPoint, len(specs))
 	type outcome struct {
 		hit bool
 		err error
 	}
-	outs := experiments.MapIndexed(s.cfg.workers(), len(specs)-cold, func(i int) outcome {
-		k, hash := cold+i, coldHash
-		if i > 0 {
-			hash = specs[k].Hash()
-		}
+	outs := experiments.MapIndexed(s.cfg.workers(), len(specs), func(k int) outcome {
+		hash := specs[k].Hash()
 		e, hit := s.runCached(specs[k], hash, nil)
 		if e.err != nil {
 			return outcome{err: fmt.Errorf("sweep point %d (%s): %w", k, hash[:12], e.err)}
 		}
-		sr.Points[k] = newSweepPoint(&specs[k], hash, e.sum)
+		points[k] = newSweepPoint(&specs[k], hash, e.sum)
 		return outcome{hit: hit}
 	})
-	misses := 0
 	for _, o := range outs {
 		if o.err != nil {
 			// First failure in expansion order, matching the sequential loop.
-			httpError(w, http.StatusBadRequest, o.err)
-			return
+			return nil, 0, 0, o.err
 		}
 		if o.hit {
 			hits++
@@ -172,10 +189,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 			misses++
 		}
 	}
-	w.Header().Set("X-Logpsimd-Cache-Hits", strconv.Itoa(hits))
-	w.Header().Set("X-Logpsimd-Cache-Misses", strconv.Itoa(misses))
-	w.Header().Set("Content-Type", "application/json")
-	w.Write(sr.encode())
+	return points, hits, misses, nil
 }
 
 // newSweepPoint is the summary of the point spec, with content address hash,
