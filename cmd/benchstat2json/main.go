@@ -30,13 +30,17 @@ import (
 // flat engine throughput targets (same machine, same workload), the sharded
 // flat core and the P=10^5 scale pin, the heap, handoff, and wait-elision
 // paths, the hook-overhead pairs (profiler recorder and metrics registry,
-// each detached vs attached), the daemon's response encoding, and, from
+// each detached vs attached), and the daemon's response encoding; from
 // internal/flat, the fresh and re-seated staggered all-to-all at P=32 and
-// P=256 (the sim-large job), with its per-message cost and storage.
-const defaultBench = "BenchmarkKernelEventThroughput|BenchmarkMachineMessageThroughput|BenchmarkFlatMachineMessageThroughput|BenchmarkFlatShardedMessageThroughput|BenchmarkFlatBroadcastP100k|BenchmarkHeapPushPop|BenchmarkContextSwitch|BenchmarkProcessWait|BenchmarkSendRecvRecorderOff|BenchmarkSendRecvRecorderOn|BenchmarkSendRecvMetricsOff|BenchmarkSendRecvMetricsOn|BenchmarkResponseEncode|BenchmarkFlatReset"
+// P=256 (the sim-large job), with its per-message cost and storage, and the
+// P=64 mix row, one machine re-seated for the all-to-all, the FFT remap and
+// the broadcast in turn (the pool's pattern on jobs-cold); from
+// internal/service, a 48-point sweep memo hit through the handler; and from
+// internal/core, the sum program's schedule construction.
+const defaultBench = "BenchmarkKernelEventThroughput|BenchmarkMachineMessageThroughput|BenchmarkFlatMachineMessageThroughput|BenchmarkFlatShardedMessageThroughput|BenchmarkFlatBroadcastP100k|BenchmarkHeapPushPop|BenchmarkContextSwitch|BenchmarkProcessWait|BenchmarkSendRecvRecorderOff|BenchmarkSendRecvRecorderOn|BenchmarkSendRecvMetricsOff|BenchmarkSendRecvMetricsOn|BenchmarkResponseEncode|BenchmarkFlatReset|BenchmarkSweepHit|BenchmarkSumSchedule"
 
 // defaultPkgs are the packages holding the default benchmarks.
-const defaultPkgs = ". ./internal/flat"
+const defaultPkgs = ". ./internal/flat ./internal/service ./internal/core"
 
 type benchmark struct {
 	Name    string             `json:"name"`

@@ -2,7 +2,6 @@ package flat
 
 import (
 	"testing"
-	"unsafe"
 
 	"github.com/logp-model/logp/internal/core"
 	"github.com/logp-model/logp/internal/logp"
@@ -92,7 +91,7 @@ func (b *burstThenStream) Message(n logp.Node, m logp.Message) {
 // by slot, keeps the burst's records until the run ends; seat releases them
 // once a later run no longer needs them, so after Resets to the streaming
 // phase alone the machine keeps no more than a fresh machine that ran it,
-// but for the wheel buckets, which seat keeps by design.
+// wheel buckets included.
 func TestInboxBoundedGrowthOnBurstyRun(t *testing.T) {
 	prog := &burstThenStream{burst: 2048, stream: 40000}
 	cfg := logp.Config{Params: core.Params{P: 5, L: 4, O: 1, G: 2}, DisableCapacity: true}
@@ -127,19 +126,8 @@ func TestInboxBoundedGrowthOnBurstyRun(t *testing.T) {
 	if _, err := fresh.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := m.StorageBytes()-wheelBytes(m), fresh.StorageBytes()-wheelBytes(fresh); got > want {
-		t.Errorf("after Resets to the stream alone the machine keeps %d bytes besides its wheel (bursty run %d), a fresh machine %d",
+	if got, want := m.StorageBytes(), fresh.StorageBytes(); got > want {
+		t.Errorf("after Resets to the stream alone the machine keeps %d bytes (bursty run %d), a fresh machine %d",
 			got, bursty, want)
 	}
-}
-
-// wheelBytes is the storage of m's timing-wheel buckets.
-func wheelBytes(m *Machine) int64 {
-	var n int
-	for s := range m.sh {
-		for b := range m.sh[s].wheel {
-			n += cap(m.sh[s].wheel[b])
-		}
-	}
-	return int64(n) * int64(unsafe.Sizeof(ent{}))
 }

@@ -232,7 +232,8 @@ func TestResetRejects(t *testing.T) {
 // TestResetKeepsAndTrimsStorage pins the storage policy behind the pool:
 // re-seating a machine for the same job reuses every buffer (a handful of
 // allocations per run, none of them per message), while buffers an earlier,
-// larger program grew are dropped once a run no longer needs them.
+// larger program grew, the timing wheel's among them, are dropped once a run
+// no longer needs them.
 func TestResetKeepsAndTrimsStorage(t *testing.T) {
 	params := core.Params{P: 8, L: 12, O: 2, G: 4}
 	build := func(name string) logp.Program {
@@ -261,7 +262,7 @@ func TestResetKeepsAndTrimsStorage(t *testing.T) {
 	}
 
 	seatRun(m, build("fftremap"))
-	large := m.StorageBytes()
+	large, largeWheel := m.StorageBytes(), flat.WheelBytes(m)
 	seatRun(m, build("pingpong")) // still holds the remap's buffers
 	seatRun(m, build("pingpong")) // drops them
 	small, err := flat.New(logp.Config{Params: params}, build("pingpong"), 1)
@@ -271,11 +272,14 @@ func TestResetKeepsAndTrimsStorage(t *testing.T) {
 	if _, err := small.Run(); err != nil {
 		t.Fatal(err)
 	}
-	// The per-processor buffers go; the per-shard wheel buckets (a few KB
-	// per shard) stay.
 	if got := m.StorageBytes(); got*4 > large {
 		t.Errorf("after small runs the machine keeps %d bytes (fresh small machine %d, after the remap %d)",
 			got, small.StorageBytes(), large)
+	}
+	// The wheel buckets go too, back to what a fresh small machine grows.
+	if got, want := flat.WheelBytes(m), flat.WheelBytes(small); got > want {
+		t.Errorf("after small runs the wheel keeps %d bytes (fresh small machine %d, after the remap %d)",
+			got, want, largeWheel)
 	}
 }
 
@@ -288,8 +292,9 @@ func TestResetKeepsAndTrimsStorage(t *testing.T) {
 // whether a message costs more once the machine's storage outgrows the
 // cache. The P=64 mix row re-seats one machine for the all-to-all, the FFT
 // remap and the broadcast in turn, the shapes the daemon's pool cycles
-// through on varied jobs: seat trims what the larger programs grew, so its
-// bytes per run include regrowing it, and its storage_MB is the most the
+// through on varied jobs: seat trims what the larger programs grew and
+// hands it to the spare pool, so its bytes per run are what regrowing costs
+// beyond the spares the pool still held, and its storage_MB is the most the
 // machine kept after any run.
 func BenchmarkFlatReset(b *testing.B) {
 	b.Run("P=64/mix", benchResetMix)

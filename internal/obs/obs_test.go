@@ -3,7 +3,9 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"log/slog"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -76,6 +78,45 @@ func TestSpanHeaderAndAttrs(t *testing.T) {
 	attrs := sp.LogAttrs()
 	if len(attrs) != 2 || attrs[0].Key != "decode_us" || attrs[0].Value.Int64() != 2000 {
 		t.Errorf("LogAttrs() = %v", attrs)
+	}
+}
+
+// TestSpanHeaderMatchesFmt checks Header's integer formatting against the
+// fmt "%.3f" of the duration in milliseconds it replaced, on durations from
+// a nanosecond to past a day. Only a duration exactly half a microsecond
+// past a whole one may differ: Header rounds it up, the float formatting
+// either way.
+func TestSpanHeaderMatchesFmt(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	durs := []time.Duration{0, 1, 499, 501, 999, time.Microsecond, 999_499, 999_501, 1_000_000, 25 * time.Hour}
+	for i := 0; i < 2000; i++ {
+		durs = append(durs, time.Duration(rng.Int63n(int64(100*time.Second))))
+	}
+	for _, d := range durs {
+		if d%time.Microsecond == 500 {
+			continue
+		}
+		sp := NewSpan()
+		sp.Observe("execute", d)
+		if got, want := sp.Header(), fmt.Sprintf("execute;dur=%.3f", float64(d)/float64(time.Millisecond)); got != want {
+			t.Fatalf("Header() for %d ns = %q, want %q", d, got, want)
+		}
+	}
+}
+
+// headerSink keeps BenchmarkSpanHeader's calls from being optimized away.
+var headerSink string
+
+// BenchmarkSpanHeader times the X-Logpsimd-Timing value of a job's span:
+// five stages.
+func BenchmarkSpanHeader(b *testing.B) {
+	sp := NewSpan()
+	for i, name := range []string{"decode", "normalize", "cache", "execute", "encode"} {
+		sp.Observe(name, time.Duration(i+1)*123_456)
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		headerSink = sp.Header()
 	}
 }
 

@@ -1,9 +1,8 @@
 package obs
 
 import (
-	"fmt"
 	"log/slog"
-	"strings"
+	"strconv"
 	"time"
 )
 
@@ -80,21 +79,31 @@ func (s *Span) Total() time.Duration {
 }
 
 // Header renders the span in the Server-Timing header syntax —
-// "decode;dur=0.112, execute;dur=1.204", durations in milliseconds — the
-// value the daemon sets as X-Logpsimd-Timing. Stages appear in recording
-// order; an empty span renders "".
+// "decode;dur=0.112, execute;dur=1.204", durations in milliseconds with
+// three decimals, rounded to the microsecond — the value the daemon sets as
+// X-Logpsimd-Timing. Stages appear in recording order; an empty span
+// renders "".
 func (s *Span) Header() string {
 	if s == nil || len(s.stages) == 0 {
 		return ""
 	}
-	var b strings.Builder
+	var buf [128]byte
+	b := buf[:0]
 	for i := range s.stages {
 		if i > 0 {
-			b.WriteString(", ")
+			b = append(b, ", "...)
 		}
-		fmt.Fprintf(&b, "%s;dur=%.3f", s.stages[i].Name, float64(s.stages[i].Dur)/float64(time.Millisecond))
+		b = append(b, s.stages[i].Name...)
+		b = append(b, ";dur="...)
+		us := int64(s.stages[i].Dur.Round(time.Microsecond) / time.Microsecond)
+		if us < 0 {
+			b = append(b, '-')
+			us = -us
+		}
+		b = strconv.AppendInt(b, us/1000, 10)
+		b = append(b, '.', byte('0'+us/100%10), byte('0'+us/10%10), byte('0'+us%10))
 	}
-	return b.String()
+	return string(b)
 }
 
 // LogAttrs renders the stages as slog attributes ("<name>_us", microseconds)
